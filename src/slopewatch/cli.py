@@ -251,6 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
+    # stage defaults match the pipeline's, so both entry points agree
+    cfg = pipeline.PipelineConfig()
 
     r = sub.add_parser("register", help="pairwise registration")
     r.add_argument("--src", required=True)
@@ -274,16 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--removed", required=True)
     f.add_argument("--mask", default=None,
                    help="override file: one '+index' (ground) or '-index' per line")
-    f.add_argument("--cell-size", type=float, default=10.0)
-    f.add_argument("--cloth-resolution", type=float, default=0.5)
-    f.add_argument("--rigidness", type=int, default=2)
-    f.add_argument("--class-threshold", type=float, default=0.5)
+    f.add_argument("--cell-size", type=float, default=cfg.filter_cell_m)
+    f.add_argument("--cloth-resolution", type=float,
+                   default=cfg.cloth.grid_resolution)
+    f.add_argument("--rigidness", type=int, default=cfg.cloth.rigidness)
+    f.add_argument("--class-threshold", type=float,
+                   default=cfg.cloth.class_threshold)
     f.set_defaults(func=cmd_filter)
 
     d = sub.add_parser("dtm", help="triangulate a ground cloud")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--max-edge", type=float, default=2.0)
+    d.add_argument("--max-edge", type=float, default=cfg.dtm_max_edge_m)
     d.set_defaults(func=cmd_dtm)
 
     de = sub.add_parser("deform", help="difference two DTMs")
@@ -291,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--reference", required=True)
     de.add_argument("--days", type=float, required=True)
     de.add_argument("--out", required=True)
-    de.add_argument("--max-dist", type=float, default=5.0)
+    de.add_argument("--max-dist", type=float, default=cfg.deform_max_dist_m)
     de.set_defaults(func=cmd_deform)
 
     rg = sub.add_parser("regions", help="extract significant regions")
     rg.add_argument("--field", required=True)
-    rg.add_argument("--threshold", type=float, default=2.0)
-    rg.add_argument("--min-area", type=float, default=25.0)
+    rg.add_argument("--threshold", type=float,
+                    default=cfg.rate_threshold_mm_day)
+    rg.add_argument("--min-area", type=float, default=cfg.min_region_area_m2)
     rg.add_argument("--out", required=True)
     rg.set_defaults(func=cmd_regions)
 

@@ -516,6 +516,16 @@ def nearest_neighbors(index: SpatialIndex, query, k: int) -> list[tuple[int, flo
     return [(int(i), float(d)) for i, d in zip(idx, dist)]
 
 
+def _kdtree(cloud: PointCloud) -> cKDTree:
+    """The kd-tree over ``cloud.points``, built on first use and kept with
+    the cloud; a cloud is immutable, so the tree never goes stale."""
+    tree = cloud.__dict__.get("_kdtree")
+    if tree is None:
+        tree = cKDTree(cloud.points)
+        object.__setattr__(cloud, "_kdtree", tree)
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # Geometry helpers
 # ---------------------------------------------------------------------------
@@ -562,7 +572,8 @@ def surface_spacing(points_or_cloud, k: int = 4, sample: int = 2000) -> float:
         return median_spacing(points_or_cloud, sample)
     step = max(1, n // sample)
     probe = pts[::step]
-    tree = cKDTree(pts)
+    tree = (_kdtree(points_or_cloud) if isinstance(points_or_cloud, PointCloud)
+            else cKDTree(pts))
     d, _ = tree.query(probe, k=k + 1)
     return float(np.median(d[:, k]) / np.sqrt(k))
 

@@ -265,21 +265,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with _stage("register_epochs"):
         hybrid = HybridParams(alpha_start=config.hybrid_alpha_start,
                               alpha_steps=config.hybrid_alpha_steps,
-                              coarse=config.coarse, icp=config.icp)
+                              coarse=config.coarse, icp=config.icp,
+                              refine_pair_m=config.epoch_refine_pair_m)
         reference = merged[0]
         aligned_epochs.append(reference)
         for k in range(1, len(merged)):
             result = register_global_hybrid(merged[k], reference, hybrid)
-            refined = result
-            if config.epoch_refine_pair_m > 0:
-                from .registration import icp as run_icp
-                refined = run_icp(merged[k], reference,
-                                  IcpParams(max_pair_dist=config.epoch_refine_pair_m),
-                                  init=result.transform)
-            aligned_epochs.append(refined.transform.apply_cloud(merged[k]))
+            aligned_epochs.append(result.transform.apply_cloud(merged[k]))
             logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
                         config.epochs[k].epoch_id, config.epochs[0].epoch_id,
-                        refined.rmse, refined.inlier_count)
+                        result.rmse, result.inlier_count)
         if config.write_clouds:
             for c in aligned_epochs:
                 emit(f"epoch_{c.epoch_id}_aligned.ply",

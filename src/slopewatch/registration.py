@@ -1,10 +1,12 @@
 """Pairwise, multi-view, and multi-epoch rigid registration.
 
-Three alignment paths build on one closed-form least-squares core:
+Three alignment paths share one fine-alignment step:
 
-* plain point-to-point ICP for fine alignment,
-* descriptor matching with a geometric-consistency filter for coarse
-  alignment of overlapping station scans,
+* point-to-plane ICP for fine alignment, on the target's normals, with a
+  robust residual gate so surface that changed between epochs does not
+  drag the pose,
+* descriptor matching with a geometric-consistency filter and a
+  closed-form rigid fit for coarse alignment of overlapping station scans,
 * a coarse-to-fine global matcher for epoch pairs that blends feature and
   Euclidean distances in a minimum-cost bipartite matching loop, then
   polishes with ICP. The blend weight starts feature-dominated and decays
@@ -15,15 +17,14 @@ Three alignment paths build on one closed-form least-squares core:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .cloud import (PointCloud, diameter, estimate_normals, fit_plane,
-                    surface_spacing, _orient_deterministic)
+                    surface_spacing, _kdtree, _orient_deterministic)
 from .errors import (DegenerateCorrespondences, DisconnectedViews,
                      InsufficientGeometry, NoOverlap)
 from .rigid import RigidTransform
@@ -32,6 +33,9 @@ logger = logging.getLogger(__name__)
 
 DESCRIPTOR_BINS = (8, 4, 4)  # azimuth x radial x elevation occupancy grid
 DESCRIPTOR_BITS = int(np.prod(DESCRIPTOR_BINS))
+ICP_RMSE_FLOOR_M = 1e-10   # an ICP residual this small is exact data: stop
+ICP_RESIDUAL_GATE = 3.0    # robust sigmas; pairs beyond are off the common surface
+MAD_TO_SIGMA = 1.4826      # median absolute deviation -> Gaussian sigma
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +46,9 @@ DESCRIPTOR_BITS = int(np.prod(DESCRIPTOR_BINS))
 @dataclass
 class IcpParams:
     max_iter: int = 150
-    convergence_eps: float = 1e-10
+    # an RMSE change, up or down, within this share of the previous RMSE
+    # is convergence
+    convergence_eps: float = 1e-2
     max_pair_dist: float | None = None  # default: 0.25 * target diameter
 
 
@@ -65,6 +71,9 @@ class HybridParams:
     alpha_steps: int = 5
     coarse: CoarseParams = field(default_factory=CoarseParams)
     icp: IcpParams = field(default_factory=IcpParams)
+    # stable-area polish of the chosen pose: pairs beyond this gate
+    # (deforming surface) are ignored; 0 skips the polish
+    refine_pair_m: float = 0.0
 
 
 @dataclass
@@ -103,6 +112,11 @@ class CorrespondenceSet:
 
 @dataclass
 class RegistrationResult:
+    """Outcome of an ICP run. ``rmse`` is the point-to-plane residual (the
+    paired distance along the target normal) over the pairs the last step
+    kept, in meters; ``inlier_count`` counts the pairs within the distance
+    gate."""
+
     transform: RigidTransform
     rmse: float
     iterations: int
@@ -156,13 +170,24 @@ def icp(
     params: IcpParams | None = None,
     init: RigidTransform | None = None,
 ) -> RegistrationResult:
-    """Point-to-point ICP from ``source`` into ``target``'s frame.
+    """Point-to-plane ICP from ``source`` into ``target``'s frame.
 
     Each iteration pairs every source point with its nearest target point,
-    rejects pairs beyond ``max_pair_dist``, and refits the closed-form
-    transform. Stops when the paired RMSE improves by less than
-    ``convergence_eps`` (or would increase, which keeps the RMSE sequence
-    non-increasing), or at ``max_iter``.
+    rejects pairs beyond ``max_pair_dist`` and pairs whose target normal is
+    NaN, and counts the rest as inliers. Of those it keeps the pairs whose
+    residual along the target normal is within ``ICP_RESIDUAL_GATE`` robust
+    standard deviations (from the median absolute residual), so changed
+    surface between epochs does not drag the pose, and takes the
+    linearised point-to-plane least-squares step on them (Chen & Medioni
+    1992). A target without normals gets them first. The RMSE is the
+    residual along the target normals of the kept pairs after the step.
+
+    Stops as converged when the RMSE changes by at most ``convergence_eps``
+    of the previous RMSE, up or down, or reaches ``ICP_RMSE_FLOOR_M``. A
+    larger rise stops as not converged. Either kind of rise keeps the
+    previous transform, so the RMSE sequence never increases. Also stops,
+    not converged, when fewer than six pairs or a singular system remain,
+    or at ``max_iter``.
 
     Raises
     ------
@@ -172,12 +197,16 @@ def icp(
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
     params = params or IcpParams()
+    if target.normals is None:
+        target = _ensure_normals(target, CoarseParams())
     max_pair = params.max_pair_dist
     if max_pair is None:
         max_pair = 0.25 * diameter(target)
     src = source.points
     tgt = target.points
-    tree = cKDTree(tgt)
+    normals = target.normals
+    has_normal = np.all(np.isfinite(normals), axis=1)
+    tree = _kdtree(target)
 
     t = init or RigidTransform.identity()
     prev_rmse = np.inf
@@ -190,31 +219,38 @@ def icp(
         moved = t.apply(src)
         dist, idx = tree.query(moved)
         mask = dist <= max_pair
+        if it == 1 and not mask.any():
+            raise NoOverlap(
+                f"no source point within {max_pair:.3f} m of the target"
+            )
+        mask &= has_normal[idx]
         count = int(mask.sum())
-        if count == 0:
-            if it == 1:
-                raise NoOverlap(
-                    f"no source point within {max_pair:.3f} m of the target"
-                )
+        if count < 6:
             break
-        if count < 3:
+        p, q, n = moved[mask], tgt[idx[mask]], normals[idx[mask]]
+        off = np.abs(np.einsum("ij,ij->i", p - q, n))
+        keep = off <= ICP_RESIDUAL_GATE * MAD_TO_SIGMA * np.median(off)
+        if keep.sum() < 6:
             break
+        p, q, n = p[keep], q[keep], n[keep]
         try:
-            t_new = fit_rigid(src[mask], tgt[idx[mask]])
+            step = _point_to_plane_step(p, q, n)
         except DegenerateCorrespondences:
             break
-        resid = t_new.apply(src[mask]) - tgt[idx[mask]]
-        rmse = float(np.sqrt(np.mean(np.einsum("ij,ij->i", resid, resid))))
+        resid = np.einsum("ij,ij->i", step.apply(p) - q, n)
+        rmse = float(np.sqrt(np.mean(resid * resid)))
         iterations = it
+        settled = rmse <= ICP_RMSE_FLOOR_M or (
+            np.isfinite(prev_rmse)
+            and abs(rmse - prev_rmse) <= params.convergence_eps * prev_rmse)
         if rmse > prev_rmse:
-            converged = True   # keep the previous, better transform
+            converged = settled   # keep the previous, better transform
             break
-        t = t_new
+        t = step.compose(t)
         inliers = count
         history.append(rmse)
-        improvement = prev_rmse - rmse
         prev_rmse = rmse
-        if rmse < params.convergence_eps or improvement < params.convergence_eps:
+        if settled:
             converged = True
             break
 
@@ -222,6 +258,30 @@ def icp(
     return RegistrationResult(transform=t, rmse=rmse_out,
                               iterations=max(iterations, 1), converged=converged,
                               inlier_count=inliers, rmse_sequence=history)
+
+
+def _point_to_plane_step(p: np.ndarray, q: np.ndarray,
+                         n: np.ndarray) -> RigidTransform:
+    """Rigid step minimising the linearised sum of ``((R p + t - q) . n)^2``.
+
+    Solves the 6x6 normal equations for a rotation vector and a translation,
+    rotating about the centroid of ``p`` for conditioning, and builds the
+    rotation exactly from the rotation vector. Raises
+    ``DegenerateCorrespondences`` when the system is singular (the normals
+    leave a motion unconstrained, as on a plane).
+    """
+    c = p.mean(axis=0)
+    a = np.hstack([np.cross(p - c, n), n])
+    b = np.einsum("ij,ij->i", q - p, n)
+    h = a.T @ a
+    w = np.linalg.eigvalsh(h)
+    if w[0] <= w[-1] * 1e-12:
+        raise DegenerateCorrespondences("point-to-plane system is singular")
+    x = np.linalg.solve(h, a.T @ b)
+    angle = float(np.linalg.norm(x[:3]))
+    r = (RigidTransform.rotation_about_axis(x[:3], angle).rotation
+         if angle > 0 else np.eye(3))
+    return RigidTransform(r, c + x[3:] - r @ c)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +341,7 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
         raise ValueError("descriptor radius must be positive")
     keypoints = np.asarray(keypoints, dtype=np.int64)
     pts = cloud.points
-    tree = cKDTree(pts)
+    tree = _kdtree(cloud)
     n_az, n_rad, n_el = DESCRIPTOR_BINS
 
     kept: list[int] = []
@@ -553,10 +613,13 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
     bipartite assignment under ``sqrt(alpha * d_feat^2 + (1-alpha) * d_euc^2)``
     with the feature distance normalized by descriptor bit length and the
     Euclidean distance by the current cloud-pair diameter, then refits the
-    transform. ``alpha`` decays linearly to zero, after which plain ICP
-    refines the pose. The ICP polish is also run from the identity and the
+    transform. ``alpha`` decays linearly to zero, after which ICP refines
+    the pose. The ICP polish is also run from the identity and the
     candidate with more gated inliers (ties: lower RMSE, then the identity
-    start) wins, so the hybrid path never does worse than plain ICP.
+    start) wins, so the hybrid path never does worse than plain ICP. With
+    ``refine_pair_m`` set, a last ICP from the winner pairs only within
+    that gate, so deforming surface cannot drag the alignment. Every ICP
+    run shares the target's kd-tree.
     """
     params = params or HybridParams()
     source, target, fs, ft, _ = _prepare_pair(source, target, params.coarse)
@@ -587,15 +650,15 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
         cand_plain = icp(source, target, params.icp)
     except NoOverlap:
         cand_plain = None
-    if cand_hybrid is None and cand_plain is None:
+    candidates = [c for c in (cand_plain, cand_hybrid) if c is not None]
+    if not candidates:
         raise NoOverlap("no pairing distance overlap from either start pose")
-    if cand_hybrid is None:
-        return cand_plain
-    if cand_plain is None:
-        return cand_hybrid
-    better_plain = (cand_plain.inlier_count, -cand_plain.rmse) >= (
-        cand_hybrid.inlier_count, -cand_hybrid.rmse)
-    return cand_plain if better_plain else cand_hybrid
+    best = max(candidates, key=lambda c: (c.inlier_count, -c.rmse))
+    if params.refine_pair_m > 0:
+        best = icp(source, target,
+                   replace(params.icp, max_pair_dist=params.refine_pair_m),
+                   init=best.transform)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_NOISE_SIGMA_M = 0.006
 DEFAULT_DENSITY_PTS_M2 = 154.0
 DEFAULT_SLOPE_DEG = 70.0
+SUPPORT_QUERY_CHUNK = 256   # queries per distance block in _max_within
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,9 @@ def add_vegetation(
     heights = rng.uniform(height_range_m[0], height_range_m[1], size=n_veg)
 
     plan_q = plan[anchors[assign]] + jitter
-    neighbor_lists = tree.query_ball_point(plan_q, r=support_radius)
-    s_base = np.empty(n_veg)
-    for i, lst in enumerate(neighbor_lists):
-        s_base[i] = s_ground[lst].max() if lst else s_ground[anchors[assign[i]]]
+    s_base = _max_within(tree, s_ground, plan_q, support_radius)
+    bare = np.isneginf(s_base)
+    s_base[bare] = s_ground[anchors[assign[bare]]]
     veg_pts = (plan_q[:, 0, None] * axis_u + plan_q[:, 1, None] * axis_v
                + (s_base + heights)[:, None] * normal)
 
@@ -212,6 +212,24 @@ def add_vegetation(
     truth = SceneTruth(ground_labels=labels.copy(),
                        true_displacement=np.zeros(len(points)))
     return out, truth
+
+
+def _max_within(tree: cKDTree, values: np.ndarray, queries: np.ndarray,
+                radius: float) -> np.ndarray:
+    """Per query, the largest of ``values`` over the tree's points within
+    ``radius`` (inclusive), or -inf where there is none.
+
+    Blocks of ``SUPPORT_QUERY_CHUNK`` queries go through one sparse distance
+    matrix each, so no per-query list is built and memory stays bounded.
+    """
+    out = np.full(len(queries), -np.inf)
+    for start in range(0, len(queries), SUPPORT_QUERY_CHUNK):
+        block = queries[start:start + SUPPORT_QUERY_CHUNK]
+        pairs = cKDTree(block).sparse_distance_matrix(
+            tree, radius, output_type="ndarray")
+        np.maximum.at(out[start:start + len(block)], pairs["i"],
+                      values[pairs["j"]])
+    return out
 
 
 def apply_landslide(

@@ -1,9 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slopewatch as sw
+from slopewatch import cloud as cloud_mod, pipeline as pipeline_mod
+from slopewatch import registration as reg
 from slopewatch.bench import BenchmarkConfig, TrialConfig, run_table2_benchmark
 from slopewatch.errors import PipelineStageError
 from slopewatch.pipeline import PipelineConfig, default_config, run_pipeline
@@ -132,3 +136,56 @@ def test_pipeline_identical_epochs_no_regions(tmp_path):
     mean_cm = result.report["epoch_pairs"][0]["mean_cm"]
     sigma_mm = result.report["error_budget"]["sigma_mm"]
     assert abs(mean_cm) * 10 < sigma_mm
+
+
+@pytest.fixture(scope="module")
+def traced_default_run(tmp_path_factory):
+    """``default_config(density_pts_m2=8)`` with every ICP result, every
+    epoch registration call and its kd-tree builds on the reference."""
+    icp_results, hybrid_calls = [], []
+    real_icp, real_hybrid = reg.icp, reg.register_global_hybrid
+    real_tree = cloud_mod.cKDTree
+
+    def icp(*args, **kwargs):
+        result = real_icp(*args, **kwargs)
+        icp_results.append(result)
+        return result
+
+    def hybrid(source, target, params=None):
+        call = {"reference": target.points, "reference_trees": 0}
+        hybrid_calls.append(call)
+        try:
+            return real_hybrid(source, target, params)
+        finally:
+            call["done"] = True
+
+    def tree(data, *args, **kwargs):
+        for call in hybrid_calls:
+            if "done" not in call and np.array_equal(data, call["reference"]):
+                call["reference_trees"] += 1
+        return real_tree(data, *args, **kwargs)
+
+    cfg = default_config(density_pts_m2=8,
+                         out_dir=str(tmp_path_factory.mktemp("traced")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reg, "icp", icp)
+        mp.setattr(pipeline_mod, "register_global_hybrid", hybrid)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("slopewatch.")
+                    and getattr(mod, "cKDTree", None) is real_tree):
+                mp.setattr(mod, "cKDTree", tree)
+        result = run_pipeline(cfg)
+    return cfg, result, icp_results, hybrid_calls
+
+
+def test_pipeline_icp_calls_all_converge(traced_default_run):
+    _, result, icp_results, _ = traced_default_run
+    assert len(result.regions) == 1
+    assert len(icp_results) == 5   # two multi-view merges, three per pair
+    assert all(r.converged for r in icp_results)
+
+
+def test_pipeline_registers_each_epoch_pair_once(traced_default_run):
+    cfg, _, _, hybrid_calls = traced_default_run
+    assert len(hybrid_calls) == len(cfg.epochs) - 1
+    assert [c["reference_trees"] for c in hybrid_calls] == [1] * len(hybrid_calls)

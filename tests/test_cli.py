@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 
 import slopewatch as sw
-from slopewatch.cli import main
+from slopewatch.cli import build_parser, main
 
 
 def write_terrain(path, seed=0, density=10.0, extent=(25, 18)):
@@ -176,3 +176,16 @@ def test_pipeline_cli(tmp_path, capsys):
     cfg_path.write_text(cfg.to_json())
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_stage_defaults_match_pipeline_config():
+    cfg = sw.PipelineConfig()
+    parser = build_parser()
+    filt = parser.parse_args(["filter", "--in", "a", "--out", "b",
+                              "--removed", "c"])
+    assert filt.cell_size == cfg.filter_cell_m
+    assert filt.cloth_resolution == cfg.cloth.grid_resolution
+    assert filt.class_threshold == cfg.cloth.class_threshold
+    regions = parser.parse_args(["regions", "--field", "f", "--out", "o"])
+    assert regions.min_area == cfg.min_region_area_m2
+    assert regions.threshold == cfg.rate_threshold_mm_day

@@ -161,6 +161,125 @@ def test_icp_rmse_sequence_non_increasing():
         assert result.rmse <= seq[0] + 1e-12
 
 
+def _slide_pair(seed=31):
+    """A terrain and its copy with a 1 m deep slide over 30% of the area."""
+    base, truth0 = sw.gen_terrain((40, 25), 70.0, 0.5, 8, seed=seed)
+    frame = truth0.frame
+    radius = np.sqrt(0.3 * 40 * 25 / np.pi)
+    center = 20 * frame.axis_u + 12 * frame.axis_v
+    spec = sw.LandslideSpec(center=tuple(center), radius_along=radius,
+                            radius_across=radius, depth_m=1.0, azimuth_deg=45)
+    changed, _ = sw.apply_landslide(base, spec, frame=frame)
+    return changed, base
+
+
+def _noisy_offset_pair(seed):
+    """A terrain and a noisy copy of it under a small random offset."""
+    cloud, _ = make_terrain(seed=seed, extent=(30, 20))
+    rng = np.random.default_rng(seed)
+    noisy = sw.PointCloud(points=cloud.points
+                          + rng.normal(0, 0.01, cloud.points.shape))
+    off = RigidTransform.rotation_about_axis(rng.normal(size=3),
+                                             np.radians(rng.uniform(1, 8)))
+    off = RigidTransform(off.rotation, rng.normal(size=3) * 0.5)
+    return off.apply_cloud(noisy), cloud
+
+
+def test_icp_converges_on_fall_within_tolerance():
+    source, target = _noisy_offset_pair(0)
+    params = sw.IcpParams()
+    result = sw.icp(source, target, params)
+    seq = result.rmse_sequence
+    assert result.converged
+    assert result.iterations == len(seq) < params.max_iter
+    assert 0 <= seq[-2] - seq[-1] <= params.convergence_eps * seq[-2]
+    assert result.rmse == seq[-1] > 0.005   # noise floor, not exact data
+
+
+def _stops_on_rise(eps):
+    # at seed 20 the RMSE falls by 74%, then rises by about 1e-3 of itself
+    source, target = _noisy_offset_pair(20)
+    before = sw.icp(source, target, sw.IcpParams(max_iter=2))
+    result = sw.icp(source, target, sw.IcpParams(convergence_eps=eps))
+    assert result.iterations == 3
+    assert result.rmse_sequence == before.rmse_sequence
+    assert result.rmse == before.rmse
+    np.testing.assert_array_equal(result.transform.matrix(),
+                                  before.transform.matrix())
+    return result
+
+
+def test_icp_rise_within_tolerance_converges_on_previous_pose():
+    assert _stops_on_rise(1e-2).converged
+
+
+def test_icp_rise_beyond_tolerance_stops_unconverged_on_previous_pose():
+    assert not _stops_on_rise(1e-4).converged
+
+
+def test_icp_ignores_changed_surface():
+    # a 1 m deep slide over 30% of the area would drag a least-squares fit
+    changed, base = _slide_pair()
+    diam = sw.diameter(base)
+    off = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(3))
+    off = RigidTransform(off.rotation, np.array([0.5, -0.3, 0.2]))
+    result = sw.icp(off.apply_cloud(changed), base)
+    ev = sw.evaluate_registration(result, off.inverse(), diam, 1e-6 * diam)
+    assert result.converged
+    assert ev.success
+
+
+def test_icp_tangential_shift_on_smooth_slope_converges_fast():
+    # the case a point-to-point fit crawls on: about 100 iterations here
+    cloud, truth = sw.gen_terrain((40, 30), 70.0, 0.05, 8.0, seed=4)
+    diam = sw.diameter(cloud)
+    off = RigidTransform(np.eye(3), 1.0 * truth.frame.axis_u
+                         + 0.5 * truth.frame.axis_v)
+    result = sw.icp(off.apply_cloud(cloud), cloud)
+    ev = sw.evaluate_registration(result, off.inverse(), diam, 1e-3 * diam)
+    assert result.converged
+    assert result.iterations <= 10
+    assert ev.success
+
+
+def test_icp_estimates_missing_target_normals():
+    cloud, _ = make_terrain(seed=5, extent=(30, 20))
+    off = RigidTransform.rotation_about_axis([0.3, 0, 1.0], np.radians(4))
+    off = RigidTransform(off.rotation, np.array([0.8, -0.4, 0.3]))
+    moved = off.apply_cloud(cloud)
+    assert cloud.normals is None
+    bare = sw.icp(moved, cloud)
+    prepared = sw.icp(moved, reg._ensure_normals(cloud, sw.CoarseParams()))
+    np.testing.assert_allclose(bare.transform.matrix(),
+                               prepared.transform.matrix(), rtol=0, atol=1e-9)
+
+
+def test_icp_ignores_pairs_without_target_normal():
+    cloud, _ = make_terrain(seed=5, extent=(30, 20))
+    target = reg._ensure_normals(cloud, sw.CoarseParams())
+    normals = target.normals.copy()
+    normals[::3] = np.nan
+    holed = target.with_(normals=normals)
+    off = RigidTransform(np.eye(3), np.array([0.3, 0.2, -0.1]))
+    result = sw.icp(off.apply_cloud(cloud), holed)
+    ev = sw.evaluate_registration(result, off.inverse(), sw.diameter(cloud),
+                                  1e-3 * sw.diameter(cloud))
+    assert ev.success
+    assert result.inlier_count <= np.isfinite(normals[:, 0]).sum()
+
+
+def test_icp_stops_on_singular_plane_system():
+    # on a plane the normals leave in-plane motion unconstrained
+    rng = np.random.default_rng(8)
+    plane = sw.PointCloud(points=np.column_stack(
+        [rng.uniform(0, 20, 1500), rng.uniform(0, 20, 1500), np.zeros(1500)]))
+    off = RigidTransform(np.eye(3), np.array([0.5, 0.0, 0.2]))
+    result = sw.icp(off.apply_cloud(plane), plane)
+    assert not result.converged
+    assert result.rmse_sequence == []
+    np.testing.assert_array_equal(result.transform.matrix(), np.eye(4))
+
+
 def test_icp_rejects_empty():
     cloud, _ = make_terrain(seed=1, extent=(10, 10))
     empty = sw.PointCloud(points=np.zeros((0, 3)))
@@ -346,15 +465,10 @@ def test_hybrid_identity():
 
 def test_hybrid_succeeds_on_large_offset_with_change():
     # seed picked so plain ICP lands in a wrong minimum on this pose offset
-    seed = 30
-    base, truth0 = sw.gen_terrain((40, 25), 70.0, 0.5, 8, seed=seed)
-    frame = truth0.frame
+    # (it does at seed 31 with point-to-point and point-to-plane ICP alike)
+    seed = 31
+    changed, base = _slide_pair(seed)
     diam = sw.diameter(base)
-    radius = np.sqrt(0.3 * 40 * 25 / np.pi)
-    center = 20 * frame.axis_u + 12 * frame.axis_v
-    spec = sw.LandslideSpec(center=tuple(center), radius_along=radius,
-                            radius_across=radius, depth_m=1.0, azimuth_deg=45)
-    changed, _ = sw.apply_landslide(base, spec, frame=frame)
     rng = np.random.default_rng(seed + 500)
     tdir = rng.normal(size=3)
     tdir /= np.linalg.norm(tdir)
@@ -372,6 +486,21 @@ def test_hybrid_succeeds_on_large_offset_with_change():
     ev = sw.evaluate_registration(hybrid, truth, diam, 1.0)
     assert ev.success
     assert not icp_ok
+
+
+def test_hybrid_refine_polishes_the_chosen_pose():
+    changed, base = _slide_pair()
+    off = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(20))
+    moved = RigidTransform(off.rotation, np.array([3.0, -2.0, 1.0])
+                           ).apply_cloud(changed)
+    plain = sw.register_global_hybrid(moved, base)
+    polished = sw.register_global_hybrid(moved, base,
+                                         sw.HybridParams(refine_pair_m=0.2))
+    direct = sw.icp(moved, base, sw.IcpParams(max_pair_dist=0.2),
+                    init=plain.transform)
+    np.testing.assert_array_equal(polished.transform.matrix(),
+                                  direct.transform.matrix())
+    assert polished.inlier_count == direct.inlier_count
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import slopewatch as sw
+from slopewatch import synth
 from slopewatch.cloud import PointClass, fit_plane
 from slopewatch.rigid import RigidTransform
 from slopewatch.synth import (LandslideSpec, add_vegetation, apply_landslide,
@@ -88,6 +89,24 @@ def test_vegetation_min_height_above_local_ground():
     for i, neighbors in enumerate(tree.query_ball_point(plan_v, r=support_radius)):
         local = s_g[neighbors].max() if neighbors else -np.inf
         assert s_v[i] - local >= h_min - 1e-9
+
+
+def test_support_max_matches_ball_query_lists():
+    # integer grid and queries: many neighbours sit exactly on the radius
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(4)
+    grid = np.stack(np.meshgrid(np.arange(30.0), np.arange(20.0)), -1)
+    plan = grid.reshape(-1, 2)
+    values = rng.normal(size=len(plan))
+    queries = np.vstack([rng.integers(-3, 33, (400, 2)).astype(float),
+                         rng.uniform(-5, 35, (400, 2))])
+    tree = cKDTree(plan)
+    want = np.array([values[lst].max() if lst else -np.inf
+                     for lst in tree.query_ball_point(queries, r=2.0)])
+    got = synth._max_within(tree, values, queries, 2.0)
+    assert len(queries) > synth.SUPPORT_QUERY_CHUNK
+    assert np.isneginf(want).any()
+    np.testing.assert_array_equal(got, want)
 
 
 def test_vegetation_rejects_bad_coverage():
