@@ -152,7 +152,11 @@ def shape_angle(W_m: float, L_m: float) -> float:
     """Shape angle arctan(L/W) in degrees, in (0, 90)."""
     if W_m <= 0 or L_m <= 0:
         raise ValueError("W and L must be positive")
-    return math.degrees(math.atan(L_m / W_m))
+    theta = math.degrees(math.atan(L_m / W_m))
+    if L_m < W_m:
+        # L a few ulps below W rounds to exactly 45 degrees, the long side
+        theta = min(theta, math.nextafter(45.0, 0.0))
+    return theta
 
 
 def classify_shape(theta_deg: float) -> ShapeClass:

@@ -683,7 +683,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
         raise ValueError(f"cloud has {n} points, fewer than k={k}")
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     pts = cloud.points
-    tree = cKDTree(pts)
+    tree = _kdtree(cloud)
 
     normals = np.empty((n, 3))
     curvature = np.zeros(n)
@@ -710,7 +710,9 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
 
     scalars = dict(cloud.scalars)
     scalars["curvature"] = curvature
-    return cloud.with_(normals=normals, scalars=scalars)
+    out = cloud.with_(normals=normals, scalars=scalars)
+    object.__setattr__(out, "_kdtree", tree)   # same points, same tree
+    return out
 
 
 def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:

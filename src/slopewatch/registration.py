@@ -16,6 +16,7 @@ Three alignment paths share one fine-alignment step:
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,7 @@ DESCRIPTOR_BITS = int(np.prod(DESCRIPTOR_BINS))
 ICP_RMSE_FLOOR_M = 1e-10   # an ICP residual this small is exact data: stop
 ICP_RESIDUAL_GATE = 3.0    # robust sigmas; pairs beyond are off the common surface
 MAD_TO_SIGMA = 1.4826      # median absolute deviation -> Gaussian sigma
+DESCRIPTOR_ROW_BUDGET = 1 << 16  # neighbor rows binned per batch; bounds memory
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +296,9 @@ def select_keypoints(cloud: PointCloud, count: int,
     """Curvature-ranked keypoints with a minimum spacing between picks.
 
     Requires the ``curvature`` channel written by ``estimate_normals``.
-    Deterministic: stable sort on (-curvature, index), greedy hash-grid
-    suppression.
+    Deterministic: stable sort on (-curvature, index), then the first point
+    of each ``min_spacing`` hash cell in that order, which is what a greedy
+    pass suppressing occupied cells would pick.
     """
     if "curvature" not in cloud.scalars:
         raise ValueError("cloud lacks a 'curvature' channel; run estimate_normals")
@@ -305,19 +308,9 @@ def select_keypoints(cloud: PointCloud, count: int,
     order = np.lexsort((np.arange(len(curv)), -curv))
     if min_spacing <= 0:
         return order[:count]
-    taken: dict[tuple, int] = {}
-    picked: list[int] = []
-    pts = cloud.points
-    inv = 1.0 / min_spacing
-    for i in order:
-        key = tuple(np.floor(pts[i] * inv).astype(np.int64))
-        if key in taken:
-            continue
-        taken[key] = i
-        picked.append(int(i))
-        if len(picked) >= count:
-            break
-    return np.asarray(picked, dtype=np.int64)
+    cells = np.floor(cloud.points[order] * (1.0 / min_spacing)).astype(np.int64)
+    _, first = np.unique(cells, axis=0, return_index=True)
+    return order[np.sort(first)[:count]]
 
 
 def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
@@ -340,60 +333,86 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
     if radius <= 0:
         raise ValueError("descriptor radius must be positive")
     keypoints = np.asarray(keypoints, dtype=np.int64)
-    pts = cloud.points
-    tree = _kdtree(cloud)
+    kept = np.zeros(len(keypoints), dtype=bool)
+    desc = np.zeros((len(keypoints), DESCRIPTOR_BITS), dtype=np.uint8)
+    if len(keypoints):
+        lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius)
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        usable = np.flatnonzero(
+            (sizes >= min_neighbors)
+            & np.all(np.isfinite(cloud.normals[keypoints]), axis=1))
+        # batches of whole keypoints within the row budget (at least one)
+        ends = np.cumsum(sizes[usable])
+        lo = 0
+        while lo < len(usable):
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, base + DESCRIPTOR_ROW_BUDGET, side="right")))
+            batch = usable[lo:hi]
+            neighbors = np.fromiter(
+                itertools.chain.from_iterable(lists[i] for i in batch),
+                dtype=np.int64, count=int(ends[hi - 1] - base))
+            kept[batch], desc[batch] = _bin_neighborhoods(
+                cloud, keypoints[batch], neighbors, sizes[batch], radius)
+            lo = hi
+    return FeatureSet(keypoint_indices=keypoints[kept], descriptors=desc[kept],
+                      radius=radius, dropped_count=int(len(keypoints) - kept.sum()))
+
+
+def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
+                       neighbors: np.ndarray, sizes: np.ndarray,
+                       radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Descriptors of keypoints whose neighbor lists lie back to back in
+    ``neighbors`` (``sizes[i]`` entries each, all at least one). Returns a
+    mask of keypoints with a local frame and one descriptor row each; rows
+    without a frame are meaningless."""
     n_az, n_rad, n_el = DESCRIPTOR_BINS
+    m = len(keypoints)
+    owner = np.repeat(np.arange(m), sizes)
+    starts = np.cumsum(sizes) - sizes
+    local = cloud.points[neighbors] - cloud.points[keypoints][owner]
+    cov = np.add.reduceat(local[:, :, None] * local[:, None, :], starts)
+    _, vecs = np.linalg.eigh(cov / sizes[:, None, None])
+    z = cloud.normals[keypoints]
+    # x axis: eigenvector columns 2, 1, 0 projected into the tangent plane,
+    # the first one that does not vanish
+    cand = np.swapaxes(vecs[:, :, ::-1], 1, 2)
+    cand = cand - np.einsum("mcj,mj->mc", cand, z)[:, :, None] * z[:, None, :]
+    length = np.linalg.norm(cand, axis=2)
+    pick = np.argmax(length > 1e-9, axis=1)
+    rows = np.arange(m)
+    length = length[rows, pick]
+    framed = length > 1e-9
+    x = np.zeros((m, 3))
+    x[framed] = cand[rows, pick][framed] / length[framed, None]
+    lx = np.einsum("ij,ij->i", local, x[owner])
+    flip = np.add.reduceat(lx, starts) < 0
+    x[flip] *= -1.0
+    lx[flip[owner]] *= -1.0
+    ly = np.einsum("ij,ij->i", local, np.cross(z, x)[owner])
+    lz = np.einsum("ij,ij->i", local, z[owner])
 
-    kept: list[int] = []
-    rows: list[np.ndarray] = []
-    dropped = 0
-    neighbor_lists = tree.query_ball_point(pts[keypoints], r=radius)
-    for kp, neighbors in zip(keypoints, neighbor_lists):
-        idx = np.asarray(neighbors, dtype=np.int64)
-        z = cloud.normals[kp]
-        if len(idx) < min_neighbors or not np.all(np.isfinite(z)):
-            dropped += 1
-            continue
-        local = pts[idx] - pts[kp]
-        cov = local.T @ local / len(idx)
-        _, vecs = np.linalg.eigh(cov)
-        x = None
-        for col in (2, 1, 0):
-            cand = vecs[:, col] - (vecs[:, col] @ z) * z
-            norm = np.linalg.norm(cand)
-            if norm > 1e-9:
-                x = cand / norm
-                break
-        if x is None:
-            dropped += 1
-            continue
-        if (local @ x).sum() < 0:
-            x = -x
-        y = np.cross(z, x)
-
-        lx = local @ x
-        ly = local @ y
-        lz = local @ z
-        az = np.arctan2(ly, lx)                       # [-pi, pi]
-        rad = np.hypot(lx, ly)
-        i_az = np.clip(((az + np.pi) / (2 * np.pi) * n_az).astype(int), 0, n_az - 1)
-        i_rad = np.clip((rad / radius * n_rad).astype(int), 0, n_rad - 1)
-        i_el = np.clip(((lz + radius) / (2 * radius) * n_el).astype(int), 0, n_el - 1)
-        flat = (i_az * n_rad + i_rad) * n_el + i_el
-        counts = np.bincount(flat, minlength=DESCRIPTOR_BITS)
-        rows.append((counts > np.median(counts)).astype(np.uint8))
-        kept.append(int(kp))
-
-    desc = np.asarray(rows, dtype=np.uint8).reshape(len(rows), DESCRIPTOR_BITS)
-    return FeatureSet(keypoint_indices=np.asarray(kept, dtype=np.int64),
-                      descriptors=desc, radius=radius, dropped_count=dropped)
+    # + 0.0 turns -0.0 into +0.0: a point on the frame's axis (the keypoint
+    # itself) keeps one azimuth bin whatever the signs of the frame axes
+    az = np.arctan2(ly + 0.0, lx + 0.0)           # [-pi, pi]
+    rad = np.hypot(lx, ly)
+    i_az = np.clip(((az + np.pi) / (2 * np.pi) * n_az).astype(int), 0, n_az - 1)
+    i_rad = np.clip((rad / radius * n_rad).astype(int), 0, n_rad - 1)
+    i_el = np.clip(((lz + radius) / (2 * radius) * n_el).astype(int), 0, n_el - 1)
+    flat = (i_az * n_rad + i_rad) * n_el + i_el
+    counts = np.bincount(owner * DESCRIPTOR_BITS + flat,
+                         minlength=m * DESCRIPTOR_BITS).reshape(m, DESCRIPTOR_BITS)
+    return framed, counts > np.median(counts, axis=1, keepdims=True)
 
 
 def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:
     """Pairwise Hamming distances, shape (len(a), len(b))."""
     if a.descriptors.shape[1] != b.descriptors.shape[1]:
         raise ValueError("descriptor lengths differ")
-    return (a.descriptors[:, None, :] != b.descriptors[None, :, :]).sum(axis=2)
+    pa = np.packbits(a.descriptors, axis=1)
+    pb = np.packbits(b.descriptors, axis=1)
+    return np.bitwise_count(pa[:, None, :] ^ pb[None, :, :]).sum(
+        axis=2, dtype=np.int64)
 
 
 def match_descriptors(a: FeatureSet, b: FeatureSet,
@@ -448,15 +467,22 @@ def consistent_match_subset(src_pts: np.ndarray, tgt_pts: np.ndarray,
 
 
 def _ensure_normals(cloud: PointCloud, params: CoarseParams) -> PointCloud:
-    """Estimate normals with an up-facing default viewpoint when missing."""
+    """Estimate normals with an up-facing default viewpoint when missing.
+
+    The estimate is kept with the cloud, one per neighborhood size, like
+    its kd-tree; a cloud is immutable, so it never goes stale.
+    """
     if cloud.normals is not None and "curvature" in cloud.scalars:
         return cloud
-    normal, _ = fit_plane(cloud.points)
-    vp = cloud.points.mean(axis=0) + _orient_deterministic(normal) * (
-        2.0 * max(diameter(cloud), 1.0))
     k = min(params.normals_k, len(cloud))
-    logger.debug("estimating normals (k=%d) with default viewpoint", k)
-    return estimate_normals(cloud, k=k, viewpoint=vp)
+    estimated = cloud.__dict__.setdefault("_with_normals", {})
+    if k not in estimated:
+        normal, _ = fit_plane(cloud.points)
+        vp = cloud.points.mean(axis=0) + _orient_deterministic(normal) * (
+            2.0 * max(diameter(cloud), 1.0))
+        logger.debug("estimating normals (k=%d) with default viewpoint", k)
+        estimated[k] = estimate_normals(cloud, k=k, viewpoint=vp)
+    return estimated[k]
 
 
 def _prepare_pair(source: PointCloud, target: PointCloud,

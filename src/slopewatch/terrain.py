@@ -369,9 +369,11 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
 
     Distances above ``cap`` may be overestimates (the vertex is invalid
     either way); at or below ``cap`` the distance, triangle index and
-    closest point are exact. Candidates come from a k-NN fast path per
-    size group with a ball-query fallback where the k-th centroid cannot
-    rule out closer triangles.
+    closest point are exact. Of equally near triangles the one with the
+    lowest index wins, so the result depends only on the meshes, not on
+    the search order. Candidates come from a k-NN fast path per size group
+    with a ball-query fallback where the k-th centroid cannot rule out
+    closer or equally near triangles.
     """
     centroids = (a + b + c) / 3.0
     r_tri = np.maximum.reduce([
@@ -388,23 +390,26 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
         if len(flat) == 0:
             return
         dc = np.linalg.norm(centroids[flat] - verts[owner], axis=1)
-        improving = dc - r_tri[flat] < best_d[owner]
+        improving = dc - r_tri[flat] <= best_d[owner]
         flat = flat[improving]
         owner = owner[improving]
         if len(flat) == 0:
             return
         cps = closest_point_on_triangles(verts[owner], a[flat], b[flat], c[flat])
         dd = np.linalg.norm(verts[owner] - cps, axis=1)
-        order = np.lexsort((dd, owner))
-        own_sorted = owner[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = own_sorted[1:] != own_sorted[:-1]
-        sel = order[first]
-        win = dd[sel] < best_d[owner[sel]]
-        upd = owner[sel[win]]
-        best_d[upd] = dd[sel[win]]
-        best_tri[upd] = flat[sel[win]]
-        best_cp[upd] = cps[sel[win]]
+        # per vertex the nearest candidates, held one included, and of
+        # those the lowest triangle index; an owner never lists a
+        # triangle twice, so one candidate per updated vertex wins
+        nearest = best_d.copy()
+        np.minimum.at(nearest, owner, dd)
+        at_min = dd == nearest[owner]
+        lowest = np.where(nearest == best_d, best_tri, len(centroids))
+        np.minimum.at(lowest, owner[at_min], flat[at_min])
+        win = at_min & (flat == lowest[owner])
+        upd = owner[win]
+        best_d[upd] = dd[win]
+        best_tri[upd] = flat[win]
+        best_cp[upd] = cps[win]
 
     tree_all = cKDTree(centroids)
     _, seed = tree_all.query(verts, k=1)
@@ -421,7 +426,7 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
         gd = gd.reshape(nv, k)
         gi = gi.reshape(nv, k)
         consider(group[gi.ravel()], np.repeat(np.arange(nv), k))
-        pending = np.flatnonzero(gd[:, -1] < np.minimum(best_d, cap) + g_rmax)
+        pending = np.flatnonzero(gd[:, -1] <= np.minimum(best_d, cap) + g_rmax)
         for start in range(0, len(pending), 4096):
             sub = pending[start:start + 4096]
             radius = np.minimum(best_d[sub], cap) + g_rmax

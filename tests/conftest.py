@@ -12,11 +12,3 @@ def rng():
 @pytest.fixture
 def random_cloud(rng):
     return sw.PointCloud(points=rng.uniform(0, 10, (1000, 3)))
-
-
-def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int):
-    """Exhaustive nearest-neighbor oracle: sorted by (distance, index)."""
-    diff = points - query
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    order = np.lexsort((np.arange(len(points)), dist))[:k]
-    return order, dist[order]

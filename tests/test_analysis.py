@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import slopewatch as sw
 from slopewatch.analysis import (DEFAULT_BUDGET_MM,
@@ -164,6 +164,7 @@ def test_classify_total_and_single_valued(theta):
 
 @settings(max_examples=100, deadline=None)
 @given(W=st.floats(0.1, 1e3), L=st.floats(0.1, 1e3))
+@example(W=0.10000000000000002, L=0.1)
 def test_classify_monotonic_consistency(W, L):
     theta = shape_angle(W, L)
     cls = classify_shape(theta)

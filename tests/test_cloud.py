@@ -7,7 +7,13 @@ from slopewatch.cloud import (EpochRecord, SpatialIndex,
                               validate_epoch_series, write_cloud, write_ply)
 from slopewatch.errors import CloudFormatError, CloudParseError
 
-from conftest import brute_force_knn
+
+def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int):
+    """Exhaustive nearest-neighbor oracle: sorted by (distance, index)."""
+    diff = points - query
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    order = np.lexsort((np.arange(len(points)), dist))[:k]
+    return order, dist[order]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import slopewatch as sw
 from slopewatch import registration as reg
+from slopewatch.cloud import _kdtree, surface_spacing
 from slopewatch.errors import (DegenerateCorrespondences, DisconnectedViews,
                                InsufficientGeometry, NoOverlap)
 from slopewatch.rigid import RigidTransform
@@ -254,6 +256,35 @@ def test_icp_estimates_missing_target_normals():
                                prepared.transform.matrix(), rtol=0, atol=1e-9)
 
 
+def test_normals_estimated_once_per_cloud(monkeypatch):
+    cloud, _ = make_terrain(seed=5, extent=(30, 20))
+    off = RigidTransform.rotation_about_axis([0.3, 0, 1.0], np.radians(4))
+    off = RigidTransform(off.rotation, np.array([0.8, -0.4, 0.3]))
+    source = reg._ensure_normals(off.apply_cloud(cloud), sw.CoarseParams())
+    estimated = []
+    real = reg.estimate_normals
+
+    def counting(c, *args, **kwargs):
+        estimated.append(c)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(reg, "estimate_normals", counting)
+    sw.icp(source, cloud)
+    sw.icp(source, cloud)
+    sw.coarse_register(source, cloud)
+    sw.register_global_hybrid(source, cloud)
+    # the raw target once; the source already has normals
+    assert len(estimated) == 1 and estimated[0] is cloud
+    prepared = reg._ensure_normals(cloud, sw.CoarseParams())
+    assert reg._ensure_normals(prepared, sw.CoarseParams()) is prepared
+    assert _kdtree(prepared) is _kdtree(cloud)
+    # new points make a new cloud, and it gets its own normals
+    lifted = cloud.with_(points=cloud.points + [0.0, 0.0, 1.0])
+    sw.icp(source, lifted)
+    assert len(estimated) == 2 and estimated[1] is lifted
+    assert reg._ensure_normals(lifted, sw.CoarseParams()) is not prepared
+
+
 def test_icp_ignores_pairs_without_target_normal():
     cloud, _ = make_terrain(seed=5, extent=(30, 20))
     target = reg._ensure_normals(cloud, sw.CoarseParams())
@@ -353,6 +384,156 @@ def test_descriptor_sparse_keypoints_dropped():
     feats = sw.extract_descriptors(cloud, [0, 300], radius=1.0)
     assert feats.dropped_count == 1
     assert 300 not in feats.keypoint_indices
+
+
+def reference_descriptors(cloud, keypoints, radius, min_neighbors=10):
+    """Per-keypoint descriptor loop: the definition the batched
+    ``extract_descriptors`` must reproduce bit for bit."""
+    keypoints = np.asarray(keypoints, dtype=np.int64)
+    pts = cloud.points
+    n_az, n_rad, n_el = reg.DESCRIPTOR_BINS
+    kept, rows, dropped = [], [], 0
+    lists = cKDTree(pts).query_ball_point(pts[keypoints], r=radius)
+    for kp, neighbors in zip(keypoints, lists):
+        idx = np.asarray(neighbors, dtype=np.int64)
+        z = cloud.normals[kp]
+        if len(idx) < min_neighbors or not np.all(np.isfinite(z)):
+            dropped += 1
+            continue
+        local = pts[idx] - pts[kp]
+        _, vecs = np.linalg.eigh(local.T @ local / len(idx))
+        x = None
+        for col in (2, 1, 0):
+            cand = vecs[:, col] - (vecs[:, col] @ z) * z
+            if np.linalg.norm(cand) > 1e-9:
+                x = cand / np.linalg.norm(cand)
+                break
+        if x is None:
+            dropped += 1
+            continue
+        if (local @ x).sum() < 0:
+            x = -x
+        lx, ly, lz = local @ x, local @ np.cross(z, x), local @ z
+        az = np.arctan2(ly, lx)
+        i_az = np.clip(((az + np.pi) / (2 * np.pi) * n_az).astype(int), 0,
+                       n_az - 1)
+        i_rad = np.clip((np.hypot(lx, ly) / radius * n_rad).astype(int), 0,
+                        n_rad - 1)
+        i_el = np.clip(((lz + radius) / (2 * radius) * n_el).astype(int), 0,
+                       n_el - 1)
+        counts = np.bincount((i_az * n_rad + i_rad) * n_el + i_el,
+                             minlength=reg.DESCRIPTOR_BITS)
+        rows.append((counts > np.median(counts)).astype(np.uint8))
+        kept.append(int(kp))
+    return kept, np.asarray(rows, np.uint8).reshape(-1, reg.DESCRIPTOR_BITS), dropped
+
+
+def reference_keypoints(cloud, count, min_spacing):
+    """Greedy hash-grid suppression in curvature order."""
+    curv = cloud.scalars["curvature"]
+    taken, picked = set(), []
+    for i in np.lexsort((np.arange(len(curv)), -curv)):
+        key = tuple(np.floor(cloud.points[i] / min_spacing).astype(np.int64))
+        if key not in taken:
+            taken.add(key)
+            picked.append(int(i))
+            if len(picked) >= count:
+                break
+    return picked
+
+
+def assert_matches_reference(cloud, keypoints, radius, min_neighbors=10):
+    feats = sw.extract_descriptors(cloud, keypoints, radius, min_neighbors)
+    kept, desc, dropped = reference_descriptors(cloud, keypoints, radius,
+                                                min_neighbors)
+    np.testing.assert_array_equal(feats.keypoint_indices, kept)
+    np.testing.assert_array_equal(feats.descriptors, desc)
+    assert feats.descriptors.shape == (len(kept), reg.DESCRIPTOR_BITS)
+    assert feats.descriptors.dtype == np.uint8
+    assert feats.dropped_count == dropped
+    return feats
+
+
+@pytest.mark.parametrize("budget", [reg.DESCRIPTOR_ROW_BUDGET, 700])
+def test_descriptors_match_per_keypoint_reference(monkeypatch, budget):
+    # a small row budget splits the keypoints into many batches
+    monkeypatch.setattr(reg, "DESCRIPTOR_ROW_BUDGET", budget)
+    cloud, _ = make_terrain(seed=3, extent=(30, 20))
+    cloud = reg._ensure_normals(cloud, sw.CoarseParams())
+    spacing = surface_spacing(cloud)
+    keypoints = sw.select_keypoints(cloud, 300)
+    for radius in (4.0 * spacing, 10.0 * spacing):
+        assert_matches_reference(cloud, keypoints, radius)
+    # isolated keypoints fall under min_neighbors and are dropped
+    feats = assert_matches_reference(cloud, keypoints, 1.5 * spacing,
+                                     min_neighbors=6)
+    assert 0 < feats.dropped_count < len(keypoints)
+
+
+def test_descriptors_edge_cases():
+    pts = np.vstack([_plane_patch((0, 0, 0)), [[500.0, 0, 0]],
+                     _plane_patch((20, 0, 0))])
+    cloud = sw.estimate_normals(sw.PointCloud(points=pts), k=10,
+                                viewpoint=(10, 0, 100))
+    normals = cloud.normals.copy()
+    normals[301] = np.nan
+    holed = cloud.with_(normals=normals)
+    empty = sw.extract_descriptors(holed, [], radius=1.0)
+    assert empty.descriptors.shape == (0, reg.DESCRIPTOR_BITS)
+    assert empty.dropped_count == 0
+    # a lone point (too few neighbors), a NaN normal, and plain patches
+    feats = assert_matches_reference(holed, [0, 300, 301, 450, 0], 1.0)
+    assert feats.dropped_count == 2
+    assert list(feats.keypoint_indices) == [0, 450, 0]
+
+
+def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal():
+    # points on the three axes, spread most along z: the covariance is
+    # diagonal, its dominant eigenvector is the normal and projects to
+    # nothing, so the x axis comes from column 1; a lone point
+    # (min_neighbors=1) has a zero covariance
+    t = np.linspace(-1, 1, 21)
+    star = np.unique(np.vstack([np.outer(t, [0, 0, 1.0]),
+                                np.outer(0.5 * t[::4], [0, 1.0, 0]),
+                                np.outer(0.2 * t[::5], [1.0, 0, 0])]), axis=0)
+    pts = np.vstack([[[-20.0, 0, 0]], star])
+    cloud = sw.PointCloud(points=pts,
+                          normals=np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+    centre = int(np.flatnonzero(~pts.any(axis=1))[0])
+    _, vecs = np.linalg.eigh(star.T @ star / len(star))
+    np.testing.assert_array_equal(np.abs(vecs[:, 2]), [0, 0, 1.0])
+    feats = assert_matches_reference(cloud, [0, centre], 1.5, min_neighbors=1)
+    assert feats.dropped_count == 0
+
+
+def test_select_keypoints_matches_greedy_reference():
+    cloud, _ = make_terrain(seed=3, extent=(30, 20))
+    cloud = reg._ensure_normals(cloud, sw.CoarseParams())
+    spacing = surface_spacing(cloud)
+    for count, min_spacing in ((500, 2 * spacing), (40, 2 * spacing),
+                               (10_000, 0.7 * spacing), (200, 9.0)):
+        got = sw.select_keypoints(cloud, count, min_spacing)
+        np.testing.assert_array_equal(
+            got, reference_keypoints(cloud, count, min_spacing))
+    order = np.lexsort((np.arange(len(cloud)), -cloud.scalars["curvature"]))
+    np.testing.assert_array_equal(sw.select_keypoints(cloud, 25, 0.0),
+                                  order[:25])
+
+
+def test_hamming_matrix_matches_boolean_definition(rng):
+    def feats(n, bits=reg.DESCRIPTOR_BITS):
+        desc = rng.integers(0, 2, (n, bits)).astype(np.uint8)
+        return reg.FeatureSet(np.arange(n), desc, radius=1.0)
+
+    for a, b in ((feats(37), feats(23)), (feats(0), feats(5)),
+                 (feats(4), feats(0)), (feats(6, 13), feats(3, 13))):
+        d = reg.hamming_matrix(a, b)
+        want = (a.descriptors[:, None, :] != b.descriptors[None, :, :]).sum(axis=2)
+        assert d.shape == want.shape
+        assert d.dtype == np.int64
+        np.testing.assert_array_equal(d, want)
+    with pytest.raises(ValueError):
+        reg.hamming_matrix(feats(2), feats(2, 64))
 
 
 # ---------------------------------------------------------------------------

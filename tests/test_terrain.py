@@ -203,6 +203,33 @@ def test_mesh_distance_matches_brute_force(rng):
             assert abs(f.values[i]) == pytest.approx(brute, abs=1e-12)
 
 
+def test_mesh_distance_ties_go_to_the_lowest_triangle():
+    # two faces folding down from a shared ridge edge on the y axis, one at
+    # 30 and one at 80 degrees: a vertex beside the ridge is equally near
+    # both (closest point on the edge) but above one face and below the
+    # other, so only the tie rule decides its sign
+    edge = [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]
+    gentle = [-2 * np.cos(np.radians(30)), 0.0, -2 * np.sin(np.radians(30))]
+    steep = [2 * np.cos(np.radians(80)), 0.0, -2 * np.sin(np.radians(80))]
+    verts = np.array(edge + [gentle, steep])
+    vertex = 0.1 * np.array([np.cos(np.radians(20)), 0.0, np.sin(np.radians(20))])
+    compared = sw.TriangleMesh(vertices=vertex[None], triangles=np.zeros((0, 3)),
+                               plane_normal=PLANE_Z[0], plane_offset=0.0)
+    for faces, sign in (([[0, 1, 2], [0, 1, 3]], -1.0),
+                        ([[0, 1, 3], [0, 1, 2]], 1.0)):
+        faces = np.array(faces)
+        cps = closest_point_on_triangles(
+            np.tile(vertex, (2, 1)), verts[faces[:, 0]], verts[faces[:, 1]],
+            verts[faces[:, 2]])
+        dist = np.linalg.norm(vertex - cps, axis=1)
+        assert dist[0] == dist[1]
+        reference = sw.TriangleMesh(vertices=verts, triangles=faces,
+                                    plane_normal=PLANE_Z[0], plane_offset=0.0)
+        f = mesh_distance(compared, reference, max_dist=5.0)
+        assert f.valid[0]
+        assert f.values[0] == sign * dist[0]
+
+
 def test_mesh_distance_empty_reference():
     mesh = build_dtm(plane_cloud(100, seed=11), projection_plane=PLANE_Z,
                      max_edge=5.0)
