@@ -6,10 +6,9 @@ landslide shape classification with an error budget, and a synthetic scene
 generator for end-to-end validation.
 """
 
-from .cloud import (EpochRecord, PointClass, PointCloud, SpatialIndex,
-                    concat_clouds, diameter, estimate_normals, fit_plane,
-                    median_spacing, nearest_neighbors, parse_cloud, read_cloud,
-                    voxel_downsample, write_cloud)
+from .cloud import (EpochRecord, PointClass, PointCloud, concat_clouds,
+                    diameter, estimate_normals, fit_plane, parse_cloud,
+                    read_cloud, voxel_downsample, write_cloud)
 from .rigid import RigidTransform
 from .registration import (CoarseParams, FeatureSet, HybridParams, IcpParams,
                            MultiviewParams, RegistrationResult, alpha_schedule,

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import EpochRecord
+from .cloud import EpochRecord, plane_basis
 from .errors import UndefinedMotionVector
 from .terrain import DeformationField, Region, TriangleMesh, field_stats
 
@@ -112,7 +112,7 @@ def region_extent(
     members = region.vertex_set
     if len(members) == 0:
         raise ValueError("region has no vertices")
-    u, v = mesh.plane_basis()
+    u, v = plane_basis(mesh.plane_normal)
     n = mesh.plane_normal
 
     if motion_azimuth_deg is not None:
@@ -215,10 +215,6 @@ def interval_days(date_a, date_b) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _json_float(x) -> float:
-    return float(x)
-
-
 def build_report(
     epochs: list[EpochRecord],
     fields: list[DeformationField],
@@ -259,9 +255,9 @@ def build_report(
         pair_rows.append({
             "compared_epoch": f.compared_epoch,
             "reference_epoch": f.reference_epoch,
-            "interval_days": _json_float(f.interval_days),
-            "mean_cm": _json_float(stats.mean * 100.0),
-            "std_cm": _json_float(stats.std * 100.0),
+            "interval_days": float(f.interval_days),
+            "mean_cm": float(stats.mean * 100.0),
+            "std_cm": float(stats.std * 100.0),
             "valid_count": int(stats.valid_count),
         })
 
@@ -271,12 +267,12 @@ def build_report(
         row = {
             "id": int(r.region_id) if r.region_id is not None else None,
             "epoch_pair": r.epoch_pair,
-            "area_m2": _json_float(r.area_m2),
-            "mean_rate_mm_day": _json_float(r.mean_rate_mm_day),
-            "volume_m3": _json_float(r.volume_m3),
-            "W_m": None if s is None else _json_float(s.W_m),
-            "L_m": None if s is None else _json_float(s.L_m),
-            "theta_deg": None if s is None else _json_float(s.theta_deg),
+            "area_m2": float(r.area_m2),
+            "mean_rate_mm_day": float(r.mean_rate_mm_day),
+            "volume_m3": float(r.volume_m3),
+            "W_m": None if s is None else float(s.W_m),
+            "L_m": None if s is None else float(s.L_m),
+            "theta_deg": None if s is None else float(s.theta_deg),
             "shape_class": None if s is None else classify_shape(s.theta_deg).value,
             "cruden_type": cruden,
         }
@@ -291,13 +287,13 @@ def build_report(
         "epoch_pairs": pair_rows,
         "regions": region_rows,
         "error_budget": {
-            "m_TLS_mm": _json_float(budget.m_TLS),
-            "m_mreg_mm": _json_float(budget.m_mreg),
-            "m_treg_mm": _json_float(budget.m_treg),
-            "m_veg_mm": _json_float(budget.m_veg),
-            "m_mesh_mm": _json_float(budget.m_mesh),
+            "m_TLS_mm": float(budget.m_TLS),
+            "m_mreg_mm": float(budget.m_mreg),
+            "m_treg_mm": float(budget.m_treg),
+            "m_veg_mm": float(budget.m_veg),
+            "m_mesh_mm": float(budget.m_mesh),
             "multiplicities": [int(k) for k in budget.multiplicities],
-            "sigma_mm": _json_float(budget.sigma_mm),
+            "sigma_mm": float(budget.sigma_mm),
         },
         "parameters": parameters or {},
     }

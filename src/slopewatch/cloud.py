@@ -1,4 +1,4 @@
-"""Point cloud data model, XYZ/PLY I/O, exact spatial indexing, normals, downsampling.
+"""Point cloud data model, XYZ/PLY I/O, neighbor index, normals, downsampling.
 
 Coordinates are stored as 64-bit reals in a working frame obtained by
 subtracting an origin shift (the input centroid rounded to whole meters),
@@ -217,30 +217,36 @@ def _parse_ply_header(data: bytes):
     header = data[:end].decode("ascii", errors="replace")
     fmt = None
     elements = []
-    for line in header.splitlines():
-        tokens = line.strip().split()
-        if not tokens:
-            continue
-        if tokens[0] == "format":
-            if tokens[1] == "ascii":
-                fmt = "ascii"
-            elif tokens[1] == "binary_little_endian":
-                fmt = "binary_little_endian"
-            else:
-                raise CloudFormatError(f"unsupported PLY format {tokens[1]!r}")
-        elif tokens[0] == "element":
-            elements.append((tokens[1], int(tokens[2]), []))
-        elif tokens[0] == "property":
-            if not elements:
-                raise CloudFormatError("property before element in PLY header")
-            if tokens[1] == "list":
-                if tokens[2] not in _PLY_DTYPES or tokens[3] not in _PLY_DTYPES:
-                    raise CloudFormatError(f"unsupported PLY list types in {line!r}")
-                elements[-1][2].append(("list", tokens[4], tokens[2], tokens[3]))
-            else:
-                if tokens[1] not in _PLY_DTYPES:
-                    raise CloudFormatError(f"unsupported PLY property type {tokens[1]!r}")
-                elements[-1][2].append(("scalar", tokens[2], tokens[1]))
+    try:
+        for line in header.splitlines():
+            tokens = line.strip().split()
+            if not tokens:
+                continue
+            if tokens[0] == "format":
+                if tokens[1] == "ascii":
+                    fmt = "ascii"
+                elif tokens[1] == "binary_little_endian":
+                    fmt = "binary_little_endian"
+                else:
+                    raise CloudFormatError(f"unsupported PLY format {tokens[1]!r}")
+            elif tokens[0] == "element":
+                count = int(tokens[2])
+                if count < 0:
+                    raise CloudFormatError(f"negative PLY element count in {line!r}")
+                elements.append((tokens[1], count, []))
+            elif tokens[0] == "property":
+                if not elements:
+                    raise CloudFormatError("property before element in PLY header")
+                if tokens[1] == "list":
+                    if tokens[2] not in _PLY_DTYPES or tokens[3] not in _PLY_DTYPES:
+                        raise CloudFormatError(f"unsupported PLY list types in {line!r}")
+                    elements[-1][2].append(("list", tokens[4], tokens[2], tokens[3]))
+                else:
+                    if tokens[1] not in _PLY_DTYPES:
+                        raise CloudFormatError(f"unsupported PLY property type {tokens[1]!r}")
+                    elements[-1][2].append(("scalar", tokens[2], tokens[1]))
+    except (IndexError, ValueError) as exc:
+        raise CloudFormatError(f"malformed PLY header line {line!r}") from exc
     if fmt is None:
         raise CloudFormatError("PLY header missing format line")
     return fmt, elements, end
@@ -260,14 +266,18 @@ def _read_ply(data: bytes) -> dict:
         pos = 0
         for name, count, props in elements:
             cols: dict[str, list] = {p[1]: [] for p in props}
-            for _ in range(count):
-                for p in props:
-                    if p[0] == "scalar":
-                        cols[p[1]].append(float(tokens[pos])); pos += 1
-                    else:
-                        m = int(tokens[pos]); pos += 1
-                        cols[p[1]].append([int(tokens[pos + j]) for j in range(m)])
-                        pos += m
+            try:
+                for _ in range(count):
+                    for p in props:
+                        if p[0] == "scalar":
+                            cols[p[1]].append(float(tokens[pos])); pos += 1
+                        else:
+                            m = int(tokens[pos]); pos += 1
+                            cols[p[1]].append([int(tokens[pos + j]) for j in range(m)])
+                            pos += m
+            except (IndexError, ValueError) as exc:
+                raise CloudFormatError(
+                    f"PLY element '{name}' is truncated or not numeric") from exc
             parsed = {}
             for p in props:
                 if p[0] == "scalar":
@@ -453,67 +463,8 @@ def read_cloud(path) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# Spatial index
+# Neighbor index
 # ---------------------------------------------------------------------------
-
-
-class SpatialIndex:
-    """Exact nearest-neighbor index over an immutable snapshot of points.
-
-    Queries return the same indices and distances as an exhaustive scan,
-    with ties broken by ascending point index. Safe for concurrent queries.
-    """
-
-    def __init__(self, points):
-        if isinstance(points, PointCloud):
-            points = points.points
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if len(pts) == 0:
-            raise ValueError("cannot index an empty cloud")
-        self._points = pts
-        self._tree = cKDTree(pts)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def query_knn(self, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest points to ``query``: (indices, distances), ascending.
-
-        ``k`` larger than the cloud returns every point sorted by distance.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        n = len(self._points)
-        kk = min(k, n)
-        d, _ = self._tree.query(q, k=kk)
-        dmax = float(np.max(np.atleast_1d(d)))
-        radius = dmax * (1.0 + 1e-12) + 1e-300
-        cand = np.asarray(self._tree.query_ball_point(q, r=radius), dtype=np.int64)
-        diff = self._points[cand] - q
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        order = np.lexsort((cand, dist))[:kk]
-        return cand[order], dist[order]
-
-    def query_knn_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Plain cKDTree batch query (fast path; no exact tie-break)."""
-        d, i = self._tree.query(np.asarray(queries, dtype=np.float64), k=k)
-        return i, d
-
-    def query_ball(self, center, radius: float) -> np.ndarray:
-        """Indices within ``radius`` of ``center``, ascending."""
-        idx = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), r=radius)
-        return np.sort(np.asarray(idx, dtype=np.int64))
-
-
-def nearest_neighbors(index: SpatialIndex, query, k: int) -> list[tuple[int, float]]:
-    """The k closest indexed points to ``query`` as (index, distance) pairs."""
-    idx, dist = index.query_knn(query, k)
-    return [(int(i), float(d)) for i, d in zip(idx, dist)]
 
 
 def _kdtree(cloud: PointCloud) -> cKDTree:
@@ -531,50 +482,31 @@ def _kdtree(cloud: PointCloud) -> cKDTree:
 # ---------------------------------------------------------------------------
 
 
-def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points)
-    return pts.min(axis=0), pts.max(axis=0)
-
-
-def diameter(points_or_cloud) -> float:
+def diameter(cloud: PointCloud) -> float:
     """Length of the bounding-box diagonal."""
-    pts = points_or_cloud.points if isinstance(points_or_cloud, PointCloud) else points_or_cloud
-    if len(pts) == 0:
+    if len(cloud) == 0:
         return 0.0
-    lo, hi = bounding_box(pts)
-    return float(np.linalg.norm(hi - lo))
+    pts = cloud.points
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def median_spacing(points_or_cloud, sample: int = 2000) -> float:
-    """Median nearest-neighbor distance over a deterministic subsample."""
-    pts = points_or_cloud.points if isinstance(points_or_cloud, PointCloud) else points_or_cloud
-    n = len(pts)
-    if n < 2:
-        return 0.0
-    step = max(1, n // sample)
-    probe = pts[::step]
-    tree = cKDTree(pts)
-    d, _ = tree.query(probe, k=2)
-    return float(np.median(d[:, 1]))
-
-
-def surface_spacing(points_or_cloud, k: int = 4, sample: int = 2000) -> float:
+def surface_spacing(cloud: PointCloud, k: int = 4, sample: int = 2000) -> float:
     """Robust surface sampling scale: median k-th neighbor distance over a
     deterministic subsample, scaled by 1/sqrt(k).
 
     Unlike the nearest-neighbor spacing this barely moves when several
     scans of the same surface coincide point-for-point, so it is the right
-    scale for deriving neighborhood radii on merged clouds.
+    scale for deriving neighborhood radii on merged clouds. A cloud of at
+    most ``k`` points falls back to its median nearest-neighbor distance
+    (``k = 1``); fewer than two points have no spacing (0).
     """
-    pts = points_or_cloud.points if isinstance(points_or_cloud, PointCloud) else points_or_cloud
-    n = len(pts)
+    n = len(cloud)
+    if n < 2:
+        return 0.0
     if n <= k:
-        return median_spacing(points_or_cloud, sample)
-    step = max(1, n // sample)
-    probe = pts[::step]
-    tree = (_kdtree(points_or_cloud) if isinstance(points_or_cloud, PointCloud)
-            else cKDTree(pts))
-    d, _ = tree.query(probe, k=k + 1)
+        k = 1
+    probe = cloud.points[::max(1, n // sample)]
+    d, _ = _kdtree(cloud).query(probe, k=k + 1)
     return float(np.median(d[:, k]) / np.sqrt(k))
 
 
@@ -606,6 +538,19 @@ def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("points are collinear; plane undefined")
     normal = _orient_deterministic(vt[2])
     return normal, float(normal @ centroid)
+
+
+def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal in-plane basis (u, v) of a unit ``normal``.
+
+    ``u`` is the x axis (the y axis when the normal lies near x) with its
+    normal component removed, and ``v = normal x u``, so (u, v, normal) is
+    right-handed.
+    """
+    helper = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = helper - (helper @ normal) * normal
+    u /= np.linalg.norm(u)
+    return u, np.cross(normal, u)
 
 
 def concat_clouds(clouds: list[PointCloud]) -> PointCloud:
@@ -653,8 +598,7 @@ def remove_outliers(cloud: PointCloud, k: int = 8,
     n = len(cloud)
     if n <= k:
         return cloud
-    tree = cKDTree(cloud.points)
-    d, _ = tree.query(cloud.points, k=k + 1)
+    d, _ = _kdtree(cloud).query(cloud.points, k=k + 1)
     mean_d = d[:, 1:].mean(axis=1)
     keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
     return cloud.subset(np.flatnonzero(keep))

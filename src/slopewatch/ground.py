@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, PointClass, fit_plane
+from .cloud import PointCloud, PointClass, fit_plane, _kdtree
 from .errors import NoConvergence, TooSparse
 from .rigid import RigidTransform
 
@@ -403,9 +403,8 @@ def visibility_gradient_filter(
         free += ~blocked
     visibility = free / directions
 
-    tree = cKDTree(pts)
     k = min(k_neighbors + 1, n)
-    _, idx = tree.query(pts, k=k)
+    _, idx = _kdtree(cloud).query(pts, k=k)
     idx = np.atleast_2d(idx)
     grad = np.abs(visibility[idx] - visibility[:, None]).max(axis=1)
     labels = np.where(grad > threshold,

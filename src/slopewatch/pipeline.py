@@ -24,7 +24,8 @@ from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
                        error_budget, interval_days, region_extent,
                        report_to_json)
 from .cloud import (EpochRecord, PointCloud, concat_clouds,
-                    estimate_normals, fit_plane, write_cloud)
+                    estimate_normals, fit_plane, remove_outliers,
+                    validate_epoch_series, voxel_downsample, write_cloud)
 from .errors import PipelineStageError, UndefinedMotionVector
 from .ground import ClothParams, filter_vegetation
 from .registration import (CoarseParams, HybridParams, IcpParams,
@@ -199,7 +200,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 acquisition_date=analysis._coerce_date(e.date),
                 station_count=e.station_count,
             ))
-        from .cloud import validate_epoch_series
         validate_epoch_series(epochs_meta)
 
     # -- scene generation -------------------------------------------------
@@ -296,7 +296,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # -- DTM construction ----------------------------------------------------
     meshes = []
     with _stage("build_dtm"):
-        from .cloud import remove_outliers, voxel_downsample
         cleaned = [remove_outliers(c, config.ground_outlier_k,
                                    config.ground_outlier_std)
                    if config.ground_outlier_k > 0 else c

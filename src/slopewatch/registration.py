@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .cloud import (PointCloud, diameter, estimate_normals, fit_plane,
-                    surface_spacing, _kdtree, _orient_deterministic)
+from .cloud import (PointCloud, concat_clouds, diameter, estimate_normals,
+                    fit_plane, surface_spacing, _kdtree, _orient_deterministic)
 from .errors import (DegenerateCorrespondences, DisconnectedViews,
                      InsufficientGeometry, NoOverlap)
 from .rigid import RigidTransform
@@ -508,24 +508,28 @@ def _prepare_pair(source: PointCloud, target: PointCloud,
     return source, target, fs, ft, spacing
 
 
-def coarse_register(source: PointCloud, target: PointCloud,
-                    params: CoarseParams | None = None) -> RigidTransform:
-    """Descriptor matching + geometric consistency + closed-form fit.
-
-    Raises ``InsufficientGeometry`` when fewer than three matches survive
-    the consistency filter (featureless or non-overlapping geometry).
-    """
-    params = params or CoarseParams()
-    source, target, fs, ft, spacing = _prepare_pair(source, target, params)
+def _consistent_matches(source: PointCloud, target: PointCloud,
+                        fs: FeatureSet, ft: FeatureSet, spacing: float,
+                        params: CoarseParams):
+    """Mutual descriptor matches of a prepared pair and the indices of its
+    geometrically consistent subset."""
     matches = match_descriptors(fs, ft)
+    keep = consistent_match_subset(source.points[fs.keypoint_indices],
+                                   target.points[ft.keypoint_indices],
+                                   matches.pairs,
+                                   params.gc_tolerance or 3.0 * spacing)
+    return matches, keep
+
+
+def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
+                ft: FeatureSet, spacing: float,
+                params: CoarseParams) -> RigidTransform:
+    """Closed-form fit on the consistent matches of a prepared pair."""
+    matches, keep = _consistent_matches(source, target, fs, ft, spacing, params)
     if len(matches.pairs) < 3:
         raise InsufficientGeometry(
             f"only {len(matches.pairs)} mutual descriptor matches"
         )
-    tol = params.gc_tolerance or 3.0 * spacing
-    src_kp = source.points[fs.keypoint_indices]
-    tgt_kp = target.points[ft.keypoint_indices]
-    keep = consistent_match_subset(src_kp, tgt_kp, matches.pairs, tol)
     required = max(3, int(np.ceil(params.min_consistency_ratio
                                   * len(matches.pairs))))
     if len(keep) < required:
@@ -535,25 +539,21 @@ def coarse_register(source: PointCloud, target: PointCloud,
         )
     pairs = matches.pairs[keep]
     try:
-        return fit_rigid(src_kp[pairs[:, 0]], tgt_kp[pairs[:, 1]])
+        return fit_rigid(source.points[fs.keypoint_indices[pairs[:, 0]]],
+                         target.points[ft.keypoint_indices[pairs[:, 1]]])
     except DegenerateCorrespondences as exc:
         raise InsufficientGeometry(str(exc)) from exc
 
 
-def _link_strength(a: PointCloud, b: PointCloud, params: CoarseParams) -> int:
-    """Similarity of two views: count of consistency-surviving matches."""
-    try:
-        a, b, fa, fb, spacing = _prepare_pair(a, b, params)
-        matches = match_descriptors(fa, fb)
-        if len(matches.pairs) == 0:
-            return 0
-        tol = params.gc_tolerance or 3.0 * spacing
-        keep = consistent_match_subset(a.points[fa.keypoint_indices],
-                                       b.points[fb.keypoint_indices],
-                                       matches.pairs, tol)
-        return int(len(keep))
-    except (InsufficientGeometry, ValueError):
-        return 0
+def coarse_register(source: PointCloud, target: PointCloud,
+                    params: CoarseParams | None = None) -> RigidTransform:
+    """Descriptor matching + geometric consistency + closed-form fit.
+
+    Raises ``InsufficientGeometry`` when fewer than three matches survive
+    the consistency filter (featureless or non-overlapping geometry).
+    """
+    params = params or CoarseParams()
+    return _coarse_fit(*_prepare_pair(source, target, params), params)
 
 
 def register_multiview(clouds: list[PointCloud],
@@ -562,8 +562,9 @@ def register_multiview(clouds: list[PointCloud],
 
     Scores every pair of current groups by descriptor-set overlap (matches
     surviving geometric consistency), registers and merges the strongest
-    pair (coarse + ICP), and repeats until one cloud remains. Returns one
-    transform per input cloud; the first cloud maps to identity.
+    pair (coarse fit on the scored features + ICP), and repeats until one
+    cloud remains. Returns one transform per input cloud; the first cloud
+    maps to identity.
 
     Raises ``DisconnectedViews`` naming the components when no remaining
     pair clears the minimum link strength.
@@ -574,27 +575,28 @@ def register_multiview(clouds: list[PointCloud],
     if len(clouds) == 1:
         return [RigidTransform.identity()]
 
-    from .cloud import concat_clouds
-
     groups = [
         {"members": [i], "transforms": {i: RigidTransform.identity()}, "cloud": c}
         for i, c in enumerate(clouds)
     ]
     while len(groups) > 1:
-        best = None
-        for ia in range(len(groups)):
-            for ib in range(ia + 1, len(groups)):
-                s = _link_strength(groups[ia]["cloud"], groups[ib]["cloud"],
-                                   params.coarse)
-                if best is None or s > best[0]:
-                    best = (s, ia, ib)
-        strength, ia, ib = best
-        if strength < params.min_link_matches:
+        best = None   # (link strength, ia, ib, prepared pair)
+        for ia, ib in itertools.combinations(range(len(groups)), 2):
+            try:
+                pair = _prepare_pair(groups[ia]["cloud"], groups[ib]["cloud"],
+                                     params.coarse)
+                _, keep = _consistent_matches(*pair, params.coarse)
+            except ValueError:
+                continue   # a pair that cannot be prepared has no link
+            if best is None or len(keep) > best[0]:
+                best = (len(keep), ia, ib, pair)
+        if best is None or best[0] < params.min_link_matches:
             raise DisconnectedViews([sorted(g["members"]) for g in groups])
+        strength, ia, ib, (a, b, fa, fb, spacing) = best
         ga, gb = groups[ia], groups[ib]
         logger.info("merging views %s <- %s (link strength %d)",
                     ga["members"], gb["members"], strength)
-        t_coarse = coarse_register(gb["cloud"], ga["cloud"], params.coarse)
+        t_coarse = _coarse_fit(b, a, fb, fa, spacing, params.coarse)
         result = icp(gb["cloud"], ga["cloud"], params.icp, init=t_coarse)
         t = result.transform
         merged = concat_clouds([ga["cloud"], t.apply_cloud(gb["cloud"])])

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloud import plane_basis
+
 ORTHONORMALITY_TOL = 1e-9
 
 
@@ -107,9 +109,7 @@ class RigidTransform:
             if c > 0:
                 return RigidTransform.identity()
             # antipodal: any perpendicular axis works; pick deterministically
-            helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-            axis = np.cross(a, helper)
-            axis /= np.linalg.norm(axis)
+            _, axis = plane_basis(a)
             return RigidTransform.rotation_about_axis(axis, np.pi)
         angle = np.arctan2(s, c)
         return RigidTransform.rotation_about_axis(axis / s, angle)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointClass, PointCloud
+from .cloud import PointClass, PointCloud, diameter, fit_plane, plane_basis
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -175,14 +175,10 @@ def add_vegetation(
         return cloud, truth
 
     rng = np.random.default_rng(seed)
-    from .cloud import fit_plane
     ground_idx = np.flatnonzero(labels_in == PointClass.GROUND)
     ground_pts = cloud.points[ground_idx]
     normal, _ = fit_plane(ground_pts)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    axis_u = helper - (helper @ normal) * normal
-    axis_u /= np.linalg.norm(axis_u)
-    axis_v = np.cross(normal, axis_u)
+    axis_u, axis_v = plane_basis(normal)
 
     plan = np.column_stack([ground_pts @ axis_u, ground_pts @ axis_v])
     s_ground = ground_pts @ normal
@@ -244,8 +240,6 @@ def apply_landslide(
     and falls smoothly to zero on the rim. ``true_displacement`` records
     the signed change along the plane normal per point.
     """
-    from .cloud import fit_plane
-
     pts = cloud.points
     if frame is not None:
         normal = frame.normal
@@ -257,10 +251,7 @@ def apply_landslide(
         else:
             base = pts
         normal, _ = fit_plane(base)
-        helper = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        axis_u = helper - (helper @ normal) * normal
-        axis_u /= np.linalg.norm(axis_u)
-        axis_v = np.cross(normal, axis_u)
+        axis_u, axis_v = plane_basis(normal)
 
     az = math.radians(region_spec.azimuth_deg)
     t_along = math.cos(az) * axis_u + math.sin(az) * axis_v
@@ -307,33 +298,13 @@ def leveled_station_pose(position, target) -> RigidTransform:
     return RigidTransform(rot, position)
 
 
-def look_at_pose(position, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
-    """Station pose (local -> world) with local +z aimed at ``target``."""
-    position = np.asarray(position, dtype=np.float64)
-    fwd = np.asarray(target, dtype=np.float64) - position
-    fwd = fwd / np.linalg.norm(fwd)
-    up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
-    if np.linalg.norm(right) < 1e-9:
-        right = np.cross(fwd, np.array([0.0, 1.0, 0.0]))
-    right /= np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    rot = np.column_stack([right, down, fwd])
-    u, _, vt = np.linalg.svd(rot)
-    rot = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
-    return RigidTransform(rot, position)
-
-
 def stations_facing_slope(cloud: PointCloud, count: int, standoff: float,
                           spread: float | None = None,
                           jitter_rng=None) -> list[RigidTransform]:
     """Deterministic station poses on a line facing the cloud's best plane."""
-    from .cloud import diameter, fit_plane
     normal, _ = fit_plane(cloud.points)
     center = cloud.points.mean(axis=0)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    axis_u = helper - (helper @ normal) * normal
-    axis_u /= np.linalg.norm(axis_u)
+    axis_u, _ = plane_basis(normal)
     if spread is None:
         spread = 0.5 * diameter(cloud)
     offsets = np.linspace(-spread / 2.0, spread / 2.0, count) if count > 1 else [0.0]

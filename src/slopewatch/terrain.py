@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
-from .cloud import PointCloud, fit_plane, write_ply, _read_ply
+from .cloud import PointCloud, fit_plane, plane_basis, write_ply, _read_ply
 from .errors import CloudFormatError, DegenerateSurface
 
 logger = logging.getLogger(__name__)
@@ -56,17 +56,9 @@ class TriangleMesh:
     def projection_plane(self) -> tuple[np.ndarray, float]:
         return self.plane_normal, self.plane_offset
 
-    def plane_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic in-plane orthonormal basis (u, v)."""
-        n = self.plane_normal
-        helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = helper - (helper @ n) * n
-        u /= np.linalg.norm(u)
-        return u, np.cross(n, u)
-
     def project(self, points: np.ndarray) -> np.ndarray:
-        """In-plane 2D coordinates of ``points``."""
-        u, v = self.plane_basis()
+        """In-plane 2D coordinates of ``points`` on ``plane_basis``."""
+        u, v = plane_basis(self.plane_normal)
         pts = np.asarray(points, dtype=np.float64)
         return np.column_stack([pts @ u, pts @ v])
 

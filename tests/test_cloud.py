@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import slopewatch as sw
-from slopewatch.cloud import (EpochRecord, SpatialIndex,
-                              nearest_neighbors, parse_cloud,
+import slopewatch.cloud as cloud_mod
+from slopewatch.cloud import (EpochRecord, parse_cloud, plane_basis,
+                              remove_outliers, surface_spacing,
                               validate_epoch_series, write_cloud, write_ply)
 from slopewatch.errors import CloudFormatError, CloudParseError
+from slopewatch.terrain import read_mesh
 
 
 def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int):
@@ -72,6 +75,34 @@ def test_parse_ply_unsupported_vertex_property():
 def test_parse_ply_not_a_ply():
     with pytest.raises(CloudFormatError):
         parse_cloud(b"definitely not ply", "ply")
+
+
+_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("reader,text", [
+    ("cloud", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+     + "end_header\n0 0 0\n1 1 1\n"),                     # body too short
+    ("cloud", "format ascii 1.0\nelement vertex abc\n" + _XYZ + "end_header\n"),
+    ("cloud", "format ascii 1.0\nelement vertex\n" + _XYZ + "end_header\n"),
+    ("cloud", "format\nelement vertex 0\n" + _XYZ + "end_header\n"),
+    ("cloud", "format ascii 1.0\nelement vertex 1\nproperty float\n"
+     "end_header\n0\n"),
+    ("cloud", "format ascii 1.0\nelement vertex 1\n" + _XYZ
+     + "end_header\n0 abc 0\n"),
+    ("cloud", "format binary_little_endian 1.0\nelement vertex -1\n" + _XYZ
+     + "end_header\n" + "\0" * 24),
+    ("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+     + "element face 2\nproperty list uchar int vertex_indices\nend_header\n"
+     "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n"),          # short face row
+])
+def test_malformed_ply_raises_format_error(reader, text):
+    data = ("ply\n" + text).encode("latin-1")
+    with pytest.raises(CloudFormatError):
+        if reader == "cloud":
+            parse_cloud(data, "ply")
+        else:
+            read_mesh(data)
 
 
 # ---------------------------------------------------------------------------
@@ -168,46 +199,46 @@ def test_epoch_series_validation():
 
 
 # ---------------------------------------------------------------------------
-# nearest neighbors
+# neighbor index and geometry helpers
 # ---------------------------------------------------------------------------
 
 
-def test_knn_query_stored_point(random_cloud):
-    index = SpatialIndex(random_cloud)
-    q = random_cloud.points[17]
-    pairs = nearest_neighbors(index, q, 1)
-    assert pairs == [(17, 0.0)]
+@pytest.mark.parametrize("normal", [[0.48, -0.6, 0.64], [0.95, 0.1, -0.3]])
+def test_plane_basis_orthonormal_right_handed(normal):
+    n = np.asarray(normal) / np.linalg.norm(normal)
+    u, v = plane_basis(n)
+    frame = np.column_stack([u, v, n])
+    np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-12)
+    assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-12)
+    # the expression every caller used to inline, bit for bit
+    helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u_ref = helper - (helper @ n) * n
+    u_ref /= np.linalg.norm(u_ref)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(v, np.cross(n, u_ref))
 
 
-def test_knn_matches_brute_force(rng, random_cloud):
-    index = SpatialIndex(random_cloud)
-    for q in rng.uniform(0, 10, (100, 3)):
-        idx, dist = index.query_knn(q, 5)
-        oi, od = brute_force_knn(random_cloud.points, q, 5)
-        np.testing.assert_array_equal(idx, oi)
-        np.testing.assert_array_equal(dist, od)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_surface_spacing_small_cloud_is_nearest_neighbor_median(rng, n):
+    pts = rng.uniform(0, 10, (n, 3))
+    d, _ = cKDTree(pts).query(pts, k=2)
+    assert surface_spacing(sw.PointCloud(points=pts), k=4) == float(np.median(d[:, 1]))
+    assert surface_spacing(sw.PointCloud(points=pts[:1]), k=4) == 0.0
 
 
-def test_knn_k_larger_than_cloud(rng):
-    pts = rng.uniform(0, 1, (7, 3))
-    index = SpatialIndex(pts)
-    idx, dist = index.query_knn(np.array([0.5, 0.5, 0.5]), 20)
-    assert len(idx) == 7
-    assert np.all(np.diff(dist) >= 0)
+def test_one_tree_serves_every_neighbor_query_of_a_cloud(monkeypatch, rng):
+    built = []
 
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, *args, **kwargs)
 
-def test_knn_tie_break_by_index():
-    # symmetric cross: four points at identical distance from the center
-    pts = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-    index = SpatialIndex(pts)
-    idx, dist = index.query_knn(np.zeros(3), 3)
-    np.testing.assert_array_equal(idx, [0, 1, 2])
-    np.testing.assert_array_equal(dist, [1, 1, 1])
-
-
-def test_knn_empty_cloud_errors():
-    with pytest.raises(ValueError):
-        SpatialIndex(np.zeros((0, 3)))
+    monkeypatch.setattr(cloud_mod, "cKDTree", counting)
+    cloud = sw.estimate_normals(sw.PointCloud(points=rng.uniform(0, 10, (500, 3))),
+                                k=10, viewpoint=(0, 0, 50))
+    remove_outliers(cloud)
+    surface_spacing(cloud)
+    assert built == [500]
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +267,7 @@ def test_normals_rotated_plane_matches_eigen_oracle(rng):
     cloud = sw.estimate_normals(sw.PointCloud(points=pts), k=12, viewpoint=vp)
 
     # oracle: eigen-decomposition of one explicit neighborhood
-    index = SpatialIndex(pts)
-    i0, _ = index.query_knn(pts[0], 12)
+    i0, _ = brute_force_knn(pts, pts[0], 12)
     nb = pts[i0]
     cov = np.cov(nb.T, bias=True)
     w, vec = np.linalg.eigh(cov)
