@@ -17,8 +17,7 @@ from .registration import (CoarseParams, FeatureSet, HybridParams, IcpParams,
                            register_global_hybrid, register_multiview,
                            select_keypoints)
 from .ground import (ClothParams, GroundLabeling, SubSlope, csf_classify,
-                     filter_vegetation, level_subslope, partition_subslopes,
-                     visibility_gradient_filter)
+                     filter_vegetation, partition_subslopes)
 from .terrain import (DeformationField, Region, TriangleMesh, build_dtm,
                       field_stats, mesh_distance, rate_field, region_volume,
                       significant_regions)

@@ -12,12 +12,14 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, bench, ground, pipeline, registration, synth, terrain
 from .cloud import PointClass, PointCloud, read_cloud, write_cloud
+from .errors import SlopewatchError
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -377,7 +379,13 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SlopewatchError as exc:
+        if args.verbose:
+            traceback.print_exc()
+        print(f"slopewatch: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

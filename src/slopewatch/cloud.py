@@ -167,10 +167,16 @@ _PLY_DTYPES = {
 _FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
 
 
-def _centroid_shift(points: np.ndarray) -> np.ndarray:
-    if len(points) == 0:
-        return np.zeros(3)
-    return np.round(points.mean(axis=0))
+def _working_frame(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(points - shift, shift), the shift being the centroid rounded to
+    whole meters; ``CloudFormatError`` when a coordinate or the centroid
+    is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.round(points.mean(axis=0)) if len(points) else np.zeros(3)
+        work = points - shift
+    if not (np.isfinite(work).all() and np.isfinite(shift).all()):
+        raise CloudFormatError("coordinates and their centroid must be finite")
+    return work, shift
 
 
 def _parse_xyz_ascii(data: bytes) -> tuple[np.ndarray, dict]:
@@ -238,13 +244,17 @@ def _parse_ply_header(data: bytes):
                 if not elements:
                     raise CloudFormatError("property before element in PLY header")
                 if tokens[1] == "list":
-                    if tokens[2] not in _PLY_DTYPES or tokens[3] not in _PLY_DTYPES:
+                    if (tokens[2] not in _PLY_DTYPES or tokens[2] in _FLOAT_PLY_TYPES
+                            or tokens[3] not in _PLY_DTYPES):
                         raise CloudFormatError(f"unsupported PLY list types in {line!r}")
-                    elements[-1][2].append(("list", tokens[4], tokens[2], tokens[3]))
+                    prop = ("list", tokens[4], tokens[2], tokens[3])
                 else:
                     if tokens[1] not in _PLY_DTYPES:
                         raise CloudFormatError(f"unsupported PLY property type {tokens[1]!r}")
-                    elements[-1][2].append(("scalar", tokens[2], tokens[1]))
+                    prop = ("scalar", tokens[2], tokens[1])
+                if any(p[1] == prop[1] for p in elements[-1][2]):
+                    raise CloudFormatError(f"duplicate PLY property in {line!r}")
+                elements[-1][2].append(prop)
     except (IndexError, ValueError) as exc:
         raise CloudFormatError(f"malformed PLY header line {line!r}") from exc
     if fmt is None:
@@ -265,7 +275,11 @@ def _read_ply(data: bytes) -> dict:
         tokens = data[offset:].split()
         pos = 0
         for name, count, props in elements:
+            if not props:
+                out[name] = {}
+                continue
             cols: dict[str, list] = {p[1]: [] for p in props}
+            parsed = {}
             try:
                 for _ in range(count):
                     for p in props:
@@ -273,27 +287,32 @@ def _read_ply(data: bytes) -> dict:
                             cols[p[1]].append(float(tokens[pos])); pos += 1
                         else:
                             m = int(tokens[pos]); pos += 1
+                            if m < 0:
+                                raise CloudFormatError(
+                                    f"negative PLY list count in element '{name}'")
                             cols[p[1]].append([int(tokens[pos + j]) for j in range(m)])
                             pos += m
-            except (IndexError, ValueError) as exc:
+                for p in props:
+                    if p[0] == "scalar":
+                        parsed[p[1]] = np.asarray(cols[p[1]], dtype=np.float64)
+                    else:
+                        rows = cols[p[1]]
+                        if len({len(r) for r in rows}) > 1:
+                            raise CloudFormatError("non-uniform PLY list lengths")
+                        parsed[p[1]] = (np.asarray(rows, dtype=np.int64) if rows
+                                        else np.zeros((0, 3), dtype=np.int64))
+            except (IndexError, ValueError, OverflowError) as exc:
                 raise CloudFormatError(
                     f"PLY element '{name}' is truncated or not numeric") from exc
-            parsed = {}
-            for p in props:
-                if p[0] == "scalar":
-                    parsed[p[1]] = np.asarray(cols[p[1]], dtype=np.float64)
-                else:
-                    rows = cols[p[1]]
-                    if rows and len({len(r) for r in rows}) != 1:
-                        raise CloudFormatError("non-uniform PLY list lengths")
-                    parsed[p[1]] = np.asarray(rows, dtype=np.int64).reshape(count, -1)
             out[name] = parsed
         return out
 
     buf = data[offset:]
     pos = 0
     for name, count, props in elements:
-        if all(p[0] == "scalar" for p in props):
+        if not props:
+            out[name] = {}
+        elif all(p[0] == "scalar" for p in props):
             dtype = np.dtype([(p[1], _PLY_DTYPES[p[2]]) for p in props])
             need = dtype.itemsize * count
             if len(buf) - pos < need:
@@ -307,11 +326,15 @@ def _read_ply(data: bytes) -> dict:
             if count == 0:
                 out[name] = {pname: np.zeros((0, 3), dtype=np.int64)}
                 continue
+            if len(buf) - pos < cdt.itemsize:
+                raise CloudFormatError(f"PLY element '{name}' truncated")
             m = int(np.frombuffer(buf, dtype=cdt, count=1, offset=pos)[0])
-            row = np.dtype([("n", cdt), ("v", idt, (m,))])
-            need = row.itemsize * count
+            if m < 0:
+                raise CloudFormatError(f"negative PLY list count in element '{name}'")
+            need = (cdt.itemsize + m * idt.itemsize) * count
             if len(buf) - pos < need:
                 raise CloudFormatError(f"PLY element '{name}' truncated")
+            row = np.dtype([("n", cdt), ("v", idt, (m,))])
             rec = np.frombuffer(buf, dtype=row, count=count, offset=pos)
             if not np.all(rec["n"] == m):
                 raise CloudFormatError("non-uniform PLY list lengths")
@@ -340,13 +363,7 @@ def parse_cloud(data: bytes, fmt: str) -> PointCloud:
     if fmt == "xyz_ascii":
         pts, scalars = _parse_xyz_ascii(data)
     elif fmt == "ply":
-        parsed = _read_ply(data)
-        if "vertex" not in parsed:
-            raise CloudFormatError("PLY stream has no vertex element")
-        cols = parsed["vertex"]
-        for axis in ("x", "y", "z"):
-            if axis not in cols:
-                raise CloudFormatError(f"PLY vertex element missing '{axis}'")
+        pts, scalars = _ply_vertices(_read_ply(data))
         # reject non-float vertex payloads up front
         _, elements, _ = _parse_ply_header(data)
         for name, _count, props in elements:
@@ -357,14 +374,27 @@ def parse_cloud(data: bytes, fmt: str) -> PointCloud:
                     raise CloudFormatError(
                         f"unsupported PLY vertex property type for {p[1]!r}"
                     )
-        n = len(cols["x"])
-        pts = np.column_stack([cols["x"], cols["y"], cols["z"]]) if n else np.zeros((0, 3))
-        scalars = {k: v for k, v in cols.items() if k not in ("x", "y", "z")}
     else:
         raise ValueError(f"unknown cloud format {fmt!r}")
 
-    shift = _centroid_shift(pts)
-    return PointCloud(points=pts - shift, scalars=scalars, origin_shift=shift)
+    work, shift = _working_frame(pts)
+    return PointCloud(points=work, scalars=scalars, origin_shift=shift)
+
+
+def _ply_vertices(parsed: dict) -> tuple[np.ndarray, dict]:
+    """(absolute (n, 3) coordinates, other channels) of a parsed PLY
+    stream's vertex element, whose properties must all be scalars."""
+    cols = parsed.get("vertex")
+    if cols is None:
+        raise CloudFormatError("PLY stream has no vertex element")
+    for axis in ("x", "y", "z"):
+        if axis not in cols:
+            raise CloudFormatError(f"PLY vertex element missing '{axis}'")
+    if any(v.ndim != 1 for v in cols.values()):
+        raise CloudFormatError("PLY vertex element has a list property")
+    n = len(cols["x"])
+    pts = np.column_stack([cols["x"], cols["y"], cols["z"]]) if n else np.zeros((0, 3))
+    return pts, {k: v for k, v in cols.items() if k not in ("x", "y", "z")}
 
 
 def write_cloud(

@@ -3,8 +3,7 @@
 The primary path rasterizes the cloud into sub-slopes, rotates each to a
 rough horizontal plane, settles a simulated cloth over the inverted points,
 and classifies by point-to-cloth distance. Leveling first is what makes the
-cloth usable on terrain standing near vertical. A visibility-gradient
-binarization is provided as the alternative path.
+cloth usable on terrain standing near vertical.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, PointClass, fit_plane, _kdtree
+from .cloud import PointCloud, PointClass, fit_plane
 from .errors import NoConvergence, TooSparse
 from .rigid import RigidTransform
 
@@ -137,15 +136,9 @@ def partition_subslopes(cloud: PointCloud, cell_size: float,
     return subslopes
 
 
-def level_subslope(sub: SubSlope, cloud: PointCloud) -> PointCloud:
-    """Member points rotated about the sub-slope centroid so the fitted
-    plane becomes horizontal. ``unlevel_points`` inverts exactly."""
-    member = cloud.subset(sub.member_indices)
-    leveled = level_points(sub, member.points)
-    return member.with_(points=leveled)
-
-
 def level_points(sub: SubSlope, points: np.ndarray) -> np.ndarray:
+    """``points`` rotated about the sub-slope centroid so the fitted plane
+    becomes horizontal. ``unlevel_points`` inverts exactly."""
     r = sub.level_rotation.rotation
     return (points - sub.centroid) @ r.T + sub.centroid
 
@@ -334,81 +327,3 @@ def apply_mask_overrides(labeling: GroundLabeling, mask_lines) -> GroundLabeling
             raise ValueError(f"mask index {idx} out of range")
         labels[idx] = PointClass.GROUND if s[0] == "+" else PointClass.VEGETATION
     return GroundLabeling(labels=labels, stats=dict(labeling.stats))
-
-
-# ---------------------------------------------------------------------------
-# Visibility-gradient alternative
-# ---------------------------------------------------------------------------
-
-
-def _hemisphere_directions(count: int, min_elevation_deg: float = 20.0) -> np.ndarray:
-    """Deterministic spiral sample of the upper hemisphere cap."""
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    zmin = np.sin(np.radians(min_elevation_deg))
-    i = np.arange(count)
-    z = zmin + (1.0 - zmin) * (i + 0.5) / count
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    az = golden * i
-    return np.column_stack([r * np.cos(az), r * np.sin(az), z])
-
-
-def visibility_gradient_filter(
-    cloud: PointCloud,
-    directions: int = 32,
-    threshold: float = 0.15,
-    grid: float = 0.25,
-    max_range: float = 8.0,
-    k_neighbors: int = 8,
-) -> GroundLabeling:
-    """Binarize vegetation by the local gradient of sky visibility.
-
-    Per-point visibility is the fraction of upper-hemisphere ray samples
-    that escape an occupancy grid of the cloud within ``max_range``; the
-    gradient is the largest visibility difference to the k nearest
-    neighbors. Points whose gradient exceeds ``threshold`` are vegetation.
-    """
-    if directions < 8:
-        raise ValueError("need at least 8 sample directions")
-    pts = cloud.points
-    n = len(pts)
-    if n == 0:
-        return GroundLabeling(labels=np.zeros(0, dtype=np.uint8), stats={})
-
-    keys = np.floor(pts / grid).astype(np.int64)
-    kmin = keys.min(axis=0) - 1
-    dims = keys.max(axis=0) - kmin + 3
-    packed = ((keys[:, 0] - kmin[0]) * dims[1] + (keys[:, 1] - kmin[1])) * dims[2] \
-        + (keys[:, 2] - kmin[2])
-    occupied = np.unique(packed)
-
-    def occupied_mask(sample_pts: np.ndarray) -> np.ndarray:
-        k = np.floor(sample_pts / grid).astype(np.int64)
-        inside = np.all((k >= kmin) & (k < kmin + dims), axis=-1)
-        p = ((k[..., 0] - kmin[0]) * dims[1] + (k[..., 1] - kmin[1])) * dims[2] \
-            + (k[..., 2] - kmin[2])
-        found = np.zeros(p.shape, dtype=bool)
-        pos = np.searchsorted(occupied, p[inside])
-        pos = np.clip(pos, 0, len(occupied) - 1)
-        found[inside] = occupied[pos] == p[inside]
-        return found
-
-    t_steps = np.arange(3.0 * grid, max_range, 0.5 * grid)
-    dirs = _hemisphere_directions(directions)
-    free = np.zeros(n)
-    for d in dirs:
-        blocked = np.zeros(n, dtype=bool)
-        for t in t_steps:
-            sample = pts + d * t
-            blocked |= occupied_mask(sample)
-        free += ~blocked
-    visibility = free / directions
-
-    k = min(k_neighbors + 1, n)
-    _, idx = _kdtree(cloud).query(pts, k=k)
-    idx = np.atleast_2d(idx)
-    grad = np.abs(visibility[idx] - visibility[:, None]).max(axis=1)
-    labels = np.where(grad > threshold,
-                      np.uint8(PointClass.VEGETATION),
-                      np.uint8(PointClass.GROUND))
-    return GroundLabeling(labels=labels,
-                          stats={"threshold": threshold, "directions": directions})

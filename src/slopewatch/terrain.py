@@ -16,7 +16,8 @@ from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
-from .cloud import PointCloud, fit_plane, plane_basis, write_ply, _read_ply
+from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _ply_vertices,
+                    _read_ply, _working_frame)
 from .errors import CloudFormatError, DegenerateSurface
 
 logger = logging.getLogger(__name__)
@@ -288,77 +289,17 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _projection_supported(reference: TriangleMesh, verts: np.ndarray,
-                          eps: float = 1e-9) -> np.ndarray:
-    """True where some reference triangle contains the vertex's in-plane
-    projection (within ``eps`` of the edges).
-
-    Triangles are split into a typical-size group (k-NN candidate lookup)
-    and the rare oversized boundary group (own small tree), so the search
-    radius is never inflated by sliver triangles.
-    """
-    uv = reference.project(reference.vertices)
-    tris = reference.triangles
-    ta, tb, tc = uv[tris[:, 0]], uv[tris[:, 1]], uv[tris[:, 2]]
-    cent2 = (ta + tb + tc) / 3.0
-    r2 = np.maximum.reduce([
-        np.linalg.norm(ta - cent2, axis=1),
-        np.linalg.norm(tb - cent2, axis=1),
-        np.linalg.norm(tc - cent2, axis=1),
-    ])
-    q = reference.project(verts)
-    nq = len(q)
-    out = np.zeros(nq, dtype=bool)
-
-    def cross2(o, u, v):
-        return (u[:, 0] - o[:, 0]) * (v[:, 1] - o[:, 1]) \
-            - (u[:, 1] - o[:, 1]) * (v[:, 0] - o[:, 0])
-
-    def test(flat: np.ndarray, owner: np.ndarray):
-        near = np.linalg.norm(cent2[flat] - q[owner], axis=1) <= r2[flat] + eps
-        flat = flat[near]
-        owner = owner[near]
-        if len(flat) == 0:
-            return
-        p = q[owner]
-        a2, b2, c2 = ta[flat], tb[flat], tc[flat]
-        area = cross2(a2, b2, c2)
-        tol = eps * np.maximum(np.abs(area), 1.0)
-        s0 = cross2(a2, b2, p) * np.sign(area)
-        s1 = cross2(b2, c2, p) * np.sign(area)
-        s2 = cross2(c2, a2, p) * np.sign(area)
-        inside = (s0 >= -tol) & (s1 >= -tol) & (s2 >= -tol)
-        np.logical_or.at(out, owner[inside], True)
-
-    limit = 2.0 * float(np.median(r2)) + eps
-    for group in (np.flatnonzero(r2 <= limit), np.flatnonzero(r2 > limit)):
-        if len(group) == 0:
-            continue
-        g_rmax = float(r2[group].max()) + eps
-        g_tree = cKDTree(cent2[group])
-        k = min(16, len(group))
-        gd, gi = g_tree.query(q, k=k)
-        gd = gd.reshape(nq, k)
-        gi = gi.reshape(nq, k)
-        test(group[gi.ravel()], np.repeat(np.arange(nq), k))
-        pending = np.flatnonzero(gd[:, -1] < g_rmax)
-        for start in range(0, len(pending), 8192):
-            sub = pending[start:start + 8192]
-            lists = g_tree.query_ball_point(q[sub], r=g_rmax)
-            counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
-                                 count=len(sub))
-            if counts.sum() == 0:
-                continue
-            flat = group[np.concatenate(
-                [np.asarray(l, dtype=np.int64) for l in lists if l])]
-            test(flat, np.repeat(sub, counts))
-    return out
+# in-plane distance, metres, within which a reference triangle supports a
+# compared vertex: a vertex on a triangle's edge or corner is supported
+_SUPPORT_EPS = 1e-9
 
 
 def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
                       c: np.ndarray, cap: float):
     """Exact nearest reference triangle per vertex.
 
+    Points and triangle corners share one dimension, 2 or 3: in-plane
+    projections answer projection support, 3D coordinates the distance.
     Distances above ``cap`` may be overestimates (the vertex is invalid
     either way); at or below ``cap`` the distance, triangle index and
     closest point are exact. Of equally near triangles the one with the
@@ -376,7 +317,7 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
     nv = len(verts)
     best_d = np.full(nv, np.inf)
     best_tri = np.zeros(nv, dtype=np.int64)
-    best_cp = np.zeros((nv, 3))
+    best_cp = np.zeros_like(verts)
 
     def consider(flat: np.ndarray, owner: np.ndarray):
         if len(flat) == 0:
@@ -446,10 +387,10 @@ def mesh_distance(
     The sign follows the reference surface's orientation normal (the side
     the projection normal faces): positive is deposition, negative erosion.
     A vertex is invalid when it is farther than ``max_dist`` from every
-    reference triangle, or when no reference triangle lies under its
-    in-plane projection (scan hole or missing coverage). Without the
-    second guard a vertex over a hole would report its lateral distance
-    to the hole rim as deformation.
+    reference triangle, or when no projected reference triangle lies
+    within ``_SUPPORT_EPS`` (1e-9 m) of its in-plane projection (scan hole
+    or missing coverage). Without the second guard a vertex over a hole
+    would report its lateral distance to the hole rim as deformation.
     """
     if len(reference.triangles) == 0:
         raise ValueError("reference mesh has no triangles")
@@ -470,8 +411,11 @@ def mesh_distance(
     side = np.einsum("ij,ij->i", verts - best_cp, tn)
     values = np.where(side >= 0, best_d, -best_d)
 
-    supported = _projection_supported(reference, verts)
-    valid = (best_d <= max_dist) & supported
+    uv = reference.project(rv)
+    plan_d, _, _ = _nearest_triangle(reference.project(verts), uv[tris[:, 0]],
+                                     uv[tris[:, 1]], uv[tris[:, 2]],
+                                     cap=_SUPPORT_EPS)
+    valid = (best_d <= max_dist) & (plan_d <= _SUPPORT_EPS)
     values = np.where(valid, values, np.nan)
     return DeformationField(values=values, valid=valid,
                             interval_days=interval_days,
@@ -588,27 +532,37 @@ def read_mesh(data: bytes) -> tuple[TriangleMesh, dict]:
     Applies the same rounded-centroid origin shift policy as cloud parsing.
     """
     parsed = _read_ply(data)
-    if "vertex" not in parsed or "face" not in parsed:
+    if "face" not in parsed:
         raise CloudFormatError("mesh PLY needs vertex and face elements")
-    cols = parsed["vertex"]
-    pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
-    faces = next(iter(parsed["face"].values()))
-    if faces.ndim != 2 or (len(faces) and faces.shape[1] != 3):
-        raise CloudFormatError("only triangle faces are supported")
-    scalars = {k: v for k, v in cols.items() if k not in ("x", "y", "z")}
+    pts, scalars = _ply_vertices(parsed)
+    faces = next(iter(parsed["face"].values()), None)
+    if faces is None or faces.ndim != 2 or faces.shape[1] != 3:
+        raise CloudFormatError("mesh PLY faces must be one list of 3 indices")
+    if len(faces) and (faces.min() < 0 or faces.max() >= len(pts)):
+        raise CloudFormatError("mesh PLY face index out of range")
 
     plane = None
     for line in data[: data.find(b"end_header")].decode("ascii", "replace").splitlines():
         tokens = line.split()
         if len(tokens) == 6 and tokens[0] == "comment" and tokens[1] == "projection_plane":
-            plane = np.array([float(t) for t in tokens[2:]])
-    shift = np.round(pts.mean(axis=0)) if len(pts) else np.zeros(3)
-    work = pts - shift
+            try:
+                plane = np.array([float(t) for t in tokens[2:]])
+            except ValueError as exc:
+                raise CloudFormatError(f"malformed comment {line!r}") from exc
+    work, shift = _working_frame(pts)
     if plane is not None:
-        normal = plane[:3] / np.linalg.norm(plane[:3])
+        norm = np.linalg.norm(plane[:3])
+        if not (np.isfinite(plane).all() and norm > 0):
+            raise CloudFormatError("projection_plane needs a finite non-zero normal")
+        normal = plane[:3] / norm
         offset = float(plane[3] - normal @ shift)
+    elif len(work) >= 3:
+        try:
+            normal, offset = fit_plane(work)
+        except ValueError as exc:
+            raise DegenerateSurface(f"mesh PLY names no projection plane: {exc}") from exc
     else:
-        normal, offset = fit_plane(work) if len(work) >= 3 else (np.array([0.0, 0.0, 1.0]), 0.0)
+        normal, offset = np.array([0.0, 0.0, 1.0]), 0.0
     mesh = TriangleMesh(vertices=work, triangles=faces, plane_normal=normal,
                         plane_offset=offset, origin_shift=shift)
     return mesh, scalars
@@ -646,18 +600,23 @@ def read_deformation(data: bytes) -> tuple[TriangleMesh, DeformationField]:
             raise CloudFormatError(f"field PLY missing '{need}' channel")
     interval = 1.0
     compared_epoch = reference_epoch = None
-    for line in data[: data.find(b"end_header")].decode("ascii", "replace").splitlines():
-        tokens = line.split()
-        if len(tokens) >= 3 and tokens[0] == "comment":
-            if tokens[1] == "interval_days":
-                interval = float(tokens[2])
-            elif tokens[1] == "compared_epoch":
-                compared_epoch = tokens[2]
-            elif tokens[1] == "reference_epoch":
-                reference_epoch = tokens[2]
-    valid = scalars["valid"] > 0.5
-    values = np.where(valid, scalars["displacement_m"], np.nan)
-    field_ = DeformationField(values=values, valid=valid, interval_days=interval,
-                              compared_epoch=compared_epoch,
-                              reference_epoch=reference_epoch)
+    try:
+        for line in data[: data.find(b"end_header")].decode("ascii", "replace").splitlines():
+            tokens = line.split()
+            if len(tokens) >= 3 and tokens[0] == "comment":
+                if tokens[1] == "interval_days":
+                    interval = float(tokens[2])
+                elif tokens[1] == "compared_epoch":
+                    compared_epoch = tokens[2]
+                elif tokens[1] == "reference_epoch":
+                    reference_epoch = tokens[2]
+        if not np.isfinite(interval):
+            raise CloudFormatError("field PLY interval_days must be finite")
+        valid = scalars["valid"] > 0.5
+        values = np.where(valid, scalars["displacement_m"], np.nan)
+        field_ = DeformationField(values=values, valid=valid, interval_days=interval,
+                                  compared_epoch=compared_epoch,
+                                  reference_epoch=reference_epoch)
+    except ValueError as exc:
+        raise CloudFormatError(f"malformed field PLY: {exc}") from exc
     return mesh, field_

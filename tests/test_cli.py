@@ -189,3 +189,20 @@ def test_stage_defaults_match_pipeline_config():
     regions = parser.parse_args(["regions", "--field", "f", "--out", "o"])
     assert regions.min_area == cfg.min_region_area_m2
     assert regions.threshold == cfg.rate_threshold_mm_day
+
+
+def test_format_error_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
+                   "property float x\nproperty float y\nproperty float z\n"
+                   "end_header\n")
+    args = ["dtm", "--in", str(bad), "--out", str(tmp_path / "dtm.ply")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("slopewatch: error: malformed PLY header line")
+    assert main(["-v"] + args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "CloudFormatError" in err
+    assert err.splitlines()[-1].startswith("slopewatch: error:")
+    assert not (tmp_path / "dtm.ply").exists()

@@ -78,6 +78,7 @@ def test_parse_ply_not_a_ply():
 
 
 _XYZ = "property float x\nproperty float y\nproperty float z\n"
+_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
 
 
 @pytest.mark.parametrize("reader,text", [
@@ -95,6 +96,19 @@ _XYZ = "property float x\nproperty float y\nproperty float z\n"
     ("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
      + "element face 2\nproperty list uchar int vertex_indices\nend_header\n"
      "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n"),          # short face row
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+                 + "element face 1\nend_header\n0 0 0\n1 0 0\n0 1 0\n",
+                 id="mesh-face-without-property"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ + _FACE
+                 + "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+                 id="mesh-face-index-past-vertex-count"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ + _FACE
+                 + "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n",
+                 id="mesh-negative-face-index"),
+    pytest.param("mesh", "format binary_little_endian 1.0\nelement vertex 3\n"
+                 + _XYZ + "element face 1\nproperty list char int vertex_indices\n"
+                 "end_header\n" + "\0" * 36 + "\xff" + "\0" * 12,
+                 id="mesh-negative-binary-list-count"),
 ])
 def test_malformed_ply_raises_format_error(reader, text):
     data = ("ply\n" + text).encode("latin-1")

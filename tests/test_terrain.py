@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import slopewatch as sw
 from slopewatch.errors import CloudFormatError, DegenerateSurface
@@ -228,6 +229,84 @@ def test_mesh_distance_ties_go_to_the_lowest_triangle():
         f = mesh_distance(compared, reference, max_dist=5.0)
         assert f.valid[0]
         assert f.values[0] == sign * dist[0]
+
+
+def test_mesh_distance_vertical_reference_face_supports_only_its_segment():
+    # a vertical face projects onto a segment of zero area: a vertex beside
+    # it has no reference surface under it, one on the segment has
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                      [2, 0, 0], [2, 1, 0], [2, 0.5, 1.0]], dtype=float)
+    reference = sw.TriangleMesh(vertices=verts,
+                                triangles=np.array([[0, 1, 2], [3, 4, 5]]),
+                                plane_normal=PLANE_Z[0], plane_offset=0.0)
+    beside, on_segment, on_flat = [2.3, 0.5, 0.5], [2.0, 0.5, 1.2], [0.25, 0.25, 0.1]
+    compared = sw.TriangleMesh(vertices=np.array([beside, on_segment, on_flat]),
+                               triangles=np.zeros((0, 3)),
+                               plane_normal=PLANE_Z[0], plane_offset=0.0)
+    f = mesh_distance(compared, reference, max_dist=5.0)
+    np.testing.assert_array_equal(f.valid, [False, True, True])
+    assert f.values[1] == pytest.approx(0.2, abs=1e-12)
+    assert f.values[2] == pytest.approx(0.1, abs=1e-12)
+
+
+def _rim_and_shared_edges(mesh):
+    t = mesh.triangles
+    e = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    edges, counts = np.unique(e, axis=0, return_counts=True)
+    return edges[counts == 1], edges[counts == 2]
+
+
+def test_mesh_distance_hole_mask_matches_brute_force():
+    cloud, _ = sw.gen_terrain((12, 9), 50.0, 0.5, 12, seed=22)
+    centre = cloud.points.mean(axis=0)
+    ref = build_dtm(cloud.subset(np.flatnonzero(
+        np.linalg.norm(cloud.points - centre, axis=1) > 2.0)), max_edge=1.2)
+    uv = ref.project(ref.vertices)
+    assert len(ref.triangles) < len(Delaunay(uv).simplices)   # edges dropped
+    cmp_cloud, _ = sw.gen_terrain((12, 9), 50.0, 0.5, 6, seed=23)
+    cmp_ = build_dtm(cmp_cloud, projection_plane=ref.projection_plane,
+                     max_edge=1.2)
+    rim, shared = _rim_and_shared_edges(ref)
+    rv = ref.vertices
+    verts = np.vstack([cmp_.vertices + cmp_.origin_shift - ref.origin_shift,
+                       rv,                                   # on vertices
+                       (rv[shared[::5, 0]] + rv[shared[::5, 1]]) / 2,
+                       (rv[rim[:, 0]] + rv[rim[:, 1]]) / 2])
+    compared = sw.TriangleMesh(vertices=verts, triangles=np.zeros((0, 3)),
+                               plane_normal=ref.plane_normal,
+                               plane_offset=ref.plane_offset,
+                               origin_shift=ref.origin_shift)
+    max_dist = 0.4
+    f = mesh_distance(compared, ref, max_dist=max_dist)
+
+    a, b, c = (rv[ref.triangles[:, k]] for k in range(3))
+    ua, ub, uc = (uv[ref.triangles[:, k]] for k in range(3))
+    q = ref.project(verts)
+
+    def edge_side(o, d, p):     # signed distance from edge o -> d, left > 0
+        e = d - o
+        return ((e[:, 0] * (p[:, None, 1] - o[:, 1])
+                 - e[:, 1] * (p[:, None, 0] - o[:, 0]))
+                / np.linalg.norm(e, axis=1))
+
+    # build_dtm orients every triangle counter-clockwise in the plane, so a
+    # point is inside when it lies left of (or on) all three edges
+    inside = np.zeros(len(verts), dtype=bool)
+    near = np.zeros(len(verts), dtype=bool)
+    for s in range(0, len(verts), 100):
+        p = q[s:s + 100]
+        inside[s:s + 100] = ((edge_side(ua, ub, p) >= -1e-9)
+                             & (edge_side(ub, uc, p) >= -1e-9)
+                             & (edge_side(uc, ua, p) >= -1e-9)).any(axis=1)
+        for i in range(s, min(s + 100, len(verts))):
+            pts = np.broadcast_to(verts[i], a.shape).copy()
+            d = np.linalg.norm(pts - closest_point_on_triangles(pts, a, b, c),
+                               axis=1)
+            near[i] = d.min() <= max_dist
+    np.testing.assert_array_equal(f.valid, inside & near)
+    # every case occurs: valid, over the hole, beyond max_dist
+    assert f.valid.any() and (~inside).any() and (inside & ~near).any()
+    assert f.valid[len(cmp_.vertices):].all()
 
 
 def test_mesh_distance_empty_reference():
@@ -478,6 +557,18 @@ def test_deformation_roundtrip():
                                atol=1e-12)
     assert f2.interval_days == 156
     assert f2.compared_epoch == "II" and f2.reference_epoch == "I"
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_mesh_without_faces_roundtrip(binary):
+    mesh = sw.TriangleMesh(vertices=np.eye(3), triangles=np.zeros((0, 3)),
+                           plane_normal=PLANE_Z[0], plane_offset=0.0)
+    data = write_mesh(mesh, binary=binary)
+    assert b"element face 0" in data
+    again, _ = read_mesh(data)
+    assert again.triangles.shape == (0, 3)
+    np.testing.assert_array_equal(again.vertices + again.origin_shift,
+                                  np.eye(3))
 
 
 def test_read_mesh_requires_faces():
