@@ -302,34 +302,3 @@ def build_report(
 def report_to_json(report: dict) -> str:
     """Deterministic serialization (sorted keys, fixed indentation)."""
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
-def render_report_text(report: dict) -> str:
-    """Aligned-column text rendering of the report tables."""
-    lines = []
-    lines.append("epoch pairs")
-    lines.append(f"{'pair':<12}{'days':>8}{'mean_cm':>12}{'std_cm':>12}{'valid':>10}")
-    for row in report.get("epoch_pairs", []):
-        pair = f"{row.get('reference_epoch')},{row.get('compared_epoch')}"
-        lines.append(
-            f"{pair:<12}{row['interval_days']:>8.0f}{row['mean_cm']:>12.1f}"
-            f"{row['std_cm']:>12.1f}{row['valid_count']:>10d}"
-        )
-    lines.append("")
-    lines.append("regions")
-    lines.append(f"{'id':<4}{'W_m':>8}{'L_m':>8}{'volume_m3':>12}{'type':>8}")
-    for row in report.get("regions", []):
-        w = "-" if row["W_m"] is None else f"{row['W_m']:.1f}"
-        l = "-" if row["L_m"] is None else f"{row['L_m']:.1f}"
-        lines.append(
-            f"{row['id']:<4}{w:>8}{l:>8}{row['volume_m3']:>12.1f}"
-            f"{(row['type'] or '-'):>8}"
-        )
-    lines.append("")
-    sig = report["error_budget"]["sigma_mm"]
-    lines.append(f"error budget sigma_mm {sig:.1f}")
-    return "\n".join(lines) + "\n"

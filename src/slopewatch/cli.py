@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, bench, ground, pipeline, registration, synth, terrain
 from .cloud import PointClass, PointCloud, read_cloud, write_cloud
-from .errors import SlopewatchError
+from .errors import CloudFormatError, SlopewatchError
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -96,8 +96,8 @@ def cmd_filter(args) -> int:
         gi = np.flatnonzero(labeling.labels == PointClass.GROUND)
         ri = np.flatnonzero(labeling.labels != PointClass.GROUND)
         ground_cloud, removed = cloud.subset(gi), cloud.subset(ri)
-    Path(args.out).write_bytes(write_cloud(ground_cloud, "ply"))
-    Path(args.removed).write_bytes(write_cloud(removed, "ply"))
+    Path(args.out).write_bytes(write_cloud(ground_cloud))
+    Path(args.removed).write_bytes(write_cloud(removed))
     print(f"ground {len(ground_cloud)} removed {len(removed)}")
     return 0
 
@@ -143,26 +143,35 @@ def cmd_regions(args) -> int:
     return 0
 
 
+def _read_regions(path) -> tuple[dict, list]:
+    """(document, regions) of a file written by ``regions``;
+    ``CloudFormatError`` when it is not JSON or a row lacks a key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        regions = [terrain.Region(vertex_set=np.asarray(row["vertex_set"]),
+                                  area_m2=row["area_m2"],
+                                  mean_rate_mm_day=row["mean_rate_mm_day"],
+                                  volume_m3=row.get("volume_m3", 0.0),
+                                  region_id=row["id"])
+                   for row in doc["regions"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CloudFormatError(f"malformed regions file: {exc!r}") from exc
+    return doc, regions
+
+
 def cmd_classify(args) -> int:
     mesh, field = terrain.read_deformation(Path(args.field).read_bytes())
-    doc = json.loads(Path(args.regions).read_text())
+    doc, regions = _read_regions(args.regions)
     annotations = {}
     for item in args.annotate or []:
         rid, _, tag = item.partition("=")
         annotations[int(rid)] = tag
-    regions = []
     shapes = []
     ann_list = []
-    for row in doc["regions"]:
-        region = terrain.Region(vertex_set=np.asarray(row["vertex_set"]),
-                                area_m2=row["area_m2"],
-                                mean_rate_mm_day=row["mean_rate_mm_day"],
-                                volume_m3=row.get("volume_m3", 0.0),
-                                region_id=row["id"])
+    for region in regions:
         shape = analysis.region_extent(region, field, mesh,
                                        motion_azimuth_deg=args.motion_az)
         region.W_m, region.L_m = shape.W_m, shape.L_m
-        regions.append(region)
         shapes.append(shape)
         if region.region_id in annotations:
             ann_list.append(analysis.MotionAnnotation(
@@ -214,12 +223,12 @@ def cmd_synth(args) -> int:
         out = Path(args.out)
         for i, s in enumerate(scans):
             p = out.with_name(out.stem + f"_station{i}" + out.suffix)
-            p.write_bytes(write_cloud(s, "ply"))
+            p.write_bytes(write_cloud(s))
             print(p)
         return 0
     else:
         raise ValueError(args.what)
-    Path(args.out).write_bytes(write_cloud(cloud, "ply"))
+    Path(args.out).write_bytes(write_cloud(cloud))
     print(f"wrote {len(cloud)} points to {args.out}")
     return 0
 
@@ -246,6 +255,13 @@ def cmd_pipeline(args) -> int:
     print(f"report {result.out_dir / 'report.json'}")
     print(f"regions {len(result.regions)}")
     return 0
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     de = sub.add_parser("deform", help="difference two DTMs")
     de.add_argument("--compared", required=True)
     de.add_argument("--reference", required=True)
-    de.add_argument("--days", type=float, required=True)
+    de.add_argument("--days", type=_positive_float, required=True)
     de.add_argument("--out", required=True)
     de.add_argument("--max-dist", type=float, default=cfg.deform_max_dist_m)
     de.set_defaults(func=cmd_deform)

@@ -5,11 +5,14 @@ subtracting an origin shift (the input centroid rounded to whole meters),
 so millimeter differencing stays well conditioned even for large survey
 coordinates. All containers are immutable after construction; every
 operation is a pure function of its inputs.
+
+Files are written as binary little-endian PLY with ``double`` properties
+(``write_ply``, the one writer for clouds, meshes and fields); the readers
+accept ASCII or binary little-endian PLY and ASCII XYZ.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -211,16 +214,20 @@ def _parse_xyz_ascii(data: bytes) -> tuple[np.ndarray, dict]:
 
 
 def _parse_ply_header(data: bytes):
-    """Returns (format, elements, header_end_offset).
+    """Returns (format, elements, comments, header_end_offset).
 
     ``elements`` is a list of (name, count, props) where props entries are
     ('scalar', prop_name, type_name) or ('list', prop_name, count_type, item_type).
+    ``comments`` holds the tokens after ``comment`` of each comment line,
+    in file order, read up to the ``end_header`` keyword.
     """
     end = data.find(b"end_header")
     if not data.startswith(b"ply") or end < 0:
         raise CloudFormatError("not a PLY stream")
-    end = data.find(b"\n", end) + 1
-    header = data[:end].decode("ascii", errors="replace")
+    stop = data.find(b"\n", end) + 1
+    header = data[:stop].decode("ascii", errors="replace")
+    comments = [tokens[1:] for tokens in map(str.split, header[:end].splitlines())
+                if tokens[:1] == ["comment"]]
     fmt = None
     elements = []
     try:
@@ -259,16 +266,17 @@ def _parse_ply_header(data: bytes):
         raise CloudFormatError(f"malformed PLY header line {line!r}") from exc
     if fmt is None:
         raise CloudFormatError("PLY header missing format line")
-    return fmt, elements, end
+    return fmt, elements, comments, stop
 
 
-def _read_ply(data: bytes) -> dict:
-    """Parse a PLY stream into {element_name: {prop_name: array}}.
+def _read_ply(data: bytes) -> tuple[dict, list, list]:
+    """Parse a PLY stream into ({element_name: {prop_name: array}},
+    elements, comments), the last two as ``_parse_ply_header`` gives them.
 
     List properties come back as (count, m) int arrays and require a uniform
     count per element (true for triangle faces, the only list we emit).
     """
-    fmt, elements, offset = _parse_ply_header(data)
+    fmt, elements, comments, offset = _parse_ply_header(data)
     out: dict[str, dict[str, np.ndarray]] = {}
 
     if fmt == "ascii":
@@ -305,7 +313,7 @@ def _read_ply(data: bytes) -> dict:
                 raise CloudFormatError(
                     f"PLY element '{name}' is truncated or not numeric") from exc
             out[name] = parsed
-        return out
+        return out, elements, comments
 
     buf = data[offset:]
     pos = 0
@@ -344,7 +352,7 @@ def _read_ply(data: bytes) -> dict:
             raise CloudFormatError(
                 f"PLY element '{name}' mixes list and scalar properties"
             )
-    return out
+    return out, elements, comments
 
 
 def parse_cloud(data: bytes, fmt: str) -> PointCloud:
@@ -363,9 +371,8 @@ def parse_cloud(data: bytes, fmt: str) -> PointCloud:
     if fmt == "xyz_ascii":
         pts, scalars = _parse_xyz_ascii(data)
     elif fmt == "ply":
-        pts, scalars = _ply_vertices(_read_ply(data))
-        # reject non-float vertex payloads up front
-        _, elements, _ = _parse_ply_header(data)
+        parsed, elements, _ = _read_ply(data)
+        pts, scalars = _ply_vertices(parsed)
         for name, _count, props in elements:
             if name != "vertex":
                 continue
@@ -397,90 +404,40 @@ def _ply_vertices(parsed: dict) -> tuple[np.ndarray, dict]:
     return pts, {k: v for k, v in cols.items() if k not in ("x", "y", "z")}
 
 
-def write_cloud(
-    cloud: PointCloud,
-    fmt: str,
-    include_scalars: bool = True,
-    binary: bool = True,
-    double_precision: bool = True,
-) -> bytes:
-    """Serialize a cloud; absolute (unshifted) coordinates go to the file.
-
-    ``parse_cloud(write_cloud(c))`` reproduces coordinates within 1e-6 m
-    (exactly, for double-precision PLY) and scalar channels at the written
-    precision.
-    """
-    pts = cloud.absolute_points()
-    scalars = cloud.scalars if include_scalars else {}
-    if fmt == "xyz_ascii":
-        out = io.StringIO()
-        intensity = scalars.get("intensity")
-        for i in range(len(pts)):
-            row = f"{pts[i, 0]:.8f} {pts[i, 1]:.8f} {pts[i, 2]:.8f}"
-            if intensity is not None:
-                row += f" {intensity[i]:.8f}"
-            out.write(row + "\n")
-        return out.getvalue().encode("ascii")
-    if fmt == "ply":
-        return write_ply(pts, scalars=scalars, binary=binary,
-                         double_precision=double_precision)
-    raise ValueError(f"unknown cloud format {fmt!r}")
+def write_cloud(cloud: PointCloud) -> bytes:
+    """Binary PLY of the absolute (unshifted) coordinates and the scalar
+    channels; ``parse_cloud(write_cloud(c), "ply")`` gives the coordinates
+    back to rounding and the channels exactly."""
+    return write_ply(cloud.absolute_points(), scalars=cloud.scalars)
 
 
 def write_ply(
     points: np.ndarray,
     scalars: dict | None = None,
     faces: np.ndarray | None = None,
-    binary: bool = True,
-    double_precision: bool = True,
     comments: list[str] | None = None,
 ) -> bytes:
-    """Low-level PLY writer shared by cloud and mesh serialization."""
-    points = np.asarray(points, dtype=np.float64)
+    """The one PLY writer: binary little-endian, ``double`` x, y, z and then
+    ``scalars`` by sorted name, and an optional triangle face list."""
     scalars = scalars or {}
-    ftype = "double" if double_precision else "float"
-    np_ftype = "<f8" if double_precision else "<f4"
-
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    for c in comments or []:
-        header.append(f"comment {c}")
-    header.append(f"element vertex {len(points)}")
-    for axis in ("x", "y", "z"):
-        header.append(f"property {ftype} {axis}")
     names = sorted(scalars)
-    for name in names:
-        header.append(f"property {ftype} {name}")
+    header = ["ply", "format binary_little_endian 1.0"]
+    header += [f"comment {c}" for c in comments or []]
+    header.append(f"element vertex {len(points)}")
+    header += [f"property double {name}" for name in ("x", "y", "z", *names)]
     if faces is not None:
-        header.append(f"element face {len(faces)}")
-        header.append("property list uchar int vertex_indices")
+        header += [f"element face {len(faces)}",
+                   "property list uchar int vertex_indices"]
     header.append("end_header")
-    head = ("\n".join(header) + "\n").encode("ascii")
-
-    cols = [points[:, 0], points[:, 1], points[:, 2]] + [scalars[n] for n in names]
-    if binary:
-        vert = np.empty(len(points), dtype=np.dtype([(f"c{i}", np_ftype) for i in range(len(cols))]))
-        for i, c in enumerate(cols):
-            vert[f"c{i}"] = np.asarray(c, dtype=np_ftype)
-        body = vert.tobytes()
-        if faces is not None:
-            faces = np.asarray(faces, dtype=np.int64)
-            frow = np.empty(len(faces), dtype=np.dtype([("n", "u1"), ("v", "<i4", (3,))]))
-            frow["n"] = 3
-            frow["v"] = faces.astype("<i4")
-            body += frow.tobytes()
-        return head + body
-
-    out = io.StringIO()
-    digit = ".17g" if double_precision else ".9g"
-    stacked = np.column_stack([np.asarray(c, dtype=np_ftype).astype(np.float64) for c in cols]) \
-        if cols and len(points) else np.zeros((0, 0))
-    for row in stacked:
-        out.write(" ".join(format(v, digit) for v in row) + "\n")
+    cols = np.column_stack([np.asarray(points, dtype=np.float64).reshape(-1, 3)]
+                           + [np.asarray(scalars[n], dtype=np.float64) for n in names])
+    body = cols.astype("<f8").tobytes()
     if faces is not None:
-        for f in np.asarray(faces, dtype=np.int64):
-            out.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-    return head + out.getvalue().encode("ascii")
+        rows = np.empty(len(faces), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+        rows["n"] = 3
+        rows["v"] = faces
+        body += rows.tobytes()
+    return ("\n".join(header) + "\n").encode("ascii") + body
 
 
 def read_cloud(path) -> PointCloud:

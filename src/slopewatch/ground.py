@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud, PointClass, fit_plane
-from .errors import NoConvergence, TooSparse
+from .errors import CloudFormatError, NoConvergence, TooSparse
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -138,14 +138,9 @@ def partition_subslopes(cloud: PointCloud, cell_size: float,
 
 def level_points(sub: SubSlope, points: np.ndarray) -> np.ndarray:
     """``points`` rotated about the sub-slope centroid so the fitted plane
-    becomes horizontal. ``unlevel_points`` inverts exactly."""
+    becomes horizontal."""
     r = sub.level_rotation.rotation
     return (points - sub.centroid) @ r.T + sub.centroid
-
-
-def unlevel_points(sub: SubSlope, points: np.ndarray) -> np.ndarray:
-    r = sub.level_rotation.rotation
-    return (points - sub.centroid) @ r + sub.centroid
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +309,23 @@ def filter_vegetation(
 
 
 def apply_mask_overrides(labeling: GroundLabeling, mask_lines) -> GroundLabeling:
-    """Force labels from a manual mask: '+i' => ground, '-i' => vegetation."""
+    """Force labels from a manual mask: '+i' => ground, '-i' => vegetation.
+
+    A line that is not of that form, or names no point of the labeling,
+    raises ``CloudFormatError``.
+    """
     labels = labeling.labels.copy()
     for raw in mask_lines:
         s = str(raw).strip()
         if not s or s.startswith("#"):
             continue
         if s[0] not in "+-":
-            raise ValueError(f"mask line must start with '+' or '-': {s!r}")
-        idx = int(s[1:])
+            raise CloudFormatError(f"mask line must start with '+' or '-': {s!r}")
+        try:
+            idx = int(s[1:])
+        except ValueError as exc:
+            raise CloudFormatError(f"mask index is not an integer: {s!r}") from exc
         if not (0 <= idx < len(labels)):
-            raise ValueError(f"mask index {idx} out of range")
+            raise CloudFormatError(f"mask index {idx} out of range")
         labels[idx] = PointClass.GROUND if s[0] == "+" else PointClass.VEGETATION
     return GroundLabeling(labels=labels, stats=dict(labeling.stats))

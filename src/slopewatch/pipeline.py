@@ -26,7 +26,7 @@ from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
 from .cloud import (EpochRecord, PointCloud, concat_clouds,
                     estimate_normals, fit_plane, remove_outliers,
                     validate_epoch_series, voxel_downsample, write_cloud)
-from .errors import PipelineStageError, UndefinedMotionVector
+from .errors import CloudFormatError, PipelineStageError, UndefinedMotionVector
 from .ground import ClothParams, filter_vegetation
 from .registration import (CoarseParams, HybridParams, IcpParams,
                            MultiviewParams, register_global_hybrid,
@@ -134,7 +134,12 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
-        return PipelineConfig.from_dict(json.loads(text))
+        """``CloudFormatError`` when ``text`` is not JSON or does not
+        describe a ``PipelineConfig`` (an unknown or missing key)."""
+        try:
+            return PipelineConfig.from_dict(json.loads(text))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CloudFormatError(f"malformed pipeline config: {exc}") from exc
 
 
 @dataclass
@@ -278,7 +283,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         if config.write_clouds:
             for c in aligned_epochs:
                 emit(f"epoch_{c.epoch_id}_aligned.ply",
-                     write_cloud(c, "ply"), "register_epochs")
+                     write_cloud(c), "register_epochs")
 
     # -- vegetation filtering ----------------------------------------------
     ground_clouds: list[PointCloud] = []
@@ -291,7 +296,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                         len(ground), len(removed))
             if config.write_clouds:
                 emit(f"epoch_{c.epoch_id}_ground.ply",
-                     write_cloud(ground, "ply"), "filter_vegetation")
+                     write_cloud(ground), "filter_vegetation")
 
     # -- DTM construction ----------------------------------------------------
     meshes = []

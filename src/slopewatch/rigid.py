@@ -73,13 +73,6 @@ class RigidTransform:
         return m
 
     @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 homogeneous matrix")
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
-    @staticmethod
     def rotation_about_axis(axis, angle_rad: float) -> "RigidTransform":
         """Rodrigues rotation about a (not necessarily unit) axis."""
         a = np.asarray(axis, dtype=np.float64)

@@ -53,10 +53,6 @@ class TriangleMesh:
         object.__setattr__(self, "plane_normal", n)
         object.__setattr__(self, "origin_shift", shift)
 
-    @property
-    def projection_plane(self) -> tuple[np.ndarray, float]:
-        return self.plane_normal, self.plane_offset
-
     def project(self, points: np.ndarray) -> np.ndarray:
         """In-plane 2D coordinates of ``points`` on ``plane_basis``."""
         u, v = plane_basis(self.plane_normal)
@@ -513,25 +509,22 @@ def region_volume(region: Region, field_: DeformationField,
 # ---------------------------------------------------------------------------
 
 
-def write_mesh(mesh: TriangleMesh, scalars: dict | None = None,
-               binary: bool = True) -> bytes:
-    """PLY with vertices (absolute coordinates), faces, optional scalars."""
+def _write_surface(mesh: TriangleMesh, scalars: dict, comments=()) -> bytes:
+    """PLY of ``mesh`` in absolute coordinates; the header's first comment
+    names the projection plane, the given ``comments`` follow it."""
     n = mesh.plane_normal
     off_abs = mesh.plane_offset + float(n @ mesh.origin_shift)
-    comments = [
-        "projection_plane %.17g %.17g %.17g %.17g" % (n[0], n[1], n[2], off_abs),
-    ]
-    return write_ply(mesh.vertices + mesh.origin_shift, scalars=scalars or {},
-                     faces=mesh.triangles, binary=binary, double_precision=True,
-                     comments=comments)
+    plane = "projection_plane %.17g %.17g %.17g %.17g" % (n[0], n[1], n[2], off_abs)
+    return write_ply(mesh.vertices + mesh.origin_shift, scalars=scalars,
+                     faces=mesh.triangles, comments=[plane, *comments])
 
 
-def read_mesh(data: bytes) -> tuple[TriangleMesh, dict]:
-    """Inverse of ``write_mesh``: (mesh, vertex scalar channels).
+def _read_surface(data: bytes) -> tuple[TriangleMesh, dict, list]:
+    """(mesh, vertex scalar channels, header comments) of a mesh PLY.
 
     Applies the same rounded-centroid origin shift policy as cloud parsing.
     """
-    parsed = _read_ply(data)
+    parsed, _, comments = _read_ply(data)
     if "face" not in parsed:
         raise CloudFormatError("mesh PLY needs vertex and face elements")
     pts, scalars = _ply_vertices(parsed)
@@ -542,13 +535,13 @@ def read_mesh(data: bytes) -> tuple[TriangleMesh, dict]:
         raise CloudFormatError("mesh PLY face index out of range")
 
     plane = None
-    for line in data[: data.find(b"end_header")].decode("ascii", "replace").splitlines():
-        tokens = line.split()
-        if len(tokens) == 6 and tokens[0] == "comment" and tokens[1] == "projection_plane":
+    for tokens in comments:
+        if len(tokens) == 5 and tokens[0] == "projection_plane":
             try:
-                plane = np.array([float(t) for t in tokens[2:]])
+                plane = np.array([float(t) for t in tokens[1:]])
             except ValueError as exc:
-                raise CloudFormatError(f"malformed comment {line!r}") from exc
+                raise CloudFormatError(
+                    f"malformed comment {' '.join(tokens)!r}") from exc
     work, shift = _working_frame(pts)
     if plane is not None:
         norm = np.linalg.norm(plane[:3])
@@ -565,11 +558,21 @@ def read_mesh(data: bytes) -> tuple[TriangleMesh, dict]:
         normal, offset = np.array([0.0, 0.0, 1.0]), 0.0
     mesh = TriangleMesh(vertices=work, triangles=faces, plane_normal=normal,
                         plane_offset=offset, origin_shift=shift)
+    return mesh, scalars, comments
+
+
+def write_mesh(mesh: TriangleMesh) -> bytes:
+    """PLY with vertices (absolute coordinates) and faces."""
+    return _write_surface(mesh, {})
+
+
+def read_mesh(data: bytes) -> tuple[TriangleMesh, dict]:
+    """Inverse of ``write_mesh``: (mesh, vertex scalar channels)."""
+    mesh, scalars, _ = _read_surface(data)
     return mesh, scalars
 
 
-def write_deformation(mesh: TriangleMesh, field_: DeformationField,
-                      binary: bool = True) -> bytes:
+def write_deformation(mesh: TriangleMesh, field_: DeformationField) -> bytes:
     """Field PLY: the compared mesh with displacement_m / rate_mm_day / valid."""
     rates = rate_field(field_)
     scalars = {
@@ -577,39 +580,31 @@ def write_deformation(mesh: TriangleMesh, field_: DeformationField,
         "rate_mm_day": np.where(field_.valid, rates, 0.0),
         "valid": field_.valid.astype(np.float64),
     }
-    n = mesh.plane_normal
-    off_abs = mesh.plane_offset + float(n @ mesh.origin_shift)
-    comments = [
-        "projection_plane %.17g %.17g %.17g %.17g" % (n[0], n[1], n[2], off_abs),
-        "interval_days %.17g" % field_.interval_days,
-    ]
+    comments = ["interval_days %.17g" % field_.interval_days]
     if field_.compared_epoch:
         comments.append(f"compared_epoch {field_.compared_epoch}")
     if field_.reference_epoch:
         comments.append(f"reference_epoch {field_.reference_epoch}")
-    return write_ply(mesh.vertices + mesh.origin_shift, scalars=scalars,
-                     faces=mesh.triangles, binary=binary, double_precision=True,
-                     comments=comments)
+    return _write_surface(mesh, scalars, comments)
 
 
 def read_deformation(data: bytes) -> tuple[TriangleMesh, DeformationField]:
     """Inverse of ``write_deformation``."""
-    mesh, scalars = read_mesh(data)
+    mesh, scalars, comments = _read_surface(data)
     for need in ("displacement_m", "valid"):
         if need not in scalars:
             raise CloudFormatError(f"field PLY missing '{need}' channel")
     interval = 1.0
     compared_epoch = reference_epoch = None
     try:
-        for line in data[: data.find(b"end_header")].decode("ascii", "replace").splitlines():
-            tokens = line.split()
-            if len(tokens) >= 3 and tokens[0] == "comment":
-                if tokens[1] == "interval_days":
-                    interval = float(tokens[2])
-                elif tokens[1] == "compared_epoch":
-                    compared_epoch = tokens[2]
-                elif tokens[1] == "reference_epoch":
-                    reference_epoch = tokens[2]
+        for tokens in comments:
+            if len(tokens) >= 2:
+                if tokens[0] == "interval_days":
+                    interval = float(tokens[1])
+                elif tokens[0] == "compared_epoch":
+                    compared_epoch = tokens[1]
+                elif tokens[0] == "reference_epoch":
+                    reference_epoch = tokens[1]
         if not np.isfinite(interval):
             raise CloudFormatError("field PLY interval_days must be finite")
         valid = scalars["valid"] > 0.5

@@ -1,4 +1,5 @@
 import datetime
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,8 @@ import slopewatch as sw
 from slopewatch.analysis import (DEFAULT_BUDGET_MM,
                                  MotionAnnotation, ShapeClass, build_report,
                                  classify_shape, error_budget, interval_days,
-                                 parse_report, region_extent, relative_error,
-                                 render_report_text, report_to_json,
-                                 shape_angle)
+                                 region_extent, relative_error,
+                                 report_to_json, shape_angle)
 from slopewatch.cloud import EpochRecord
 from slopewatch.errors import UndefinedMotionVector
 from slopewatch.terrain import (DeformationField, Region, build_dtm,
@@ -281,7 +281,7 @@ def test_build_report_empty():
     assert report["epoch_pairs"] == []
     assert report["regions"] == []
     text = report_to_json(report)
-    assert parse_report(text) == report
+    assert json.loads(text) == report
 
 
 def test_build_report_region_row_rendering():
@@ -299,9 +299,6 @@ def test_build_report_region_row_rendering():
     assert row["type"] == "L-RS"
     assert row["volume_m3"] == pytest.approx(648.2)
     assert row["W_m"] == pytest.approx(31.1)
-    rendered = render_report_text(report)
-    assert "L-RS" in rendered and "648.2" in rendered
-    assert "76.0" in rendered
 
 
 def test_build_report_roundtrip_field_for_field():
@@ -316,7 +313,7 @@ def test_build_report_roundtrip_field_for_field():
         fields=[field], regions=[], shapes=[], annotations=[],
         budget=error_budget(*DEFAULT_BUDGET_MM),
         parameters={"max_dist_m": 5.0})
-    again = parse_report(report_to_json(report))
+    again = json.loads(report_to_json(report))
     assert again == report
     stats = field_stats(field)
     assert again["epoch_pairs"][0]["mean_cm"] == stats.mean * 100

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import slopewatch as sw
 from slopewatch import cloud as cloud_mod, pipeline as pipeline_mod
 from slopewatch import registration as reg
 from slopewatch.bench import BenchmarkConfig, TrialConfig, run_table2_benchmark
-from slopewatch.errors import PipelineStageError
+from slopewatch.errors import DisconnectedViews, PipelineStageError
 from slopewatch.pipeline import PipelineConfig, default_config, run_pipeline
 from slopewatch.synth import LandslideSpec
 
@@ -136,6 +137,54 @@ def test_pipeline_identical_epochs_no_regions(tmp_path):
     mean_cm = result.report["epoch_pairs"][0]["mean_cm"]
     sigma_mm = result.report["error_budget"]["sigma_mm"]
     assert abs(mean_cm) * 10 < sigma_mm
+
+
+# ---------------------------------------------------------------------------
+# generator scenes: default_config(density_pts_m2=8) with one change each
+# ---------------------------------------------------------------------------
+
+
+def scene_config(tmp_path, **overrides):
+    return default_config(density_pts_m2=8, out_dir=str(tmp_path / "run"),
+                          **overrides)
+
+
+def region_pairs(result):
+    return [(row["epoch_pair"], row["shape_class"])
+            for row in result.report["regions"]]
+
+
+def test_pipeline_scene_with_station_occlusion(tmp_path):
+    result = run_pipeline(scene_config(tmp_path, station_occlusion=True))
+    assert region_pairs(result) == [("I,II", "L")]
+
+
+def test_pipeline_scene_with_erosion(tmp_path):
+    cfg = scene_config(tmp_path)
+    slide = cfg.epochs[1].landslides[0]
+    cfg.epochs[1].landslides = [dataclasses.replace(slide, depth_m=-0.5)]
+    result = run_pipeline(cfg)
+    assert region_pairs(result) == [("I,II", "L")]
+    assert result.report["epoch_pairs"][0]["mean_cm"] == pytest.approx(
+        -1.09, abs=0.01)
+
+
+def test_pipeline_scene_with_a_third_epoch_without_slide(tmp_path):
+    cfg = scene_config(tmp_path)
+    cfg.epochs.append(sw.EpochSpec(epoch_id="III", date="2014-03-09",
+                                   station_count=2))
+    result = run_pipeline(cfg)
+    assert [(p["reference_epoch"], p["compared_epoch"])
+            for p in result.report["epoch_pairs"]] == [("I", "II"),
+                                                        ("II", "III")]
+    assert region_pairs(result) == [("I,II", "L")]
+
+
+def test_pipeline_scene_with_stations_out_of_range(tmp_path):
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(scene_config(tmp_path, station_max_range_m=65.0))
+    assert err.value.stage == "register_multiview"
+    assert isinstance(err.value.__cause__, DisconnectedViews)
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,18 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import slopewatch as sw
 from slopewatch.cli import build_parser, main
+from slopewatch.terrain import write_deformation
+
+from ply_literals import FIELD, MESH
 
 
 def write_terrain(path, seed=0, density=10.0, extent=(25, 18)):
     cloud, _ = sw.gen_terrain(extent, 70.0, 0.4, density, seed=seed)
-    Path(path).write_bytes(sw.write_cloud(cloud, "ply"))
+    Path(path).write_bytes(sw.write_cloud(cloud))
     return cloud
 
 
@@ -26,7 +30,7 @@ def test_register_writes_transform_and_result(tmp_path, capsys):
     off = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(4))
     off = RigidTransform(off.rotation, np.array([1.0, -0.5, 0.4]))
     moved = off.apply_cloud(cloud)
-    (tmp_path / "b.ply").write_bytes(sw.write_cloud(moved, "ply"))
+    (tmp_path / "b.ply").write_bytes(sw.write_cloud(moved))
 
     tf = tmp_path / "t.txt"
     rj = tmp_path / "r.json"
@@ -56,7 +60,7 @@ def test_register_multiview_cli(tmp_path):
     lines = []
     for i, s in enumerate(scans):
         p = tmp_path / f"s{i}.ply"
-        p.write_bytes(sw.write_cloud(s, "ply"))
+        p.write_bytes(sw.write_cloud(s))
         lines.append(str(p))
     listing.write_text("\n".join(lines) + "\n")
     code = main(["register-multiview", "--list", str(listing),
@@ -72,7 +76,7 @@ def test_filter_cli_with_mask(tmp_path, capsys):
     terr, _ = sw.gen_terrain((25, 18), 70.0, 0.3, 25, seed=5)
     cloud, truth = sw.add_vegetation(terr, 0.1, seed=6)
     src = tmp_path / "in.ply"
-    src.write_bytes(sw.write_cloud(cloud, "ply"))
+    src.write_bytes(sw.write_cloud(cloud))
     mask = tmp_path / "mask.txt"
     mask.write_text("-0\n-1\n")
     code = main(["filter", "--in", str(src), "--out", str(tmp_path / "g.ply"),
@@ -98,9 +102,9 @@ def test_dtm_deform_regions_classify_chain(tmp_path, capsys):
     patch = ((lifted[:, 0] - 20) ** 2 / 64 + (lifted[:, 1] - 15) ** 2 / 16) < 1
     lifted[:, 2] += np.where(patch, 0.5, 0.0)
     (tmp_path / "ref.ply").write_bytes(
-        sw.write_cloud(sw.PointCloud(points=base), "ply"))
+        sw.write_cloud(sw.PointCloud(points=base)))
     (tmp_path / "cmp.ply").write_bytes(
-        sw.write_cloud(sw.PointCloud(points=lifted), "ply"))
+        sw.write_cloud(sw.PointCloud(points=lifted)))
 
     assert main(["dtm", "--in", str(tmp_path / "ref.ply"),
                  "--out", str(tmp_path / "ref_dtm.ply")]) == 0
@@ -191,18 +195,62 @@ def test_stage_defaults_match_pipeline_config():
     assert regions.threshold == cfg.rate_threshold_mm_day
 
 
-def test_format_error_exits_2_with_one_line(tmp_path, capsys):
-    bad = tmp_path / "bad.ply"
-    bad.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
-                   "property float x\nproperty float y\nproperty float z\n"
-                   "end_header\n")
-    args = ["dtm", "--in", str(bad), "--out", str(tmp_path / "dtm.ply")]
+def _malformed_input(case, tmp_path):
+    """(argv, a path the command must not write, start of the error line)."""
+    if case == "ply-header":
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
+                       "property float x\nproperty float y\nproperty float z\n"
+                       "end_header\n")
+        out = tmp_path / "dtm.ply"
+        return (["dtm", "--in", str(bad), "--out", str(out)], out,
+                "malformed PLY header line")
+    if case.startswith("mask"):
+        write_terrain(tmp_path / "in.ply")
+        mask = tmp_path / "mask.txt"
+        mask.write_text("-0\n+abc\n" if case == "mask-not-an-integer"
+                        else "-0\n+99999\n")
+        out = tmp_path / "g.ply"
+        return (["filter", "--in", str(tmp_path / "in.ply"), "--out", str(out),
+                 "--removed", str(tmp_path / "v.ply"), "--mask", str(mask)], out,
+                "mask index")
+    if case.startswith("config"):
+        out = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text("not json" if case == "config-not-json" else
+                          json.dumps({"out_dir": str(out), "bogus_key": 1}))
+        return (["pipeline", "--config", str(config)], out,
+                "malformed pipeline config")
+    field = tmp_path / "field.ply"
+    field.write_bytes(write_deformation(MESH, FIELD))
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps({"regions": [
+        {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0}]}))
+    out = tmp_path / "report.json"
+    return (["classify", "--regions", str(regions), "--field", str(field),
+             "--out", str(out)], out, "malformed regions file")
+
+
+@pytest.mark.parametrize("case", [
+    "ply-header", "mask-not-an-integer", "mask-index-past-cloud",
+    "config-not-json", "config-unknown-key", "regions-row-without-vertex-set"])
+def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
+    args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("slopewatch: error: malformed PLY header line")
+    assert err.startswith("slopewatch: error: " + message)
     assert main(["-v"] + args) == 2
     err = capsys.readouterr().err
     assert "Traceback" in err and "CloudFormatError" in err
     assert err.splitlines()[-1].startswith("slopewatch: error:")
-    assert not (tmp_path / "dtm.ply").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("days", ["0", "-3", "nan", "inf"])
+def test_deform_refuses_days_that_are_not_positive(capsys, days):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["deform", "--compared", "c", "--reference",
+                                   "r", "--days", days, "--out", "o"])
+    assert exit_.value.code == 2
+    assert "--days" in capsys.readouterr().err

@@ -10,6 +10,8 @@ from slopewatch.cloud import (EpochRecord, parse_cloud, plane_basis,
 from slopewatch.errors import CloudFormatError, CloudParseError
 from slopewatch.terrain import read_mesh
 
+from ply_literals import CLOUD, CLOUD_PLY, CLOUD_XYZ
+
 
 def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int):
     """Exhaustive nearest-neighbor oracle: sorted by (distance, index)."""
@@ -126,54 +128,39 @@ def test_malformed_ply_raises_format_error(reader, text):
 
 def test_write_empty_cloud_roundtrip():
     empty = sw.PointCloud(points=np.zeros((0, 3)))
-    for fmt in ("xyz_ascii", "ply"):
-        again = parse_cloud(write_cloud(empty, fmt), fmt)
-        assert len(again) == 0
+    assert len(parse_cloud(write_cloud(empty), "ply")) == 0
+    assert len(parse_cloud(b"", "xyz_ascii")) == 0
 
 
 @pytest.mark.parametrize("fmt,binary", [("xyz_ascii", False), ("ply", True),
                                         ("ply", False)])
-def test_roundtrip_coordinates(rng, fmt, binary):
-    pts = rng.uniform(-50, 50, (64, 3)) + np.array([12345.0, -9876.0, 345.0])
-    cloud = sw.PointCloud(points=pts)
-    data = write_cloud(cloud, fmt, binary=binary)
+def test_roundtrip_coordinates(fmt, binary):
+    """The same cloud reads to the same values from binary PLY (written)
+    and from ASCII PLY and XYZ (literals)."""
+    data = write_cloud(CLOUD) if binary else {"ply": CLOUD_PLY,
+                                              "xyz_ascii": CLOUD_XYZ}[fmt]
     again = parse_cloud(data, fmt)
-    assert len(again) == len(cloud)
-    np.testing.assert_allclose(again.absolute_points(), cloud.absolute_points(),
-                               atol=1e-6)
+    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
+    np.testing.assert_array_equal(again.origin_shift, [12346, -9876, 345])
+    assert again.scalars.keys() == {"intensity"}
+    np.testing.assert_array_equal(again.scalars["intensity"],
+                                  CLOUD.scalars["intensity"])
 
 
 def test_roundtrip_scalar_exact_double(rng):
     pts = rng.uniform(0, 10, (20, 3))
     disp = rng.normal(0, 0.1, 20)
     cloud = sw.PointCloud(points=pts, scalars={"displacement_m": disp})
-    data = write_cloud(cloud, "ply", binary=True, double_precision=True)
+    data = write_cloud(cloud)
     assert b"property double displacement_m" in data.split(b"end_header")[0]
     again = parse_cloud(data, "ply")
     np.testing.assert_array_equal(again.scalars["displacement_m"], disp)
 
 
-def test_roundtrip_float32_ply_within_declared_precision(rng):
-    pts = rng.uniform(0, 10, (20, 3))
-    cloud = sw.PointCloud(points=pts)
-    again = parse_cloud(write_cloud(cloud, "ply", double_precision=False), "ply")
-    np.testing.assert_allclose(again.absolute_points(), pts, atol=1e-5)
-
-
 def test_roundtrip_preserves_order(rng):
-    pts = rng.uniform(0, 10, (100, 3))
-    cloud = sw.PointCloud(points=pts)
-    for fmt in ("xyz_ascii", "ply"):
-        again = parse_cloud(write_cloud(cloud, fmt), fmt)
-        np.testing.assert_allclose(again.absolute_points(), pts, atol=1e-6)
-
-
-def test_include_scalars_flag(rng):
-    cloud = sw.PointCloud(points=rng.uniform(0, 1, (5, 3)),
-                          scalars={"intensity": np.arange(5.0)})
-    data = write_cloud(cloud, "ply", include_scalars=False)
-    again = parse_cloud(data, "ply")
-    assert "intensity" not in again.scalars
+    pts = rng.uniform(-50, 50, (100, 3)) + np.array([12345.0, -9876.0, 345.0])
+    again = parse_cloud(write_cloud(sw.PointCloud(points=pts)), "ply")
+    np.testing.assert_allclose(again.absolute_points(), pts, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

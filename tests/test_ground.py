@@ -3,10 +3,10 @@ import pytest
 
 import slopewatch as sw
 from slopewatch.cloud import PointClass
-from slopewatch.errors import NoConvergence, TooSparse
+from slopewatch.errors import CloudFormatError, NoConvergence, TooSparse
 from slopewatch.ground import (ClothParams, apply_mask_overrides, csf_classify,
                                filter_vegetation, level_points,
-                               partition_subslopes, unlevel_points)
+                               partition_subslopes)
 
 
 def flat_cloud(n=2000, extent=20.0, seed=0, z=0.0):
@@ -118,14 +118,6 @@ def test_level_incline(incline_deg):
     assert z_spread == pytest.approx(np.std(ortho), rel=1e-9)
     # and the fitted normal stays within a degree of the construction
     assert abs(subs[0].plane_normal @ normal) > np.cos(np.radians(1.0))
-
-
-def test_level_roundtrip_exact():
-    cloud, _ = sw.gen_terrain((20, 15), 70.0, 0.4, 10, seed=6)
-    subs = partition_subslopes(cloud, 1000.0, 10)
-    pts = cloud.points[subs[0].member_indices]
-    back = unlevel_points(subs[0], level_points(subs[0], pts))
-    assert np.abs(back - pts).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,6 @@ def test_mask_overrides():
     out = apply_mask_overrides(labeling, ["-0", "-3", "# note", "+3"])
     assert out.labels[0] == PointClass.VEGETATION
     assert out.labels[3] == PointClass.GROUND
-    with pytest.raises(ValueError):
-        apply_mask_overrides(labeling, ["7"])
-    with pytest.raises(ValueError):
-        apply_mask_overrides(labeling, ["+99"])
+    for line in ("7", "+99", "+abc", "-5"):
+        with pytest.raises(CloudFormatError):
+            apply_mask_overrides(labeling, [line])

@@ -1,7 +1,8 @@
 """Malformed files raise a SlopewatchError subclass and nothing else.
 
-Mutates valid mesh, field and cloud files (byte edits and header-token
-swaps) and builds PLY headers from a small grammar, then feeds every
+Mutates valid mesh, field and cloud files, binary PLY as written and the
+ASCII PLY and XYZ literals of ``ply_literals`` (byte edits and header-token
+swaps), and builds PLY headers from a small grammar, then feeds every
 result to each reader. Derandomised, so a run is repeatable.
 """
 
@@ -13,6 +14,9 @@ from slopewatch.cloud import parse_cloud
 from slopewatch.errors import SlopewatchError
 from slopewatch.terrain import (build_dtm, mesh_distance, read_deformation,
                                 read_mesh, write_deformation, write_mesh)
+
+from ply_literals import (CLOUD_PLY, CLOUD_XYZ, FIELD_PLY, MESH_NO_FACES_PLY,
+                          MESH_PLY)
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -26,12 +30,9 @@ def _valid_files() -> list[bytes]:
     mesh = build_dtm(cloud, max_edge=10.0)
     field = mesh_distance(mesh, mesh, interval_days=3.0, compared_epoch="II",
                           reference_epoch="I")
-    return [write_mesh(mesh, binary=True), write_mesh(mesh, binary=False),
-            write_deformation(mesh, field, binary=True),
-            write_deformation(mesh, field, binary=False),
-            sw.write_cloud(cloud, "ply"),
-            sw.write_cloud(cloud, "ply", binary=False),
-            sw.write_cloud(cloud, "xyz_ascii")]
+    return [write_mesh(mesh), write_deformation(mesh, field),
+            sw.write_cloud(cloud), MESH_PLY, MESH_NO_FACES_PLY, FIELD_PLY,
+            CLOUD_PLY, CLOUD_XYZ]
 
 
 VALID = _valid_files()

@@ -12,6 +12,8 @@ from slopewatch.terrain import (DeformationField, Region, build_dtm,
                                 read_mesh, region_volume, significant_regions,
                                 write_deformation, write_mesh)
 
+from ply_literals import FIELD, FIELD_PLY, MESH, MESH_NO_FACES_PLY, MESH_PLY
+
 PLANE_Z = (np.array([0.0, 0.0, 1.0]), 0.0)
 
 
@@ -188,7 +190,7 @@ def test_mesh_distance_matches_brute_force(rng):
     ref_cloud, _ = sw.gen_terrain((12, 9), 50.0, 0.5, 12, seed=9)
     ref = build_dtm(ref_cloud, max_edge=2.0)
     cmp_cloud, _ = sw.gen_terrain((12, 9), 50.0, 0.5, 6, seed=10)
-    cmp_ = build_dtm(cmp_cloud, projection_plane=ref.projection_plane,
+    cmp_ = build_dtm(cmp_cloud, projection_plane=(ref.plane_normal, ref.plane_offset),
                      max_edge=2.0)
     f = mesh_distance(cmp_, ref, max_dist=5.0, interval_days=10)
     tris = ref.triangles
@@ -264,7 +266,7 @@ def test_mesh_distance_hole_mask_matches_brute_force():
     uv = ref.project(ref.vertices)
     assert len(ref.triangles) < len(Delaunay(uv).simplices)   # edges dropped
     cmp_cloud, _ = sw.gen_terrain((12, 9), 50.0, 0.5, 6, seed=23)
-    cmp_ = build_dtm(cmp_cloud, projection_plane=ref.projection_plane,
+    cmp_ = build_dtm(cmp_cloud, projection_plane=(ref.plane_normal, ref.plane_offset),
                      max_edge=1.2)
     rim, shared = _rim_and_shared_edges(ref)
     rv = ref.vertices
@@ -559,20 +561,45 @@ def test_deformation_roundtrip():
     assert f2.compared_epoch == "II" and f2.reference_epoch == "I"
 
 
+def _assert_same_mesh(a, b):
+    for name in ("vertices", "triangles", "plane_normal", "origin_shift"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.plane_offset == b.plane_offset
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_mesh_without_faces_roundtrip(binary):
     mesh = sw.TriangleMesh(vertices=np.eye(3), triangles=np.zeros((0, 3)),
                            plane_normal=PLANE_Z[0], plane_offset=0.0)
-    data = write_mesh(mesh, binary=binary)
+    data = write_mesh(mesh) if binary else MESH_NO_FACES_PLY
     assert b"element face 0" in data
     again, _ = read_mesh(data)
+    _assert_same_mesh(again, read_mesh(write_mesh(mesh))[0])
     assert again.triangles.shape == (0, 3)
     np.testing.assert_array_equal(again.vertices + again.origin_shift,
                                   np.eye(3))
 
 
+def test_ascii_mesh_reads_like_binary():
+    mesh, scalars = read_mesh(MESH_PLY)
+    binary, binary_scalars = read_mesh(write_mesh(MESH))
+    _assert_same_mesh(mesh, binary)
+    assert scalars == binary_scalars == {}
+
+
+def test_ascii_field_reads_like_binary():
+    mesh, field = read_deformation(FIELD_PLY)
+    binary, binary_field = read_deformation(write_deformation(MESH, FIELD))
+    _assert_same_mesh(mesh, binary)
+    for f in (field, binary_field):
+        np.testing.assert_array_equal(f.values, FIELD.values)
+        np.testing.assert_array_equal(f.valid, FIELD.valid)
+        assert (f.interval_days, f.compared_epoch, f.reference_epoch) == (
+            4.0, "II", "I")
+
+
 def test_read_mesh_requires_faces():
     cloud = plane_cloud(10, seed=21)
-    data = sw.write_cloud(cloud, "ply")
+    data = sw.write_cloud(cloud)
     with pytest.raises(CloudFormatError):
         read_mesh(data)
