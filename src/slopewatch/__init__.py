@@ -10,8 +10,7 @@ from .cloud import (EpochRecord, PointClass, PointCloud, concat_clouds,
                     diameter, estimate_normals, fit_plane, parse_cloud,
                     read_cloud, voxel_downsample, write_cloud)
 from .rigid import RigidTransform
-from .registration import (CoarseParams, FeatureSet, HybridParams, IcpParams,
-                           MultiviewParams, RegistrationResult, alpha_schedule,
+from .registration import (FeatureSet, IcpParams, RegistrationResult,
                            coarse_register, evaluate_registration,
                            extract_descriptors, fit_rigid, icp,
                            register_global_hybrid, register_multiview,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .cloud import diameter
 from .errors import SlopewatchError
-from .registration import (CoarseParams, HybridParams, IcpParams,
-                           RegistrationResult, coarse_register,
+from .registration import (IcpParams, RegistrationResult, coarse_register,
                            evaluate_registration, icp, register_global_hybrid)
 from .rigid import RigidTransform
 from .synth import LandslideSpec, apply_landslide, gen_terrain
@@ -54,8 +53,6 @@ class BenchmarkConfig:
                     translation_frac=0.5, change_fraction=0.3),
     ])
     icp: IcpParams = field(default_factory=IcpParams)
-    coarse: CoarseParams = field(default_factory=CoarseParams)
-    hybrid: HybridParams = field(default_factory=HybridParams)
     methods: tuple = METHODS
 
 
@@ -72,10 +69,10 @@ def run_method(method: str, source, target, config: BenchmarkConfig) -> Registra
     if method == "icp":
         return icp(source, target, config.icp)
     if method == "coarse+icp":
-        t0 = coarse_register(source, target, config.coarse)
+        t0 = coarse_register(source, target)
         return icp(source, target, config.icp, init=t0)
     if method == "hybrid":
-        return register_global_hybrid(source, target, config.hybrid)
+        return register_global_hybrid(source, target, config.icp)
     raise ValueError(f"unknown method {method!r}")
 
 

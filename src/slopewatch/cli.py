@@ -30,9 +30,7 @@ def _write_transform_txt(path, transform: RigidTransform, src: PointCloud,
     """16-number row-major homogeneous transform, absolute coordinates."""
     r = transform.rotation
     t_abs = transform.translation + dst.origin_shift - r @ src.origin_shift
-    m = np.eye(4)
-    m[:3, :3] = r
-    m[:3, 3] = t_abs
+    m = RigidTransform(r, t_abs).matrix()
     Path(path).write_text(" ".join(f"{v:.17g}" for v in m.ravel()) + "\n")
 
 
@@ -56,8 +54,7 @@ def cmd_register(args) -> int:
         t0 = registration.coarse_register(src, dst)
         result = registration.icp(src, dst, params, init=t0)
     elif args.method == "hybrid":
-        result = registration.register_global_hybrid(
-            src, dst, registration.HybridParams(icp=params))
+        result = registration.register_global_hybrid(src, dst, params)
     else:
         raise ValueError(f"unknown method {args.method!r}")
     _write_transform_txt(args.out_transform, result.transform, src, dst)
@@ -143,9 +140,10 @@ def cmd_regions(args) -> int:
     return 0
 
 
-def _read_regions(path) -> tuple[dict, list]:
-    """(document, regions) of a file written by ``regions``;
-    ``CloudFormatError`` when it is not JSON or a row lacks a key."""
+def _read_regions(path, vertex_count: int) -> tuple[dict, list]:
+    """(document, regions) of a file written by ``regions`` for a field of
+    ``vertex_count`` vertices; ``CloudFormatError`` when it is not JSON, a
+    row lacks a key or names a vertex the field does not have."""
     try:
         doc = json.loads(Path(path).read_text())
         regions = [terrain.Region(vertex_set=np.asarray(row["vertex_set"]),
@@ -156,16 +154,18 @@ def _read_regions(path) -> tuple[dict, list]:
                    for row in doc["regions"]]
     except (ValueError, TypeError, KeyError) as exc:
         raise CloudFormatError(f"malformed regions file: {exc!r}") from exc
+    for r in regions:
+        if np.any((r.vertex_set < 0) | (r.vertex_set >= vertex_count)):
+            raise CloudFormatError(
+                f"malformed regions file: region {r.region_id} names a vertex "
+                f"outside the field's 0..{vertex_count - 1}")
     return doc, regions
 
 
 def cmd_classify(args) -> int:
     mesh, field = terrain.read_deformation(Path(args.field).read_bytes())
-    doc, regions = _read_regions(args.regions)
-    annotations = {}
-    for item in args.annotate or []:
-        rid, _, tag = item.partition("=")
-        annotations[int(rid)] = tag
+    doc, regions = _read_regions(args.regions, len(mesh.vertices))
+    annotations = dict(args.annotate or [])
     shapes = []
     ann_list = []
     for region in regions:
@@ -257,6 +257,21 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _annotation(text: str) -> tuple[int, str]:
+    """``ID=TYPE`` of ``--annotate``: an integer region id and a Cruden type."""
+    rid, _, tag = text.partition("=")
+    try:
+        region_id = int(rid)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"region id must be an integer, got {text!r}") from None
+    if tag not in analysis.CRUDEN_TYPES:
+        raise argparse.ArgumentTypeError(
+            f"type must be one of {', '.join(analysis.CRUDEN_TYPES)}, "
+            f"got {text!r}")
+    return region_id, tag
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0):
@@ -329,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--field", required=True)
     cl.add_argument("--out", required=True)
     cl.add_argument("--motion-az", type=float, default=None)
-    cl.add_argument("--annotate", action="append", metavar="ID=TYPE")
+    cl.add_argument("--annotate", type=_annotation, action="append",
+                    metavar="ID=TYPE")
     cl.set_defaults(func=cmd_classify)
 
     b = sub.add_parser("budget", help="propagated displacement error, mm")

@@ -441,11 +441,13 @@ def write_ply(
 
 
 def read_cloud(path) -> PointCloud:
-    """Read a cloud file, picking the format from the extension."""
+    """Read a cloud file: PLY when the name ends in ``.ply`` or the bytes
+    start with the ``ply`` magic (no XYZ record can), XYZ text otherwise."""
     p = str(path)
     with open(p, "rb") as fh:
         data = fh.read()
-    fmt = "ply" if p.lower().endswith(".ply") else "xyz_ascii"
+    fmt = ("ply" if p.lower().endswith(".ply") or data.startswith(b"ply")
+           else "xyz_ascii")
     return parse_cloud(data, fmt)
 
 

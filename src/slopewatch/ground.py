@@ -20,6 +20,10 @@ from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
 
+# fall of a free particle per step: gravity 9.8 m/s^2 times a 0.2 s step
+# squared, in simulation units
+CLOTH_DROP_M = 9.8 * 0.2**2
+
 
 @dataclass(frozen=True)
 class SubSlope:
@@ -32,24 +36,18 @@ class SubSlope:
     centroid: np.ndarray
     level_rotation: RigidTransform   # zero translation; maps plane normal to +z
 
-    @property
-    def plane(self) -> tuple[np.ndarray, float]:
-        return self.plane_normal, self.plane_offset
-
 
 @dataclass
 class ClothParams:
     grid_resolution: float = 0.5      # particle spacing, meters
     rigidness: int = 2                # 1..3, internal-spring passes per step
-    time_step: float = 0.2            # seconds, simulation units
     class_threshold: float = 0.5      # point-to-cloth distance gate, meters
     max_iterations: int = 500
-    gravity: float = 9.8              # m/s^2, simulation units
     settle_tolerance: float = 5e-3    # max particle displacement per step
 
     def __post_init__(self):
-        for name in ("grid_resolution", "time_step", "class_threshold",
-                     "max_iterations", "gravity", "settle_tolerance"):
+        for name in ("grid_resolution", "class_threshold", "max_iterations",
+                     "settle_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rigidness not in (1, 2, 3):
@@ -181,7 +179,6 @@ def _settle_cloth(inv_z: np.ndarray, xy: np.ndarray, params: ClothParams):
     occupied = np.isfinite(terrain)
     terrain = _fill_empty_cells(terrain, occupied)
 
-    step = params.gravity * params.time_step**2
     z = np.full((nx, ny), terrain.max() + 1.0)
     pinned = np.zeros((nx, ny), dtype=bool)
 
@@ -194,7 +191,7 @@ def _settle_cloth(inv_z: np.ndarray, xy: np.ndarray, params: ClothParams):
     residual = np.inf
     for iteration in range(params.max_iterations):
         before = z.copy()
-        z = np.where(pinned, z, z - step)
+        z = np.where(pinned, z, z - CLOTH_DROP_M)
         clamp()
         for _ in range(params.rigidness):
             padded = np.pad(z, 1, mode="edge")

@@ -28,8 +28,7 @@ from .cloud import (EpochRecord, PointCloud, concat_clouds,
                     validate_epoch_series, voxel_downsample, write_cloud)
 from .errors import CloudFormatError, PipelineStageError, UndefinedMotionVector
 from .ground import ClothParams, filter_vegetation
-from .registration import (CoarseParams, HybridParams, IcpParams,
-                           MultiviewParams, register_global_hybrid,
+from .registration import (NORMALS_K, register_global_hybrid,
                            register_multiview)
 from .synth import (DEFAULT_NOISE_SIGMA_M, DEFAULT_SLOPE_DEG,
                     LandslideSpec, SceneTruth, add_vegetation,
@@ -40,6 +39,11 @@ from .terrain import (DeformationField, Region, build_dtm, mesh_distance,
                       write_deformation, write_mesh)
 
 logger = logging.getLogger(__name__)
+
+# stable-area polish of each epoch registration: pairs beyond this gate
+# (deforming surface) are ignored so a landslide cannot drag the alignment
+EPOCH_REFINE_PAIR_M = 0.2
+DTM_VOXEL_M = 0.1   # ground thinning before triangulation
 
 
 @dataclass
@@ -58,7 +62,8 @@ class EpochSpec:
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the pipeline; JSON round-trips losslessly."""
+    """The settable values of the pipeline; JSON round-trips losslessly.
+    Values no caller varies are module constants."""
 
     rng_seed: int = 0
     out_dir: str = "runs/default"
@@ -74,26 +79,13 @@ class PipelineConfig:
     station_max_range_m: float | None = None
     station_occlusion: bool = False
     epochs: list = field(default_factory=list)       # list[EpochSpec]
-    normals_k: int = 16
-    icp: IcpParams = field(default_factory=IcpParams)
-    coarse: CoarseParams = field(default_factory=CoarseParams)
-    hybrid_alpha_start: float = 0.8
-    hybrid_alpha_steps: int = 5
-    # stable-area polish: pairs beyond this gate (deforming surface) are
-    # ignored so the landslide cannot drag the epoch alignment
-    epoch_refine_pair_m: float = 0.2
-    multiview_min_link: int = 8
     filter_cell_m: float = 15.0
-    dtm_voxel_m: float = 0.1   # 0 disables pre-DTM thinning
-    ground_outlier_k: int = 8  # 0 disables pre-DTM outlier removal
-    ground_outlier_std: float = 2.0
     cloth: ClothParams = field(default_factory=ClothParams)
     dtm_max_edge_m: float = 2.0
     deform_max_dist_m: float = 5.0
     rate_threshold_mm_day: float = 2.0
     min_region_area_m2: float = 10.0
     budget_mm: tuple = DEFAULT_BUDGET_MM
-    write_clouds: bool = True
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -123,10 +115,8 @@ class PipelineConfig:
             )
             for e in d.get("epochs", [])
         ]
-        for key, cls in (("icp", IcpParams), ("coarse", CoarseParams),
-                         ("cloth", ClothParams)):
-            if isinstance(d.get(key), dict):
-                d[key] = cls(**d[key])
+        if isinstance(d.get("cloth"), dict):
+            d["cloth"] = ClothParams(**d["cloth"])
         for key in ("extent_m", "veg_height_range_m", "budget_mm"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
@@ -254,13 +244,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # -- single-epoch multi-view registration ------------------------------
     merged: list[PointCloud] = []
     with _stage("register_multiview"):
-        mv = MultiviewParams(coarse=config.coarse, icp=config.icp,
-                             min_link_matches=config.multiview_min_link)
         for i, scans in enumerate(station_clouds):
-            prepared = [estimate_normals(s, k=min(config.normals_k, len(s)),
+            prepared = [estimate_normals(s, k=min(NORMALS_K, len(s)),
                                          viewpoint=(0.0, 0.0, 0.0))
                         for s in scans]
-            transforms = register_multiview(prepared, mv)
+            transforms = register_multiview(prepared)
             aligned = [t.apply_cloud(s) for t, s in zip(transforms, prepared)]
             merged.append(concat_clouds(aligned).with_(
                 epoch_id=config.epochs[i].epoch_id))
@@ -268,22 +256,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # -- multi-epoch registration ------------------------------------------
     aligned_epochs: list[PointCloud] = []
     with _stage("register_epochs"):
-        hybrid = HybridParams(alpha_start=config.hybrid_alpha_start,
-                              alpha_steps=config.hybrid_alpha_steps,
-                              coarse=config.coarse, icp=config.icp,
-                              refine_pair_m=config.epoch_refine_pair_m)
         reference = merged[0]
         aligned_epochs.append(reference)
         for k in range(1, len(merged)):
-            result = register_global_hybrid(merged[k], reference, hybrid)
+            result = register_global_hybrid(
+                merged[k], reference, refine_pair_m=EPOCH_REFINE_PAIR_M)
             aligned_epochs.append(result.transform.apply_cloud(merged[k]))
             logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
                         config.epochs[k].epoch_id, config.epochs[0].epoch_id,
                         result.rmse, result.inlier_count)
-        if config.write_clouds:
-            for c in aligned_epochs:
-                emit(f"epoch_{c.epoch_id}_aligned.ply",
-                     write_cloud(c), "register_epochs")
+        for c in aligned_epochs:
+            emit(f"epoch_{c.epoch_id}_aligned.ply",
+                 write_cloud(c), "register_epochs")
 
     # -- vegetation filtering ----------------------------------------------
     ground_clouds: list[PointCloud] = []
@@ -294,19 +278,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             ground_clouds.append(ground)
             logger.info("epoch %s: %d ground / %d removed", c.epoch_id,
                         len(ground), len(removed))
-            if config.write_clouds:
-                emit(f"epoch_{c.epoch_id}_ground.ply",
-                     write_cloud(ground), "filter_vegetation")
+            emit(f"epoch_{c.epoch_id}_ground.ply",
+                 write_cloud(ground), "filter_vegetation")
 
     # -- DTM construction ----------------------------------------------------
     meshes = []
     with _stage("build_dtm"):
-        cleaned = [remove_outliers(c, config.ground_outlier_k,
-                                   config.ground_outlier_std)
-                   if config.ground_outlier_k > 0 else c
+        thinned = [voxel_downsample(remove_outliers(c), DTM_VOXEL_M)
                    for c in ground_clouds]
-        thinned = [voxel_downsample(c, config.dtm_voxel_m)
-                   if config.dtm_voxel_m > 0 else c for c in cleaned]
         plane = fit_plane(thinned[0].points)
         for c in thinned:
             mesh = build_dtm(c, projection_plane=plane,

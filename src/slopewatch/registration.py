@@ -38,6 +38,18 @@ ICP_RMSE_FLOOR_M = 1e-10   # an ICP residual this small is exact data: stop
 ICP_RESIDUAL_GATE = 3.0    # robust sigmas; pairs beyond are off the common surface
 MAD_TO_SIGMA = 1.4826      # median absolute deviation -> Gaussian sigma
 DESCRIPTOR_ROW_BUDGET = 1 << 16  # neighbor rows binned per batch; bounds memory
+NORMALS_K = 16             # neighbors per normal estimate
+KEYPOINT_COUNT = 500       # keypoints per cloud for coarse matching
+# coarse front-end scales, in multiples of the pair's surface spacing
+DESCRIPTOR_RADIUS_SPACINGS = 10.0
+CONSISTENCY_TOL_SPACINGS = 3.0    # pairwise-distance agreement of matches
+KEYPOINT_GAP_SPACINGS = 2.0       # minimum keypoint separation (per cloud)
+# genuine overlap keeps most matches pairwise-distance-consistent;
+# featureless or disjoint geometry keeps only a few percent
+MIN_CONSISTENCY_RATIO = 0.2
+MIN_LINK_MATCHES = 8       # consistent pairs needed for a multi-view graph edge
+# hybrid matching rounds: feature weight decays linearly to pure Euclidean
+HYBRID_ALPHAS = np.linspace(0.8, 0.0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -52,37 +64,6 @@ class IcpParams:
     # is convergence
     convergence_eps: float = 1e-2
     max_pair_dist: float | None = None  # default: 0.25 * target diameter
-
-
-@dataclass
-class CoarseParams:
-    keypoint_count: int = 500
-    descriptor_radius: float | None = None      # default: 10 * surface spacing
-    min_descriptor_neighbors: int = 10
-    gc_tolerance: float | None = None           # default: 3 * surface spacing
-    min_keypoint_spacing: float | None = None   # default: 2 * surface spacing
-    normals_k: int = 16
-    # genuine overlap keeps most matches pairwise-distance-consistent;
-    # featureless or disjoint geometry keeps only a few percent
-    min_consistency_ratio: float = 0.2
-
-
-@dataclass
-class HybridParams:
-    alpha_start: float = 0.8
-    alpha_steps: int = 5
-    coarse: CoarseParams = field(default_factory=CoarseParams)
-    icp: IcpParams = field(default_factory=IcpParams)
-    # stable-area polish of the chosen pose: pairs beyond this gate
-    # (deforming surface) are ignored; 0 skips the polish
-    refine_pair_m: float = 0.0
-
-
-@dataclass
-class MultiviewParams:
-    coarse: CoarseParams = field(default_factory=CoarseParams)
-    icp: IcpParams = field(default_factory=IcpParams)
-    min_link_matches: int = 8   # consistent pairs needed for a graph edge
 
 
 @dataclass
@@ -200,7 +181,7 @@ def icp(
         raise ValueError("both clouds must be non-empty")
     params = params or IcpParams()
     if target.normals is None:
-        target = _ensure_normals(target, CoarseParams())
+        target = _ensure_normals(target)
     max_pair = params.max_pair_dist
     if max_pair is None:
         max_pair = 0.25 * diameter(target)
@@ -304,7 +285,7 @@ def select_keypoints(cloud: PointCloud, count: int,
         raise ValueError("cloud lacks a 'curvature' channel; run estimate_normals")
     curv = cloud.scalars["curvature"]
     if min_spacing is None:
-        min_spacing = 2.0 * surface_spacing(cloud)
+        min_spacing = KEYPOINT_GAP_SPACINGS * surface_spacing(cloud)
     order = np.lexsort((np.arange(len(curv)), -curv))
     if min_spacing <= 0:
         return order[:count]
@@ -466,72 +447,65 @@ def consistent_match_subset(src_pts: np.ndarray, tgt_pts: np.ndarray,
     return np.asarray(sorted(members), dtype=np.int64)
 
 
-def _ensure_normals(cloud: PointCloud, params: CoarseParams) -> PointCloud:
+def _ensure_normals(cloud: PointCloud) -> PointCloud:
     """Estimate normals with an up-facing default viewpoint when missing.
 
-    The estimate is kept with the cloud, one per neighborhood size, like
-    its kd-tree; a cloud is immutable, so it never goes stale.
+    The estimate is kept with the cloud, like its kd-tree; a cloud is
+    immutable, so it never goes stale.
     """
     if cloud.normals is not None and "curvature" in cloud.scalars:
         return cloud
-    k = min(params.normals_k, len(cloud))
-    estimated = cloud.__dict__.setdefault("_with_normals", {})
-    if k not in estimated:
+    estimated = cloud.__dict__.get("_with_normals")
+    if estimated is None:
+        k = min(NORMALS_K, len(cloud))
         normal, _ = fit_plane(cloud.points)
         vp = cloud.points.mean(axis=0) + _orient_deterministic(normal) * (
             2.0 * max(diameter(cloud), 1.0))
         logger.debug("estimating normals (k=%d) with default viewpoint", k)
-        estimated[k] = estimate_normals(cloud, k=k, viewpoint=vp)
-    return estimated[k]
+        estimated = cloud.__dict__["_with_normals"] = estimate_normals(
+            cloud, k=k, viewpoint=vp)
+    return estimated
 
 
-def _prepare_pair(source: PointCloud, target: PointCloud,
-                  params: CoarseParams):
+def _prepare_pair(source: PointCloud, target: PointCloud):
     """Shared-radius descriptor extraction for a cloud pair.
 
     Both sides must bin their neighborhoods at the same support radius or
     the descriptors are not comparable (merged clouds sample denser than
     single scans).
     """
-    source = _ensure_normals(source, params)
-    target = _ensure_normals(target, params)
+    source = _ensure_normals(source)
+    target = _ensure_normals(target)
     spacing = max(surface_spacing(source), surface_spacing(target))
-    radius = params.descriptor_radius or 10.0 * spacing
-    fs = extract_descriptors(
-        source, select_keypoints(source, params.keypoint_count,
-                                 params.min_keypoint_spacing),
-        radius, min_neighbors=params.min_descriptor_neighbors)
-    ft = extract_descriptors(
-        target, select_keypoints(target, params.keypoint_count,
-                                 params.min_keypoint_spacing),
-        radius, min_neighbors=params.min_descriptor_neighbors)
+    radius = DESCRIPTOR_RADIUS_SPACINGS * spacing
+    fs = extract_descriptors(source, select_keypoints(source, KEYPOINT_COUNT),
+                             radius)
+    ft = extract_descriptors(target, select_keypoints(target, KEYPOINT_COUNT),
+                             radius)
     return source, target, fs, ft, spacing
 
 
 def _consistent_matches(source: PointCloud, target: PointCloud,
-                        fs: FeatureSet, ft: FeatureSet, spacing: float,
-                        params: CoarseParams):
+                        fs: FeatureSet, ft: FeatureSet, spacing: float):
     """Mutual descriptor matches of a prepared pair and the indices of its
     geometrically consistent subset."""
     matches = match_descriptors(fs, ft)
     keep = consistent_match_subset(source.points[fs.keypoint_indices],
                                    target.points[ft.keypoint_indices],
                                    matches.pairs,
-                                   params.gc_tolerance or 3.0 * spacing)
+                                   CONSISTENCY_TOL_SPACINGS * spacing)
     return matches, keep
 
 
 def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
-                ft: FeatureSet, spacing: float,
-                params: CoarseParams) -> RigidTransform:
+                ft: FeatureSet, spacing: float) -> RigidTransform:
     """Closed-form fit on the consistent matches of a prepared pair."""
-    matches, keep = _consistent_matches(source, target, fs, ft, spacing, params)
+    matches, keep = _consistent_matches(source, target, fs, ft, spacing)
     if len(matches.pairs) < 3:
         raise InsufficientGeometry(
             f"only {len(matches.pairs)} mutual descriptor matches"
         )
-    required = max(3, int(np.ceil(params.min_consistency_ratio
-                                  * len(matches.pairs))))
+    required = max(3, int(np.ceil(MIN_CONSISTENCY_RATIO * len(matches.pairs))))
     if len(keep) < required:
         raise InsufficientGeometry(
             f"only {len(keep)} of {len(matches.pairs)} matches are "
@@ -545,19 +519,16 @@ def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
         raise InsufficientGeometry(str(exc)) from exc
 
 
-def coarse_register(source: PointCloud, target: PointCloud,
-                    params: CoarseParams | None = None) -> RigidTransform:
+def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
     """Descriptor matching + geometric consistency + closed-form fit.
 
     Raises ``InsufficientGeometry`` when fewer than three matches survive
     the consistency filter (featureless or non-overlapping geometry).
     """
-    params = params or CoarseParams()
-    return _coarse_fit(*_prepare_pair(source, target, params), params)
+    return _coarse_fit(*_prepare_pair(source, target))
 
 
-def register_multiview(clouds: list[PointCloud],
-                       params: MultiviewParams | None = None) -> list[RigidTransform]:
+def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
     """Hierarchical multi-view registration into the first cloud's frame.
 
     Scores every pair of current groups by descriptor-set overlap (matches
@@ -571,7 +542,6 @@ def register_multiview(clouds: list[PointCloud],
     """
     if len(clouds) == 0:
         raise ValueError("need at least one cloud")
-    params = params or MultiviewParams()
     if len(clouds) == 1:
         return [RigidTransform.identity()]
 
@@ -583,21 +553,20 @@ def register_multiview(clouds: list[PointCloud],
         best = None   # (link strength, ia, ib, prepared pair)
         for ia, ib in itertools.combinations(range(len(groups)), 2):
             try:
-                pair = _prepare_pair(groups[ia]["cloud"], groups[ib]["cloud"],
-                                     params.coarse)
-                _, keep = _consistent_matches(*pair, params.coarse)
+                pair = _prepare_pair(groups[ia]["cloud"], groups[ib]["cloud"])
+                _, keep = _consistent_matches(*pair)
             except ValueError:
                 continue   # a pair that cannot be prepared has no link
             if best is None or len(keep) > best[0]:
                 best = (len(keep), ia, ib, pair)
-        if best is None or best[0] < params.min_link_matches:
+        if best is None or best[0] < MIN_LINK_MATCHES:
             raise DisconnectedViews([sorted(g["members"]) for g in groups])
         strength, ia, ib, (a, b, fa, fb, spacing) = best
         ga, gb = groups[ia], groups[ib]
         logger.info("merging views %s <- %s (link strength %d)",
                     ga["members"], gb["members"], strength)
-        t_coarse = _coarse_fit(b, a, fb, fa, spacing, params.coarse)
-        result = icp(gb["cloud"], ga["cloud"], params.icp, init=t_coarse)
+        t_coarse = _coarse_fit(b, a, fb, fa, spacing)
+        result = icp(gb["cloud"], ga["cloud"], init=t_coarse)
         t = result.transform
         merged = concat_clouds([ga["cloud"], t.apply_cloud(gb["cloud"])])
         transforms = dict(ga["transforms"])
@@ -618,15 +587,6 @@ def register_multiview(clouds: list[PointCloud],
 # ---------------------------------------------------------------------------
 
 
-def alpha_schedule(alpha_start: float, alpha_steps: int) -> np.ndarray:
-    """Monotonically decreasing blend weights from ``alpha_start`` to 0."""
-    if not (0.0 <= alpha_start <= 1.0):
-        raise ValueError("alpha_start must lie in [0, 1]")
-    if alpha_steps < 1:
-        raise ValueError("alpha_steps must be >= 1")
-    return np.linspace(alpha_start, 0.0, alpha_steps)
-
-
 def _pair_diameter(a: np.ndarray, b: np.ndarray) -> float:
     lo = np.minimum(a.min(axis=0), b.min(axis=0))
     hi = np.maximum(a.max(axis=0), b.max(axis=0))
@@ -634,23 +594,24 @@ def _pair_diameter(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def register_global_hybrid(source: PointCloud, target: PointCloud,
-                           params: HybridParams | None = None) -> RegistrationResult:
+                           icp_params: IcpParams | None = None,
+                           refine_pair_m: float = 0.0) -> RegistrationResult:
     """Global epoch-to-epoch registration with a hybrid matching cost.
 
     Each outer step matches source and target keypoints by minimum-cost
     bipartite assignment under ``sqrt(alpha * d_feat^2 + (1-alpha) * d_euc^2)``
     with the feature distance normalized by descriptor bit length and the
     Euclidean distance by the current cloud-pair diameter, then refits the
-    transform. ``alpha`` decays linearly to zero, after which ICP refines
-    the pose. The ICP polish is also run from the identity and the
-    candidate with more gated inliers (ties: lower RMSE, then the identity
-    start) wins, so the hybrid path never does worse than plain ICP. With
-    ``refine_pair_m`` set, a last ICP from the winner pairs only within
-    that gate, so deforming surface cannot drag the alignment. Every ICP
-    run shares the target's kd-tree.
+    transform. ``alpha`` steps through ``HYBRID_ALPHAS`` down to zero, after
+    which ICP with ``icp_params`` refines the pose. The ICP polish is also
+    run from the identity and the candidate with more gated inliers (ties:
+    lower RMSE, then the identity start) wins, so the hybrid path never
+    does worse than plain ICP. With ``refine_pair_m`` above 0, a last ICP
+    from the winner pairs only within that gate, so deforming surface
+    cannot drag the alignment. Every ICP run shares the target's kd-tree.
     """
-    params = params or HybridParams()
-    source, target, fs, ft, _ = _prepare_pair(source, target, params.coarse)
+    icp_params = icp_params or IcpParams()
+    source, target, fs, ft, _ = _prepare_pair(source, target)
     if len(fs.keypoint_indices) < 3 or len(ft.keypoint_indices) < 3:
         raise InsufficientGeometry("too few keypoints with descriptors")
 
@@ -659,7 +620,7 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
     d_feat = hamming_matrix(fs, ft) / float(DESCRIPTOR_BITS)
 
     t = RigidTransform.identity()
-    for alpha in alpha_schedule(params.alpha_start, params.alpha_steps):
+    for alpha in HYBRID_ALPHAS:
         moved = t.apply(pa)
         scale = _pair_diameter(moved, pb)
         d_euc = cdist(moved, pb) / max(scale, 1e-12)
@@ -671,20 +632,20 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
             continue
 
     try:
-        cand_hybrid = icp(source, target, params.icp, init=t)
+        cand_hybrid = icp(source, target, icp_params, init=t)
     except NoOverlap:
         cand_hybrid = None
     try:
-        cand_plain = icp(source, target, params.icp)
+        cand_plain = icp(source, target, icp_params)
     except NoOverlap:
         cand_plain = None
     candidates = [c for c in (cand_plain, cand_hybrid) if c is not None]
     if not candidates:
         raise NoOverlap("no pairing distance overlap from either start pose")
     best = max(candidates, key=lambda c: (c.inlier_count, -c.rmse))
-    if params.refine_pair_m > 0:
+    if refine_pair_m > 0:
         best = icp(source, target,
-                   replace(params.icp, max_pair_dist=params.refine_pair_m),
+                   replace(icp_params, max_pair_dist=refine_pair_m),
                    init=best.transform)
     return best
 

@@ -180,6 +180,19 @@ def test_pipeline_scene_with_a_third_epoch_without_slide(tmp_path):
     assert region_pairs(result) == [("I,II", "L")]
 
 
+def test_pipeline_scene_with_three_stations_and_a_third_epoch_slide(tmp_path):
+    cfg = scene_config(tmp_path)
+    for epoch in cfg.epochs:
+        epoch.station_count = 3
+    cfg.epochs.append(sw.EpochSpec(
+        epoch_id="III", date="2014-03-09", station_count=3,
+        landslides=[LandslideSpec(center=(12.0, 6.84, 18.79), radius_along=8.0,
+                                  radius_across=5.0, depth_m=0.5,
+                                  azimuth_deg=90.0)]))
+    result = run_pipeline(cfg)
+    assert region_pairs(result) == [("I,II", "L"), ("II,III", "L")]
+
+
 def test_pipeline_scene_with_stations_out_of_range(tmp_path):
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(scene_config(tmp_path, station_max_range_m=65.0))
@@ -200,11 +213,11 @@ def traced_default_run(tmp_path_factory):
         icp_results.append(result)
         return result
 
-    def hybrid(source, target, params=None):
+    def hybrid(source, target, *args, **kwargs):
         call = {"reference": target.points, "reference_trees": 0}
         hybrid_calls.append(call)
         try:
-            return real_hybrid(source, target, params)
+            return real_hybrid(source, target, *args, **kwargs)
         finally:
             call["done"] = True
 

@@ -223,9 +223,13 @@ def _malformed_input(case, tmp_path):
                 "malformed pipeline config")
     field = tmp_path / "field.ply"
     field.write_bytes(write_deformation(MESH, FIELD))
+    row = {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0}
+    vertex_set = {"regions-vertex-past-field": [0, 99],
+                  "regions-negative-vertex": [0, -1]}.get(case)
+    if vertex_set is not None:
+        row["vertex_set"] = vertex_set
     regions = tmp_path / "regions.json"
-    regions.write_text(json.dumps({"regions": [
-        {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0}]}))
+    regions.write_text(json.dumps({"regions": [row]}))
     out = tmp_path / "report.json"
     return (["classify", "--regions", str(regions), "--field", str(field),
              "--out", str(out)], out, "malformed regions file")
@@ -233,7 +237,8 @@ def _malformed_input(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "ply-header", "mask-not-an-integer", "mask-index-past-cloud",
-    "config-not-json", "config-unknown-key", "regions-row-without-vertex-set"])
+    "config-not-json", "config-unknown-key", "regions-row-without-vertex-set",
+    "regions-vertex-past-field", "regions-negative-vertex"])
 def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2
@@ -254,3 +259,24 @@ def test_deform_refuses_days_that_are_not_positive(capsys, days):
                                    "r", "--days", days, "--out", "o"])
     assert exit_.value.code == 2
     assert "--days" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("annotation", ["x=FA", "1=XX", "1", "=FA"])
+def test_classify_refuses_a_malformed_annotation(capsys, annotation):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["classify", "--regions", "r", "--field",
+                                   "f", "--out", "o", "--annotate", annotation])
+    assert exit_.value.code == 2
+    assert "--annotate" in capsys.readouterr().err
+
+
+def test_cli_cloud_reads_back_under_an_xyz_name(tmp_path, capsys):
+    """The CLI writes PLY whatever the name; the readers find it by content."""
+    for name in ("s.xyz", "s.ply"):
+        assert main(["synth", "terrain", "--extent-x", "12", "--extent-y", "8",
+                     "--density", "10", "--out", str(tmp_path / name)]) == 0
+    assert main(["dtm", "--in", str(tmp_path / "s.xyz"),
+                 "--out", str(tmp_path / "dtm.ply")]) == 0
+    np.testing.assert_array_equal(
+        sw.read_cloud(tmp_path / "s.xyz").absolute_points(),
+        sw.read_cloud(tmp_path / "s.ply").absolute_points())

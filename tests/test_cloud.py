@@ -147,6 +147,22 @@ def test_roundtrip_coordinates(fmt, binary):
                                   CLOUD.scalars["intensity"])
 
 
+@pytest.mark.parametrize("name", ["c.xyz", "c.txt", "c.ply"])
+def test_read_cloud_knows_ply_by_name_or_magic(tmp_path, name):
+    """Binary PLY reads as PLY under any name."""
+    (tmp_path / name).write_bytes(write_cloud(CLOUD))
+    again = sw.read_cloud(tmp_path / name)
+    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
+
+
+def test_read_cloud_reads_xyz_text(tmp_path):
+    (tmp_path / "c.xyz").write_bytes(CLOUD_XYZ)
+    again = sw.read_cloud(tmp_path / "c.xyz")
+    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
+    np.testing.assert_array_equal(again.scalars["intensity"],
+                                  CLOUD.scalars["intensity"])
+
+
 def test_roundtrip_scalar_exact_double(rng):
     pts = rng.uniform(0, 10, (20, 3))
     disp = rng.normal(0, 0.1, 20)

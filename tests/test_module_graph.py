@@ -1,9 +1,13 @@
 import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import slopewatch
+from slopewatch.ground import ClothParams
+from slopewatch.pipeline import PipelineConfig
+from slopewatch.registration import IcpParams
 
 PACKAGE_DIR = Path(slopewatch.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -35,3 +39,24 @@ def test_traced_benchmark_names_resolve(monkeypatch):
                    f"slopewatch.{module}"), name, None))]
     assert tracing.TRACED
     assert missing == []
+
+
+def test_every_setting_is_read():
+    """Each field of the settings records is read as an attribute somewhere
+    in the package outside its own class, so a setting that no code uses
+    cannot linger; names in ``__post_init__`` strings do not count."""
+    fields = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+              for cls in (PipelineConfig, ClothParams, IcpParams)}
+    read = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in fields
+                  for node in ast.walk(cls)}
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside)
+    unread = sorted(f"{cls}.{name}" for cls, names in fields.items()
+                    for name in names - read)
+    assert unread == []

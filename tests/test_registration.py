@@ -251,7 +251,7 @@ def test_icp_estimates_missing_target_normals():
     moved = off.apply_cloud(cloud)
     assert cloud.normals is None
     bare = sw.icp(moved, cloud)
-    prepared = sw.icp(moved, reg._ensure_normals(cloud, sw.CoarseParams()))
+    prepared = sw.icp(moved, reg._ensure_normals(cloud))
     np.testing.assert_allclose(bare.transform.matrix(),
                                prepared.transform.matrix(), rtol=0, atol=1e-9)
 
@@ -260,7 +260,7 @@ def test_normals_estimated_once_per_cloud(monkeypatch):
     cloud, _ = make_terrain(seed=5, extent=(30, 20))
     off = RigidTransform.rotation_about_axis([0.3, 0, 1.0], np.radians(4))
     off = RigidTransform(off.rotation, np.array([0.8, -0.4, 0.3]))
-    source = reg._ensure_normals(off.apply_cloud(cloud), sw.CoarseParams())
+    source = reg._ensure_normals(off.apply_cloud(cloud))
     estimated = []
     real = reg.estimate_normals
 
@@ -275,19 +275,19 @@ def test_normals_estimated_once_per_cloud(monkeypatch):
     sw.register_global_hybrid(source, cloud)
     # the raw target once; the source already has normals
     assert len(estimated) == 1 and estimated[0] is cloud
-    prepared = reg._ensure_normals(cloud, sw.CoarseParams())
-    assert reg._ensure_normals(prepared, sw.CoarseParams()) is prepared
+    prepared = reg._ensure_normals(cloud)
+    assert reg._ensure_normals(prepared) is prepared
     assert _kdtree(prepared) is _kdtree(cloud)
     # new points make a new cloud, and it gets its own normals
     lifted = cloud.with_(points=cloud.points + [0.0, 0.0, 1.0])
     sw.icp(source, lifted)
     assert len(estimated) == 2 and estimated[1] is lifted
-    assert reg._ensure_normals(lifted, sw.CoarseParams()) is not prepared
+    assert reg._ensure_normals(lifted) is not prepared
 
 
 def test_icp_ignores_pairs_without_target_normal():
     cloud, _ = make_terrain(seed=5, extent=(30, 20))
-    target = reg._ensure_normals(cloud, sw.CoarseParams())
+    target = reg._ensure_normals(cloud)
     normals = target.normals.copy()
     normals[::3] = np.nan
     holed = target.with_(normals=normals)
@@ -459,7 +459,7 @@ def test_descriptors_match_per_keypoint_reference(monkeypatch, budget):
     # a small row budget splits the keypoints into many batches
     monkeypatch.setattr(reg, "DESCRIPTOR_ROW_BUDGET", budget)
     cloud, _ = make_terrain(seed=3, extent=(30, 20))
-    cloud = reg._ensure_normals(cloud, sw.CoarseParams())
+    cloud = reg._ensure_normals(cloud)
     spacing = surface_spacing(cloud)
     keypoints = sw.select_keypoints(cloud, 300)
     for radius in (4.0 * spacing, 10.0 * spacing):
@@ -508,7 +508,7 @@ def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal():
 
 def test_select_keypoints_matches_greedy_reference():
     cloud, _ = make_terrain(seed=3, extent=(30, 20))
-    cloud = reg._ensure_normals(cloud, sw.CoarseParams())
+    cloud = reg._ensure_normals(cloud)
     spacing = surface_spacing(cloud)
     for count, min_spacing in ((500, 2 * spacing), (40, 2 * spacing),
                                (10_000, 0.7 * spacing), (200, 9.0)):
@@ -627,16 +627,6 @@ def test_multiview_disconnected_views():
 # ---------------------------------------------------------------------------
 
 
-def test_alpha_schedule_properties():
-    sched = sw.alpha_schedule(0.8, 5)
-    assert len(sched) == 5
-    assert np.all(np.diff(sched) < 0)
-    assert sched[0] == pytest.approx(0.8)
-    assert sched[-1] == 0.0
-    with pytest.raises(ValueError):
-        sw.alpha_schedule(1.5, 5)
-
-
 def test_hybrid_identity():
     cloud, _ = make_terrain(seed=12, extent=(25, 18))
     result = sw.register_global_hybrid(cloud, cloud)
@@ -675,8 +665,7 @@ def test_hybrid_refine_polishes_the_chosen_pose():
     moved = RigidTransform(off.rotation, np.array([3.0, -2.0, 1.0])
                            ).apply_cloud(changed)
     plain = sw.register_global_hybrid(moved, base)
-    polished = sw.register_global_hybrid(moved, base,
-                                         sw.HybridParams(refine_pair_m=0.2))
+    polished = sw.register_global_hybrid(moved, base, refine_pair_m=0.2)
     direct = sw.icp(moved, base, sw.IcpParams(max_pair_dist=0.2),
                     init=plain.transform)
     np.testing.assert_array_equal(polished.transform.matrix(),
