@@ -93,16 +93,16 @@ def region_extent(
     field_: DeformationField,
     mesh: TriangleMesh,
     motion_azimuth_deg: float | None = None,
-    fallback_ratio: float = 0.15,
 ) -> ShapeMeasure:
     """Width and length of a region along its motion direction.
 
     The motion direction is the in-plane component of the displacement-
     weighted mean motion (per-vertex signed value times the local surface
-    normal). When that component is negligible (displacement is a pure
-    offset along the projection normal) it falls back to the steepest-
-    descent direction of the projection plane; a horizontal plane with no
-    motion has no direction at all and raises ``UndefinedMotionVector``.
+    normal). When that component is negligible (at most 0.15 of the whole
+    mean motion, as for a pure offset along the projection normal) it falls
+    back to the steepest-descent direction of the projection plane; a
+    horizontal plane with no motion has no direction at all and raises
+    ``UndefinedMotionVector``.
     ``motion_azimuth_deg`` (degrees from the first in-plane basis vector)
     overrides the estimate.
 
@@ -125,7 +125,7 @@ def region_extent(
         motion = (vals[:, None] * vertex_normals).mean(axis=0)
         in_plane = motion - (motion @ n) * n
         norm_motion = np.linalg.norm(motion)
-        if np.linalg.norm(in_plane) > fallback_ratio * max(norm_motion, 1e-300):
+        if np.linalg.norm(in_plane) > 0.15 * max(norm_motion, 1e-300):
             direction2 = np.array([in_plane @ u, in_plane @ v])
         else:
             downhill = np.array([0.0, 0.0, -1.0])

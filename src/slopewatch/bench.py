@@ -65,14 +65,15 @@ def _random_offset(rng, rotation_deg: float, translation_frac: float,
     return RigidTransform(rot.rotation, translation_frac * diam * direction)
 
 
-def run_method(method: str, source, target, config: BenchmarkConfig) -> RegistrationResult:
+def run_method(method: str, source, target, icp_params: IcpParams) -> RegistrationResult:
+    """Register ``source`` into ``target``'s frame by one of ``METHODS``."""
     if method == "icp":
-        return icp(source, target, config.icp)
+        return icp(source, target, icp_params)
     if method == "coarse+icp":
         t0 = coarse_register(source, target)
-        return icp(source, target, config.icp, init=t0)
+        return icp(source, target, icp_params, init=t0)
     if method == "hybrid":
-        return register_global_hybrid(source, target, config.icp)
+        return register_global_hybrid(source, target, icp_params)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -114,7 +115,7 @@ def run_table2_benchmark(config: BenchmarkConfig | None = None) -> dict:
             record = {"trial": t, "terrain_seed": terrain_seed}
             for m in config.methods:
                 try:
-                    result = run_method(m, source, target, config)
+                    result = run_method(m, source, target, config.icp)
                     ev = evaluate_registration(result, truth, diam,
                                                config.success_threshold_m)
                     per_method[m]["successes"] += int(ev.success)

@@ -48,15 +48,7 @@ def cmd_register(args) -> int:
     dst = read_cloud(args.dst)
     params = registration.IcpParams(max_iter=args.max_iter,
                                     max_pair_dist=args.max_pair_dist)
-    if args.method == "icp":
-        result = registration.icp(src, dst, params)
-    elif args.method == "coarse+icp":
-        t0 = registration.coarse_register(src, dst)
-        result = registration.icp(src, dst, params, init=t0)
-    elif args.method == "hybrid":
-        result = registration.register_global_hybrid(src, dst, params)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    result = bench.run_method(args.method, src, dst, params)
     _write_transform_txt(args.out_transform, result.transform, src, dst)
     Path(args.out_result).write_text(json.dumps(_result_json(result), indent=2,
                                                 sort_keys=True) + "\n")
@@ -143,9 +135,19 @@ def cmd_regions(args) -> int:
 def _read_regions(path, vertex_count: int) -> tuple[dict, list]:
     """(document, regions) of a file written by ``regions`` for a field of
     ``vertex_count`` vertices; ``CloudFormatError`` when it is not JSON, a
-    row lacks a key or names a vertex the field does not have."""
+    row lacks a key or its ``vertex_set`` is not a non-empty list of
+    vertices the field has."""
     try:
         doc = json.loads(Path(path).read_text())
+        for row in doc["regions"]:
+            vs = row["vertex_set"]
+            # type() rather than isinstance(): a JSON true is not vertex 1
+            if not (isinstance(vs, list) and vs and all(
+                    type(v) is int and 0 <= v < vertex_count for v in vs)):
+                raise CloudFormatError(
+                    f"malformed regions file: region {row.get('id')} "
+                    f"vertex_set must be a non-empty list of vertices "
+                    f"0..{vertex_count - 1}, got {vs!r}")
         regions = [terrain.Region(vertex_set=np.asarray(row["vertex_set"]),
                                   area_m2=row["area_m2"],
                                   mean_rate_mm_day=row["mean_rate_mm_day"],
@@ -154,11 +156,6 @@ def _read_regions(path, vertex_count: int) -> tuple[dict, list]:
                    for row in doc["regions"]]
     except (ValueError, TypeError, KeyError) as exc:
         raise CloudFormatError(f"malformed regions file: {exc!r}") from exc
-    for r in regions:
-        if np.any((r.vertex_set < 0) | (r.vertex_set >= vertex_count)):
-            raise CloudFormatError(
-                f"malformed regions file: region {r.region_id} names a vertex "
-                f"outside the field's 0..{vertex_count - 1}")
     return doc, regions
 
 
@@ -169,8 +166,12 @@ def cmd_classify(args) -> int:
     shapes = []
     ann_list = []
     for region in regions:
-        shape = analysis.region_extent(region, field, mesh,
-                                       motion_azimuth_deg=args.motion_az)
+        try:
+            shape = analysis.region_extent(region, field, mesh,
+                                           motion_azimuth_deg=args.motion_az)
+        except ValueError as exc:
+            raise CloudFormatError(f"malformed regions file: region "
+                                   f"{region.region_id}: {exc}") from exc
         region.W_m, region.L_m = shape.W_m, shape.L_m
         shapes.append(shape)
         if region.region_id in annotations:
@@ -272,11 +273,25 @@ def _annotation(text: str) -> tuple[int, str]:
     return region_id, tag
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
+def _number(cast, ok, what: str):
+    """An argparse type: ``cast`` the text, refusing a value that is not ``ok``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_positive_float = _number(float, lambda v: np.isfinite(v) and v > 0,
+                          "a positive number")
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_fraction = _number(float, lambda v: 0 <= v < 1, "a share in [0, 1)")
+_nonzero_float = _number(float, lambda v: np.isfinite(v) and v != 0,
+                         "a finite nonzero number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,11 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("register", help="pairwise registration")
     r.add_argument("--src", required=True)
     r.add_argument("--dst", required=True)
-    r.add_argument("--method", choices=["icp", "coarse+icp", "hybrid"],
-                   default="icp")
+    r.add_argument("--method", choices=bench.METHODS, default="icp")
     r.add_argument("--out-transform", default="transform.txt")
     r.add_argument("--out-result", default="result.json")
-    r.add_argument("--max-iter", type=int, default=50)
+    r.add_argument("--max-iter", type=_positive_int, default=50)
     r.add_argument("--max-pair-dist", type=float, default=None)
     r.set_defaults(func=cmd_register)
 
@@ -309,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--removed", required=True)
     f.add_argument("--mask", default=None,
                    help="override file: one '+index' (ground) or '-index' per line")
-    f.add_argument("--cell-size", type=float, default=cfg.filter_cell_m)
-    f.add_argument("--cloth-resolution", type=float,
+    f.add_argument("--cell-size", type=_positive_float, default=cfg.filter_cell_m)
+    f.add_argument("--cloth-resolution", type=_positive_float,
                    default=cfg.cloth.grid_resolution)
-    f.add_argument("--rigidness", type=int, default=cfg.cloth.rigidness)
-    f.add_argument("--class-threshold", type=float,
+    f.add_argument("--rigidness", type=int, choices=(1, 2, 3), default=cfg.cloth.rigidness)
+    f.add_argument("--class-threshold", type=_positive_float,
                    default=cfg.cloth.class_threshold)
     f.set_defaults(func=cmd_filter)
 
@@ -359,33 +373,34 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="synthetic scene generators")
     sysub = sy.add_subparsers(dest="what", required=True)
     st = sysub.add_parser("terrain")
-    st.add_argument("--extent-x", type=float, default=60.0)
-    st.add_argument("--extent-y", type=float, default=40.0)
+    st.add_argument("--extent-x", type=_positive_float, default=60.0)
+    st.add_argument("--extent-y", type=_positive_float, default=40.0)
     st.add_argument("--slope", type=float, default=synth.DEFAULT_SLOPE_DEG)
     st.add_argument("--roughness", type=float, default=0.3)
-    st.add_argument("--density", type=float, default=synth.DEFAULT_DENSITY_PTS_M2)
+    st.add_argument("--density", type=_positive_float,
+                    default=synth.DEFAULT_DENSITY_PTS_M2)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--out", required=True)
     st.set_defaults(func=cmd_synth)
     sv = sysub.add_parser("veg")
     sv.add_argument("--in", dest="infile", required=True)
-    sv.add_argument("--coverage", type=float, default=0.15)
+    sv.add_argument("--coverage", type=_fraction, default=0.15)
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--out", required=True)
     sv.set_defaults(func=cmd_synth)
     sl = sysub.add_parser("slide")
     sl.add_argument("--in", dest="infile", required=True)
     sl.add_argument("--center", type=float, nargs=3, required=True)
-    sl.add_argument("--radius-along", type=float, default=10.0)
-    sl.add_argument("--radius-across", type=float, default=5.0)
-    sl.add_argument("--depth", type=float, default=0.5)
+    sl.add_argument("--radius-along", type=_positive_float, default=10.0)
+    sl.add_argument("--radius-across", type=_positive_float, default=5.0)
+    sl.add_argument("--depth", type=_nonzero_float, default=0.5)
     sl.add_argument("--azimuth", type=float, default=90.0)
     sl.add_argument("--seed", type=int, default=0)
     sl.add_argument("--out", required=True)
     sl.set_defaults(func=cmd_synth)
     sc = sysub.add_parser("scan")
     sc.add_argument("--in", dest="infile", required=True)
-    sc.add_argument("--stations", type=int, default=3)
+    sc.add_argument("--stations", type=_positive_int, default=3)
     sc.add_argument("--standoff", type=float, default=60.0)
     sc.add_argument("--noise", type=float, default=synth.DEFAULT_NOISE_SIGMA_M)
     sc.add_argument("--seed", type=int, default=0)
@@ -395,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="registration benchmark")
     besub = be.add_subparsers(dest="suite", required=True)
     bt = besub.add_parser("table2")
-    bt.add_argument("--trials", type=int, default=10)
+    bt.add_argument("--trials", type=_positive_int, default=10)
     bt.add_argument("--seed", type=int, default=0)
     bt.add_argument("--out", default=None)
     bt.set_defaults(func=cmd_bench)

@@ -254,19 +254,17 @@ def filter_vegetation(
     cloud: PointCloud,
     cell_size: float = 10.0,
     cloth: ClothParams | None = None,
-    min_points: int = 30,
-    overlap_margin: float = 1.0,
 ) -> tuple[PointCloud, PointCloud, GroundLabeling]:
     """Partition -> level -> cloth-classify -> merge, over the whole cloud.
 
-    Each sub-slope classifies its members plus an ``overlap_margin`` apron
-    borrowed from neighboring cells; a point seen by several cells takes
-    the label from the cell whose fitted plane it matches best, so the
-    outcome does not depend on processing order. Returns (ground cloud,
+    Each sub-slope classifies its members plus a 1 m apron borrowed from
+    neighboring cells; a point seen by several cells takes the label from
+    the cell whose fitted plane it matches best, so the outcome does not
+    depend on processing order. Returns (ground cloud,
     removed cloud, per-point labeling); the two clouds partition the input.
     """
     cloth = cloth or ClothParams()
-    subslopes = partition_subslopes(cloud, cell_size, min_points)
+    subslopes = partition_subslopes(cloud, cell_size)
     pts = cloud.points
     n = len(pts)
     best_dist = np.full(n, np.inf)
@@ -281,8 +279,8 @@ def filter_vegetation(
     for sub in subslopes:
         rank = cell_rank[sub.cell_id]
         member_xy = pts[sub.member_indices, :2]
-        lo = member_xy.min(axis=0) - overlap_margin
-        hi = member_xy.max(axis=0) + overlap_margin
+        lo = member_xy.min(axis=0) - 1.0
+        hi = member_xy.max(axis=0) + 1.0
         in_box = np.flatnonzero(
             (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
             & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1])

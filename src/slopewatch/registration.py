@@ -9,9 +9,9 @@ Three alignment paths share one fine-alignment step:
   closed-form rigid fit for coarse alignment of overlapping station scans,
 * a coarse-to-fine global matcher for epoch pairs that blends feature and
   Euclidean distances in a minimum-cost bipartite matching loop, then
-  polishes with ICP. The blend weight starts feature-dominated and decays
-  to pure Euclidean, which tolerates large pose offsets and local surface
-  change between epochs.
+  refines with one ICP from the assignment pose. The blend weight starts
+  feature-dominated and decays to pure Euclidean, which tolerates large
+  pose offsets and local surface change between epochs.
 """
 
 from __future__ import annotations
@@ -396,14 +396,12 @@ def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:
         axis=2, dtype=np.int64)
 
 
-def match_descriptors(a: FeatureSet, b: FeatureSet,
-                      uniqueness_margin: int = 1) -> CorrespondenceSet:
+def match_descriptors(a: FeatureSet, b: FeatureSet) -> CorrespondenceSet:
     """Mutual-nearest descriptor matches (ties go to the lowest index).
 
     A match survives only when its best distance beats the second best by
-    at least ``uniqueness_margin`` bits; featureless geometry (all
-    descriptors alike) therefore produces no matches instead of arbitrary
-    ones.
+    at least one bit; featureless geometry (all descriptors alike)
+    therefore produces no matches instead of arbitrary ones.
     """
     if len(a.keypoint_indices) == 0 or len(b.keypoint_indices) == 0:
         return CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0))
@@ -412,10 +410,9 @@ def match_descriptors(a: FeatureSet, b: FeatureSet,
     best_a = np.argmin(d, axis=0)
     rows = np.arange(len(best_b))
     mutual = best_a[best_b] == rows
-    if d.shape[1] > 1 and uniqueness_margin > 0:
+    if d.shape[1] > 1:
         part = np.partition(d, 1, axis=1)
-        distinct = part[:, 1] - part[:, 0] >= uniqueness_margin
-        mutual &= distinct
+        mutual &= part[:, 1] > part[:, 0]
     pairs = np.column_stack([rows[mutual], best_b[mutual]]).astype(np.int64)
     resid = d[pairs[:, 0], pairs[:, 1]].astype(np.float64)
     return CorrespondenceSet(pairs=pairs, residuals=resid)
@@ -603,12 +600,11 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
     with the feature distance normalized by descriptor bit length and the
     Euclidean distance by the current cloud-pair diameter, then refits the
     transform. ``alpha`` steps through ``HYBRID_ALPHAS`` down to zero, after
-    which ICP with ``icp_params`` refines the pose. The ICP polish is also
-    run from the identity and the candidate with more gated inliers (ties:
-    lower RMSE, then the identity start) wins, so the hybrid path never
-    does worse than plain ICP. With ``refine_pair_m`` above 0, a last ICP
-    from the winner pairs only within that gate, so deforming surface
-    cannot drag the alignment. Every ICP run shares the target's kd-tree.
+    which one ICP with ``icp_params`` refines the pose from the assignment
+    fit. With ``refine_pair_m`` above 0, a last ICP from that result pairs
+    only within that gate, so deforming surface cannot drag the alignment.
+    Both ICP runs share the target's kd-tree, and a ``NoOverlap`` from the
+    assignment pose propagates.
     """
     icp_params = icp_params or IcpParams()
     source, target, fs, ft, _ = _prepare_pair(source, target)
@@ -631,23 +627,12 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
         except DegenerateCorrespondences:
             continue
 
-    try:
-        cand_hybrid = icp(source, target, icp_params, init=t)
-    except NoOverlap:
-        cand_hybrid = None
-    try:
-        cand_plain = icp(source, target, icp_params)
-    except NoOverlap:
-        cand_plain = None
-    candidates = [c for c in (cand_plain, cand_hybrid) if c is not None]
-    if not candidates:
-        raise NoOverlap("no pairing distance overlap from either start pose")
-    best = max(candidates, key=lambda c: (c.inlier_count, -c.rmse))
+    result = icp(source, target, icp_params, init=t)
     if refine_pair_m > 0:
-        best = icp(source, target,
-                   replace(icp_params, max_pair_dist=refine_pair_m),
-                   init=best.transform)
-    return best
+        result = icp(source, target,
+                     replace(icp_params, max_pair_dist=refine_pair_m),
+                     init=result.transform)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -153,10 +153,10 @@ def add_vegetation(
     coverage_fraction: float,
     height_range_m: tuple = (0.5, 2.0),
     seed: int = 0,
-    cluster_radius: float = 1.5,
     support_radius: float = 2.0,
 ) -> tuple[PointCloud, SceneTruth]:
-    """Clustered above-surface blobs labeled vegetation.
+    """Clustered above-surface blobs labeled vegetation, scattered in plan
+    about their anchor ground points (1 m standard deviation, clipped at 3 m).
 
     ``coverage_fraction`` is the vegetation share of the output cloud.
     Blob points sit at least ``height_range_m[0]`` above the highest ground
@@ -187,8 +187,7 @@ def add_vegetation(
     n_clusters = max(1, n_veg // 50)
     anchors = rng.choice(len(ground_idx), size=n_clusters, replace=True)
     assign = rng.integers(0, n_clusters, size=n_veg)
-    jitter = rng.normal(0.0, cluster_radius / 1.5, size=(n_veg, 2))
-    jitter = np.clip(jitter, -2.0 * cluster_radius, 2.0 * cluster_radius)
+    jitter = np.clip(rng.normal(0.0, 1.0, size=(n_veg, 2)), -3.0, 3.0)
     heights = rng.uniform(height_range_m[0], height_range_m[1], size=n_veg)
 
     plan_q = plan[anchors[assign]] + jitter
@@ -299,14 +298,13 @@ def leveled_station_pose(position, target) -> RigidTransform:
 
 
 def stations_facing_slope(cloud: PointCloud, count: int, standoff: float,
-                          spread: float | None = None,
                           jitter_rng=None) -> list[RigidTransform]:
-    """Deterministic station poses on a line facing the cloud's best plane."""
+    """Deterministic station poses on a line facing the cloud's best plane,
+    spread evenly over half the cloud's diameter."""
     normal, _ = fit_plane(cloud.points)
     center = cloud.points.mean(axis=0)
     axis_u, _ = plane_basis(normal)
-    if spread is None:
-        spread = 0.5 * diameter(cloud)
+    spread = 0.5 * diameter(cloud)
     offsets = np.linspace(-spread / 2.0, spread / 2.0, count) if count > 1 else [0.0]
     poses = []
     for off in offsets:

@@ -243,7 +243,8 @@ def traced_default_run(tmp_path_factory):
 def test_pipeline_icp_calls_all_converge(traced_default_run):
     _, result, icp_results, _ = traced_default_run
     assert len(result.regions) == 1
-    assert len(icp_results) == 5   # two multi-view merges, three per pair
+    # two multi-view merges, then the hybrid start and the polish per pair
+    assert len(icp_results) == 4
     assert all(r.converged for r in icp_results)
 
 

@@ -225,7 +225,13 @@ def _malformed_input(case, tmp_path):
     field.write_bytes(write_deformation(MESH, FIELD))
     row = {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0}
     vertex_set = {"regions-vertex-past-field": [0, 99],
-                  "regions-negative-vertex": [0, -1]}.get(case)
+                  "regions-negative-vertex": [0, -1],
+                  "regions-fractional-vertex": [0, 1.5],
+                  "regions-string-vertex": [0, "1"],
+                  "regions-empty-vertex-set": [],
+                  "regions-one-vertex": [0],
+                  "regions-boolean-vertex": [True, 1],
+                  "regions-nested-vertex-set": [[0, 1]]}.get(case)
     if vertex_set is not None:
         row["vertex_set"] = vertex_set
     regions = tmp_path / "regions.json"
@@ -238,7 +244,10 @@ def _malformed_input(case, tmp_path):
 @pytest.mark.parametrize("case", [
     "ply-header", "mask-not-an-integer", "mask-index-past-cloud",
     "config-not-json", "config-unknown-key", "regions-row-without-vertex-set",
-    "regions-vertex-past-field", "regions-negative-vertex"])
+    "regions-vertex-past-field", "regions-negative-vertex",
+    "regions-fractional-vertex", "regions-string-vertex",
+    "regions-empty-vertex-set", "regions-one-vertex", "regions-boolean-vertex",
+    "regions-nested-vertex-set"])
 def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2
@@ -259,6 +268,30 @@ def test_deform_refuses_days_that_are_not_positive(capsys, days):
                                    "r", "--days", days, "--out", "o"])
     assert exit_.value.code == 2
     assert "--days" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "terrain", "--out", "o", "--density", "0"],
+    ["synth", "terrain", "--out", "o", "--extent-x", "-5"],
+    ["filter", "--in", "i", "--out", "o", "--removed", "r", "--cell-size", "0"],
+    ["filter", "--in", "i", "--out", "o", "--removed", "r",
+     "--cloth-resolution", "0"],
+    ["filter", "--in", "i", "--out", "o", "--removed", "r", "--rigidness", "7"],
+    ["filter", "--in", "i", "--out", "o", "--removed", "r",
+     "--class-threshold", "-1"],
+    ["synth", "veg", "--in", "i", "--out", "o", "--coverage", "1.5"],
+    ["synth", "slide", "--in", "i", "--out", "o", "--center", "0", "0", "0",
+     "--depth", "0"],
+    ["bench", "table2", "--trials", "0"],
+    ["register", "--src", "s", "--dst", "d", "--max-iter", "0"],
+    ["synth", "scan", "--in", "i", "--out", "o", "--stations", "0"],
+], ids=lambda argv: argv[-2])
+def test_numeric_options_are_checked_when_parsed(capsys, argv):
+    """The option named second to last refuses the value after it."""
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(argv)
+    assert exit_.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("annotation", ["x=FA", "1=XX", "1", "=FA"])

@@ -673,6 +673,27 @@ def test_hybrid_refine_polishes_the_chosen_pose():
     assert polished.inlier_count == direct.inlier_count
 
 
+@pytest.mark.parametrize("refine_pair_m, calls", [(0.0, 1), (0.2, 2)])
+def test_hybrid_runs_one_icp_from_the_assignment_pose(monkeypatch,
+                                                      refine_pair_m, calls):
+    """One ICP from the assignment fit, plus the polish when it is on; no
+    start from the identity."""
+    cloud, _ = make_terrain(seed=12, extent=(25, 18))
+    moved = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(10)
+                                               ).apply_cloud(cloud)
+    inits = []
+    original = reg.icp
+
+    def recording(source, target, params=None, init=None):
+        inits.append(init)
+        return original(source, target, params, init)
+
+    monkeypatch.setattr(reg, "icp", recording)
+    sw.register_global_hybrid(moved, cloud, refine_pair_m=refine_pair_m)
+    assert len(inits) == calls
+    assert inits[0] is not None
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
