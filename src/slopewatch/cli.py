@@ -105,8 +105,8 @@ def cmd_deform(args) -> int:
     field = terrain.mesh_distance(compared, reference,
                                   max_dist=args.max_dist,
                                   interval_days=args.days)
-    Path(args.out).write_bytes(terrain.write_deformation(compared, field))
     stats = terrain.field_stats(field)
+    Path(args.out).write_bytes(terrain.write_deformation(compared, field))
     print(f"mean_m {stats.mean:.4f} std_m {stats.std:.4f} valid {stats.valid_count}")
     return 0
 
@@ -288,6 +288,9 @@ def _number(cast, ok, what: str):
 
 _positive_float = _number(float, lambda v: np.isfinite(v) and v > 0,
                           "a positive number")
+_nonnegative_float = _number(float, lambda v: np.isfinite(v) and v >= 0,
+                             "a finite number >= 0")
+_slope_deg = _number(float, lambda v: 0 <= v <= 90, "an angle in [0, 90] degrees")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _fraction = _number(float, lambda v: 0 <= v < 1, "a share in [0, 1)")
 _nonzero_float = _number(float, lambda v: np.isfinite(v) and v != 0,
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out-transform", default="transform.txt")
     r.add_argument("--out-result", default="result.json")
     r.add_argument("--max-iter", type=_positive_int, default=50)
-    r.add_argument("--max-pair-dist", type=float, default=None)
+    r.add_argument("--max-pair-dist", type=_positive_float, default=None)
     r.set_defaults(func=cmd_register)
 
     rm = sub.add_parser("register-multiview", help="align station scans")
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dtm", help="triangulate a ground cloud")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--max-edge", type=float, default=cfg.dtm_max_edge_m)
+    d.add_argument("--max-edge", type=_positive_float, default=cfg.dtm_max_edge_m)
     d.set_defaults(func=cmd_dtm)
 
     de = sub.add_parser("deform", help="difference two DTMs")
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--reference", required=True)
     de.add_argument("--days", type=_positive_float, required=True)
     de.add_argument("--out", required=True)
-    de.add_argument("--max-dist", type=float, default=cfg.deform_max_dist_m)
+    de.add_argument("--max-dist", type=_positive_float,
+                    default=cfg.deform_max_dist_m)
     de.set_defaults(func=cmd_deform)
 
     rg = sub.add_parser("regions", help="extract significant regions")
@@ -375,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = sysub.add_parser("terrain")
     st.add_argument("--extent-x", type=_positive_float, default=60.0)
     st.add_argument("--extent-y", type=_positive_float, default=40.0)
-    st.add_argument("--slope", type=float, default=synth.DEFAULT_SLOPE_DEG)
-    st.add_argument("--roughness", type=float, default=0.3)
+    st.add_argument("--slope", type=_slope_deg, default=synth.DEFAULT_SLOPE_DEG)
+    st.add_argument("--roughness", type=_nonnegative_float, default=0.3)
     st.add_argument("--density", type=_positive_float,
                     default=synth.DEFAULT_DENSITY_PTS_M2)
     st.add_argument("--seed", type=int, default=0)
@@ -401,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sysub.add_parser("scan")
     sc.add_argument("--in", dest="infile", required=True)
     sc.add_argument("--stations", type=_positive_int, default=3)
-    sc.add_argument("--standoff", type=float, default=60.0)
-    sc.add_argument("--noise", type=float, default=synth.DEFAULT_NOISE_SIGMA_M)
+    sc.add_argument("--standoff", type=_positive_float, default=60.0)
+    sc.add_argument("--noise", type=_nonnegative_float,
+                    default=synth.DEFAULT_NOISE_SIGMA_M)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=cmd_synth)

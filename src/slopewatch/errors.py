@@ -29,7 +29,8 @@ class DegenerateCorrespondences(SlopewatchError):
 
 
 class NoOverlap(SlopewatchError):
-    """No correspondence within the pairing distance on the first pass."""
+    """No correspondence within the pairing distance on the first pass, or
+    no compared vertex within reach of supported reference surface."""
 
 
 class InsufficientGeometry(SlopewatchError):

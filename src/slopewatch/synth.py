@@ -129,6 +129,10 @@ def gen_terrain(
     """
     if density_pts_m2 <= 0:
         raise ValueError("density must be positive")
+    if not 0.0 <= mean_slope_deg <= 90.0:
+        raise ValueError("mean slope must be in [0, 90] degrees")
+    if not roughness >= 0.0:
+        raise ValueError("roughness must not be negative")
     rng = np.random.default_rng(seed)
     ex, ey = float(extent_m[0]), float(extent_m[1])
     n = int(round(ex * ey * density_pts_m2))

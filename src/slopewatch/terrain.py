@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _ply_vertices,
                     _read_ply, _working_frame)
-from .errors import CloudFormatError, DegenerateSurface
+from .errors import CloudFormatError, DegenerateSurface, NoOverlap
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +97,10 @@ class TriangleMesh:
         t = self.triangles
         e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         e.sort(axis=1)
-        return np.unique(e, axis=0)
+        # one int64 key per edge sorts like the (i, j) rows it encodes
+        n = len(self.vertices)
+        key = np.unique(e[:, 0] * n + e[:, 1])
+        return np.column_stack([key // n, key % n])
 
 
 @dataclass
@@ -300,9 +303,13 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
     either way); at or below ``cap`` the distance, triangle index and
     closest point are exact. Of equally near triangles the one with the
     lowest index wins, so the result depends only on the meshes, not on
-    the search order. Candidates come from a k-NN fast path per size group
-    with a ball-query fallback where the k-th centroid cannot rule out
-    closer or equally near triangles.
+    the search order. Triangles split into a small and a large size group,
+    each with its own centroid tree. A k-NN query per group (k = 24 for
+    the small, 4 for the few large ones) gives the candidates; the first
+    column of the small group's query seeds every vertex, and the other
+    rows are dropped before any triangle is gathered when their centroid
+    distance rules them out. A ball query falls back where the k-th
+    centroid cannot rule out closer or equally near triangles.
     """
     centroids = (a + b + c) / 3.0
     r_tri = np.maximum.reduce([
@@ -340,21 +347,28 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
         best_tri[upd] = flat[win]
         best_cp[upd] = cps[win]
 
-    tree_all = cKDTree(centroids)
-    _, seed = tree_all.query(verts, k=1)
-    consider(np.atleast_1d(seed).astype(np.int64), np.arange(nv))
-
     limit = 2.0 * float(np.median(r_tri)) + 1e-12
-    for group in (np.flatnonzero(r_tri <= limit), np.flatnonzero(r_tri > limit)):
+    small = r_tri <= limit        # never empty: it holds the median triangle
+    # the small group's nearest centroid seeds best_d, so the other columns
+    # prune against a finite distance
+    for group, k_max, blocks in (
+            (np.flatnonzero(small), 24, (slice(0, 1), slice(1, None))),
+            (np.flatnonzero(~small), 4, (slice(None),))):
         if len(group) == 0:
             continue
         g_rmax = float(r_tri[group].max())
         g_tree = cKDTree(centroids[group])
-        k = min(24, len(group))
+        k = min(k_max, len(group))
         gd, gi = g_tree.query(verts, k=k)
         gd = gd.reshape(nv, k)
-        gi = gi.reshape(nv, k)
-        consider(group[gi.ravel()], np.repeat(np.arange(nv), k))
+        gi = group[gi.reshape(nv, k)]
+        for cols in blocks:
+            # the tree's centroid distance with a relative slack, so rows
+            # kept here are a superset of those consider() admits
+            keep = (gd[:, cols] * (1.0 - 1e-12) - r_tri[gi[:, cols]]
+                    <= best_d[:, None])
+            owner, col = np.nonzero(keep)
+            consider(gi[:, cols][owner, col], owner)
         pending = np.flatnonzero(gd[:, -1] <= np.minimum(best_d, cap) + g_rmax)
         for start in range(0, len(pending), 4096):
             sub = pending[start:start + 4096]
@@ -387,6 +401,12 @@ def mesh_distance(
     within ``_SUPPORT_EPS`` (1e-9 m) of its in-plane projection (scan hole
     or missing coverage). Without the second guard a vertex over a hole
     would report its lateral distance to the hole rim as deformation.
+
+    Support is read from the 3-D search first: a vertex within
+    ``max_dist`` is supported when its own nearest triangle, projected,
+    covers its projection. Only the near vertices it does not cover go
+    to a second, in-plane nearest-triangle search; a vertex beyond
+    ``max_dist`` is invalid without either test.
     """
     if len(reference.triangles) == 0:
         raise ValueError("reference mesh has no triangles")
@@ -408,10 +428,18 @@ def mesh_distance(
     values = np.where(side >= 0, best_d, -best_d)
 
     uv = reference.project(rv)
-    plan_d, _, _ = _nearest_triangle(reference.project(verts), uv[tris[:, 0]],
-                                     uv[tris[:, 1]], uv[tris[:, 2]],
-                                     cap=_SUPPORT_EPS)
-    valid = (best_d <= max_dist) & (plan_d <= _SUPPORT_EPS)
+    ua, ub, uc = uv[tris[:, 0]], uv[tris[:, 1]], uv[tris[:, 2]]
+    q = reference.project(verts)
+    near = np.flatnonzero(best_d <= max_dist)
+    t = best_tri[near]
+    own_d = np.linalg.norm(
+        q[near] - closest_point_on_triangles(q[near], ua[t], ub[t], uc[t]), axis=1)
+    valid = np.zeros(len(verts), dtype=bool)
+    valid[near] = own_d <= _SUPPORT_EPS
+    open_ = near[~valid[near]]
+    if len(open_):
+        plan_d, _, _ = _nearest_triangle(q[open_], ua, ub, uc, cap=_SUPPORT_EPS)
+        valid[open_] = plan_d <= _SUPPORT_EPS
     values = np.where(valid, values, np.nan)
     return DeformationField(values=values, valid=valid,
                             interval_days=interval_days,
@@ -425,10 +453,11 @@ def mesh_distance(
 
 
 def field_stats(field_: DeformationField) -> FieldStats:
-    """Mean and population standard deviation over valid vertices."""
+    """Mean and population standard deviation over valid vertices;
+    ``NoOverlap`` when no vertex is valid."""
     vals = field_.values[field_.valid]
     if len(vals) == 0:
-        raise ValueError("no valid vertex in the deformation field")
+        raise NoOverlap("no valid vertex in the deformation field")
     mean = float(np.mean(vals))
     std = float(np.sqrt(np.mean((vals - mean) ** 2)))
     return FieldStats(mean=mean, std=std, valid_count=int(len(vals)))

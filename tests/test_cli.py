@@ -261,6 +261,26 @@ def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_deform_without_a_valid_vertex_exits_2_with_one_line(tmp_path, capsys):
+    for seed in (1, 2):
+        assert main(["synth", "terrain", "--extent-x", "10", "--extent-y", "8",
+                     "--density", "4", "--seed", str(seed),
+                     "--out", str(tmp_path / f"t{seed}.ply")]) == 0
+        assert main(["dtm", "--in", str(tmp_path / f"t{seed}.ply"),
+                     "--out", str(tmp_path / f"d{seed}.ply")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "f.ply"
+    args = ["deform", "--compared", str(tmp_path / "d2.ply"), "--reference",
+            str(tmp_path / "d1.ply"), "--days", "10", "--out", str(out),
+            "--max-dist", "0.00001"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "slopewatch: error: no valid vertex in the deformation field\n"
+    assert main(["-v"] + args) == 2
+    assert "NoOverlap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("days", ["0", "-3", "nan", "inf"])
 def test_deform_refuses_days_that_are_not_positive(capsys, days):
     with pytest.raises(SystemExit) as exit_:
@@ -285,6 +305,14 @@ def test_deform_refuses_days_that_are_not_positive(capsys, days):
     ["bench", "table2", "--trials", "0"],
     ["register", "--src", "s", "--dst", "d", "--max-iter", "0"],
     ["synth", "scan", "--in", "i", "--out", "o", "--stations", "0"],
+    ["deform", "--compared", "c", "--reference", "r", "--days", "1", "--out",
+     "o", "--max-dist", "-1"],
+    ["dtm", "--in", "i", "--out", "o", "--max-edge", "0"],
+    ["register", "--src", "s", "--dst", "d", "--max-pair-dist", "-1"],
+    ["synth", "scan", "--in", "i", "--out", "o", "--standoff", "0"],
+    ["synth", "scan", "--in", "i", "--out", "o", "--noise", "-0.01"],
+    ["synth", "terrain", "--out", "o", "--slope", "95"],
+    ["synth", "terrain", "--out", "o", "--roughness", "-1"],
 ], ids=lambda argv: argv[-2])
 def test_numeric_options_are_checked_when_parsed(capsys, argv):
     """The option named second to last refuses the value after it."""

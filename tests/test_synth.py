@@ -48,6 +48,13 @@ def test_gen_terrain_rejects_bad_density():
         gen_terrain((10, 10), 70.0, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("slope, roughness", [(95.0, 0.3), (-1.0, 0.3),
+                                              (float("nan"), 0.3), (70.0, -0.1)])
+def test_gen_terrain_rejects_bad_slope_and_roughness(slope, roughness):
+    with pytest.raises(ValueError):
+        gen_terrain((10, 10), slope, roughness, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # vegetation
 # ---------------------------------------------------------------------------

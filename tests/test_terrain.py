@@ -2,10 +2,11 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 import slopewatch as sw
-from slopewatch.errors import CloudFormatError, DegenerateSurface
+from slopewatch import terrain
+from slopewatch.errors import CloudFormatError, DegenerateSurface, NoOverlap
 from slopewatch.terrain import (DeformationField, Region, build_dtm,
                                 closest_point_on_triangles, field_stats,
                                 mesh_distance, rate_field, read_deformation,
@@ -311,6 +312,130 @@ def test_mesh_distance_hole_mask_matches_brute_force():
     assert f.valid[len(cmp_.vertices):].all()
 
 
+def _brute_force_field(verts, reference, max_dist):
+    """(values, valid, distance, nearest covers) of ``mesh_distance``,
+    triangle by triangle: the lowest-index nearest triangle gives the sign,
+    and the last array says whether that triangle covers the vertex in plan."""
+    rv, tris, normal = reference.vertices, reference.triangles, reference.plane_normal
+    a, b, c = (rv[tris[:, k]] for k in range(3))
+    uv = reference.project(rv)
+    ua, ub, uc = (uv[tris[:, k]] for k in range(3))
+    q = reference.project(verts)
+    values = np.full(len(verts), np.nan)
+    valid = np.zeros(len(verts), dtype=bool)
+    dist = np.zeros(len(verts))
+    covers = np.zeros(len(verts), dtype=bool)
+    for i, v in enumerate(verts):
+        pts = np.broadcast_to(v, a.shape).copy()
+        cps = closest_point_on_triangles(pts, a, b, c)
+        d = np.linalg.norm(pts - cps, axis=1)
+        t = np.flatnonzero(d == d.min())[0]
+        qi = np.broadcast_to(q[i], ua.shape).copy()
+        plan = np.linalg.norm(qi - closest_point_on_triangles(qi, ua, ub, uc),
+                              axis=1)
+        dist[i] = d[t]
+        covers[i] = plan[t] <= 1e-9
+        valid[i] = d[t] <= max_dist and plan.min() <= 1e-9
+        tn = np.cross(b[t] - a[t], c[t] - a[t])
+        side = (v - cps[t]) @ (tn if tn @ normal >= 0 else -tn)
+        if valid[i]:
+            values[i] = d[t] if side >= 0 else -d[t]
+    return values, valid, dist, covers
+
+
+def _mixed_size_reference():
+    """Fine 0.5 m cells beside 2.5 m cells on one wavy surface and one
+    20 m apron beyond them, so the triangles split into a small and a large
+    size group, and the apron's reach sends vertices to the ball query."""
+    verts, tris = [], []
+    for y0, step in ((0.0, 0.5), (10.0, 2.5)):
+        n = int(round(10.0 / step)) + 1
+        g = np.mgrid[0:n, 0:n].reshape(2, -1).T * step
+        base = len(verts)
+        verts.extend([x, y0 + y, 0.3 * np.sin(x) * np.cos(y0 + y)] for x, y in g)
+        for i in range(n - 1):
+            for j in range(n - 1):
+                k = base + i * n + j
+                tris += [[k, k + n, k + 1], [k + 1, k + n, k + n + 1]]
+    verts += [[-5.0, 22.0, 0.0], [15.0, 22.0, 0.0], [5.0, 26.0, 0.0]]
+    tris.append([len(verts) - 3, len(verts) - 2, len(verts) - 1])
+    return sw.TriangleMesh(vertices=np.array(verts), triangles=np.array(tris),
+                           plane_normal=PLANE_Z[0], plane_offset=0.0)
+
+
+def _overhang_reference():
+    """Ground at z = 0 over x in [0, 4] under a shelf at z = 1 over x in
+    [2, 6]: beside the shelf's free edge the nearest triangle is the shelf,
+    which does not cover the vertex in plan; the ground does up to x = 4."""
+    verts = np.array([[2, 0, 1], [6, 0, 1], [6, 4, 1], [2, 4, 1],
+                      [0, 0, 0], [4, 0, 0], [4, 4, 0], [0, 4, 0]], dtype=float)
+    return sw.TriangleMesh(vertices=verts,
+                           triangles=np.array([[0, 1, 2], [0, 2, 3],
+                                               [4, 5, 6], [4, 6, 7]]),
+                           plane_normal=PLANE_Z[0], plane_offset=0.0)
+
+
+@pytest.mark.parametrize("case", ["mixed-sizes", "overhang"])
+def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
+    ball_trees = []
+
+    class BallSpy(cKDTree):
+        def query_ball_point(self, x, r, *args, **kwargs):
+            ball_trees.append(self.n)
+            return super().query_ball_point(x, r, *args, **kwargs)
+
+    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
+    rng = np.random.default_rng(31)
+    if case == "mixed-sizes":
+        reference = _mixed_size_reference()
+        n = 600
+        xy = rng.uniform([-1.0, -1.0], [11.0, 21.0], (n, 2))
+        z = 0.3 * np.sin(xy[:, 0]) * np.cos(xy[:, 1]) + rng.uniform(-0.7, 0.7, n)
+        verts = np.column_stack([xy, z])
+    else:
+        reference = _overhang_reference()
+        verts = np.array([[x, y, z] for x in np.arange(-0.5, 6.75, 0.25)
+                          for y in (1.0, 2.3) for z in (0.45, 0.9, 1.1)])
+    compared = sw.TriangleMesh(vertices=verts, triangles=np.zeros((0, 3)),
+                               plane_normal=PLANE_Z[0], plane_offset=0.0)
+    max_dist = 0.5
+    f = mesh_distance(compared, reference, max_dist=max_dist)
+    values, valid, dist, covers = _brute_force_field(verts, reference, max_dist)
+    np.testing.assert_array_equal(f.valid, valid)
+    np.testing.assert_array_equal(f.values, values)
+    near = dist <= max_dist
+    assert (valid & covers).any() and (near & ~valid).any() and (~near).any()
+    if case == "mixed-sizes":
+        assert 33 in ball_trees             # the 33 large triangles fell back
+    else:
+        assert (valid & ~covers).any()      # supported by another triangle
+        assert (~valid & near & (verts[:, 0] > 6)).any()
+
+
+def test_mesh_distance_plans_only_vertices_their_nearest_triangle_leaves_open(
+        monkeypatch):
+    builds = []
+
+    def counting(data):
+        builds.append(len(data))
+        return cKDTree(data)
+
+    monkeypatch.setattr(terrain, "cKDTree", counting)
+    ref = build_dtm(plane_cloud(6000, seed=4), projection_plane=PLANE_Z,
+                    max_edge=3.0)
+    above = build_dtm(plane_cloud(3000, lo=3, hi=27, z=0.30, seed=5),
+                      projection_plane=PLANE_Z, max_edge=3.0)
+    assert mesh_distance(above, ref).valid.all()
+    assert len(builds) == 2                  # one tree per size group, in 3-D
+    builds.clear()
+    base = plane_cloud(6000, seed=7)
+    keep = np.linalg.norm(base.points[:, :2] - 15.0, axis=1) > 8.0
+    holed = build_dtm(base.subset(np.flatnonzero(keep)),
+                      projection_plane=PLANE_Z, max_edge=2.5)
+    assert not mesh_distance(above, holed).valid.all()
+    assert 2 < len(builds) <= 4              # and the planar search's
+
+
 def test_mesh_distance_empty_reference():
     mesh = build_dtm(plane_cloud(100, seed=11), projection_plane=PLANE_Z,
                      max_edge=5.0)
@@ -357,7 +482,7 @@ def test_field_stats_ignores_invalid():
     field = DeformationField(values=vals, valid=np.array([True, False, True]),
                              interval_days=10)
     assert field_stats(field).valid_count == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(NoOverlap):
         field_stats(DeformationField(values=np.array([np.nan]),
                                      valid=np.array([False]),
                                      interval_days=10))
@@ -400,6 +525,14 @@ def rates_for_patch(mesh, centers, radius, high=5.0, low=0.5):
         inside = np.linalg.norm(uv - np.asarray(c), axis=1) < radius
         rates[inside] = high
     return rates
+
+
+def test_edge_list_is_the_sorted_unique_edge_rows():
+    mesh = build_dtm(plane_cloud(2000, seed=12), projection_plane=PLANE_Z,
+                     max_edge=3.0)
+    t = mesh.triangles
+    e = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    np.testing.assert_array_equal(mesh.edge_list(), np.unique(e, axis=0))
 
 
 def test_regions_empty_below_threshold():
