@@ -18,8 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .cloud import EpochRecord, plane_basis
-from .errors import UndefinedMotionVector
-from .terrain import DeformationField, Region, TriangleMesh, field_stats
+from .errors import DegenerateSurface, UndefinedMotionVector
+from .terrain import (DeformationField, Region, TriangleMesh, field_stats,
+                      region_volume)
 
 CRUDEN_TYPES = ("FA", "TO", "S", "SP", "FL", "RS", "TS")
 
@@ -42,7 +43,6 @@ class ShapeMeasure:
     W_m: float
     L_m: float
     theta_deg: float
-    motion_vector: tuple   # unit 2-vector in the DTM plane basis
 
     def __post_init__(self):
         if self.W_m <= 0 or self.L_m <= 0:
@@ -58,14 +58,13 @@ class ErrorBudget:
     m_treg: float
     m_veg: float
     m_mesh: float
-    multiplicities: tuple = ERROR_MULTIPLICITIES
     sigma_mm: float = 0.0
 
     def __post_init__(self):
         comps = (self.m_TLS, self.m_mreg, self.m_treg, self.m_veg, self.m_mesh)
         if any(c < 0 for c in comps):
             raise ValueError("error components must be non-negative")
-        sigma = math.sqrt(sum(k * c * c for k, c in zip(self.multiplicities, comps)))
+        sigma = math.sqrt(sum(k * c * c for k, c in zip(ERROR_MULTIPLICITIES, comps)))
         object.__setattr__(self, "sigma_mm", sigma)
 
 
@@ -107,7 +106,9 @@ def region_extent(
     overrides the estimate.
 
     L is the extent of the projected region vertices along the motion
-    direction, W the extent along the in-plane perpendicular.
+    direction, W the extent along the in-plane perpendicular. A region
+    without width or length (one vertex, or vertices on one line) raises
+    ``DegenerateSurface``.
     """
     members = region.vertex_set
     if len(members) == 0:
@@ -143,9 +144,51 @@ def region_extent(
     L = float(along.max() - along.min())
     W = float(across.max() - across.min())
     if L <= 0 or W <= 0:
-        raise ValueError("degenerate region extent")
-    return ShapeMeasure(W_m=W, L_m=L, theta_deg=shape_angle(W, L),
-                        motion_vector=(float(direction2[0]), float(direction2[1])))
+        raise DegenerateSurface("degenerate region extent")
+    return ShapeMeasure(W_m=W, L_m=L, theta_deg=shape_angle(W, L))
+
+
+def measure_regions(regions: list[Region], field_: DeformationField,
+                    mesh: TriangleMesh,
+                    first_id: int = 1) -> list[ShapeMeasure | None]:
+    """Number ``regions`` of one field from ``first_id``, set their volume
+    and epoch pair, and return their shapes, aligned with ``regions``.
+
+    The epoch pair is ``"reference,compared"`` when the field names both
+    epochs, else None. A region without a motion direction or without width
+    or length has the shape None.
+    """
+    pair = None
+    if field_.reference_epoch is not None and field_.compared_epoch is not None:
+        pair = f"{field_.reference_epoch},{field_.compared_epoch}"
+    shapes = []
+    for region_id, r in enumerate(regions, start=first_id):
+        r.volume_m3 = region_volume(r, field_, mesh)
+        r.region_id = region_id
+        r.epoch_pair = pair
+        try:
+            shapes.append(region_extent(r, field_, mesh))
+        except (UndefinedMotionVector, DegenerateSurface):
+            shapes.append(None)
+    return shapes
+
+
+def regions_document(regions: list[Region], shapes: list[ShapeMeasure | None],
+                     threshold_mm_day: float, min_area_m2: float) -> dict:
+    """The ``regions.json`` document: one row per region with its vertices,
+    area, mean rate, volume and the W and L of its aligned shape (None
+    without one), plus the extraction settings."""
+    rows = [{"id": r.region_id,
+             "epoch_pair": r.epoch_pair,
+             "vertex_set": [int(v) for v in r.vertex_set],
+             "area_m2": float(r.area_m2),
+             "mean_rate_mm_day": float(r.mean_rate_mm_day),
+             "volume_m3": float(r.volume_m3),
+             "W_m": None if s is None else float(s.W_m),
+             "L_m": None if s is None else float(s.L_m)}
+            for r, s in zip(regions, shapes, strict=True)]
+    return {"regions": rows, "threshold_mm_day": threshold_mm_day,
+            "min_area_m2": min_area_m2}
 
 
 def shape_angle(W_m: float, L_m: float) -> float:
@@ -292,7 +335,7 @@ def build_report(
             "m_treg_mm": float(budget.m_treg),
             "m_veg_mm": float(budget.m_veg),
             "m_mesh_mm": float(budget.m_mesh),
-            "multiplicities": [int(k) for k in budget.multiplicities],
+            "multiplicities": [int(k) for k in ERROR_MULTIPLICITIES],
             "sigma_mm": float(budget.sigma_mm),
         },
         "parameters": parameters or {},
@@ -300,5 +343,6 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    """Deterministic serialization (sorted keys, fixed indentation)."""
+    """Deterministic serialization (sorted keys, fixed indentation) of a
+    report or a regions document."""
     return json.dumps(report, indent=2, sort_keys=True)

@@ -25,6 +25,7 @@ from .synth import LandslideSpec, apply_landslide, gen_terrain
 logger = logging.getLogger(__name__)
 
 METHODS = ("icp", "coarse+icp", "hybrid")
+CHANGE_DEPTH_M = 1.0   # peak surface change of a trial's deformed patch
 
 
 @dataclass
@@ -35,7 +36,6 @@ class TrialConfig:
     rotation_deg: float
     translation_frac: float        # of the cloud diameter
     change_fraction: float = 0.0   # surface area fraction locally deformed
-    change_depth_m: float = 1.0
 
 
 @dataclass
@@ -103,7 +103,7 @@ def run_table2_benchmark(config: BenchmarkConfig | None = None) -> dict:
                           + center_uv[1] * frame.axis_v)
                 spec = LandslideSpec(center=tuple(center), radius_along=radius,
                                      radius_across=radius,
-                                     depth_m=trial_cfg.change_depth_m,
+                                     depth_m=CHANGE_DEPTH_M,
                                      azimuth_deg=float(rng.uniform(0, 360)))
                 moved, _ = apply_landslide(target, spec, frame=frame)
             diam = diameter(target)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import analysis, bench, ground, pipeline, registration, synth, terrain
 from .cloud import PointClass, PointCloud, read_cloud, write_cloud
-from .errors import CloudFormatError, SlopewatchError
+from .errors import CloudFormatError, DegenerateSurface, SlopewatchError
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -116,18 +117,10 @@ def cmd_regions(args) -> int:
     rates = terrain.rate_field(field)
     regions = terrain.significant_regions(mesh, rates, args.threshold,
                                           args.min_area)
-    doc = {"threshold_mm_day": args.threshold, "min_area_m2": args.min_area,
-           "regions": []}
-    for r in regions:
-        r.volume_m3 = terrain.region_volume(r, field, mesh)
-        doc["regions"].append({
-            "id": r.region_id,
-            "vertex_set": [int(v) for v in r.vertex_set],
-            "area_m2": float(r.area_m2),
-            "mean_rate_mm_day": float(r.mean_rate_mm_day),
-            "volume_m3": float(r.volume_m3),
-        })
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    shapes = analysis.measure_regions(regions, field, mesh)
+    doc = analysis.regions_document(regions, shapes, args.threshold,
+                                    args.min_area)
+    Path(args.out).write_text(analysis.report_to_json(doc) + "\n")
     print(f"regions {len(regions)}")
     return 0
 
@@ -135,17 +128,30 @@ def cmd_regions(args) -> int:
 def _read_regions(path, vertex_count: int) -> tuple[dict, list]:
     """(document, regions) of a file written by ``regions`` for a field of
     ``vertex_count`` vertices; ``CloudFormatError`` when it is not JSON, a
-    row lacks a key or its ``vertex_set`` is not a non-empty list of
-    vertices the field has."""
+    row lacks a key, its ``id`` is not an integer, its area, mean rate or
+    volume is not a finite number, or its ``vertex_set`` is not a
+    non-empty list of vertices the field has."""
     try:
         doc = json.loads(Path(path).read_text())
         for row in doc["regions"]:
-            vs = row["vertex_set"]
-            # type() rather than isinstance(): a JSON true is not vertex 1
+            rid, vs = row["id"], row["vertex_set"]
+            numbers = (row["area_m2"], row["mean_rate_mm_day"],
+                       row.get("volume_m3", 0.0))
+            # type() rather than isinstance(): a JSON true is not 1
+            if type(rid) is not int:
+                raise CloudFormatError(
+                    f"malformed regions file: region id must be an integer, "
+                    f"got {rid!r}")
+            if not all(type(x) in (int, float) and math.isfinite(x)
+                       for x in numbers):
+                raise CloudFormatError(
+                    f"malformed regions file: region {rid} area_m2, "
+                    f"mean_rate_mm_day and volume_m3 must be finite numbers, "
+                    f"got {numbers!r}")
             if not (isinstance(vs, list) and vs and all(
                     type(v) is int and 0 <= v < vertex_count for v in vs)):
                 raise CloudFormatError(
-                    f"malformed regions file: region {row.get('id')} "
+                    f"malformed regions file: region {rid} "
                     f"vertex_set must be a non-empty list of vertices "
                     f"0..{vertex_count - 1}, got {vs!r}")
         regions = [terrain.Region(vertex_set=np.asarray(row["vertex_set"]),
@@ -154,7 +160,7 @@ def _read_regions(path, vertex_count: int) -> tuple[dict, list]:
                                   volume_m3=row.get("volume_m3", 0.0),
                                   region_id=row["id"])
                    for row in doc["regions"]]
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise CloudFormatError(f"malformed regions file: {exc!r}") from exc
     return doc, regions
 
@@ -169,10 +175,9 @@ def cmd_classify(args) -> int:
         try:
             shape = analysis.region_extent(region, field, mesh,
                                            motion_azimuth_deg=args.motion_az)
-        except ValueError as exc:
+        except (ValueError, DegenerateSurface) as exc:
             raise CloudFormatError(f"malformed regions file: region "
                                    f"{region.region_id}: {exc}") from exc
-        region.W_m, region.L_m = shape.W_m, shape.L_m
         shapes.append(shape)
         if region.region_id in annotations:
             ann_list.append(analysis.MotionAnnotation(

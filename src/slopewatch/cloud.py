@@ -25,6 +25,9 @@ from .errors import CloudFormatError, CloudParseError
 
 logger = logging.getLogger(__name__)
 
+SPACING_K = 4           # surface_spacing's neighbor rank
+SPACING_SAMPLE = 2000   # surface_spacing probes about this many points
+
 
 class PointClass(IntEnum):
     """Per-point class tag."""
@@ -479,22 +482,22 @@ def diameter(cloud: PointCloud) -> float:
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def surface_spacing(cloud: PointCloud, k: int = 4, sample: int = 2000) -> float:
+def surface_spacing(cloud: PointCloud) -> float:
     """Robust surface sampling scale: median k-th neighbor distance over a
-    deterministic subsample, scaled by 1/sqrt(k).
+    deterministic subsample of about ``SPACING_SAMPLE`` points, scaled by
+    1/sqrt(k), with k = ``SPACING_K``.
 
     Unlike the nearest-neighbor spacing this barely moves when several
     scans of the same surface coincide point-for-point, so it is the right
     scale for deriving neighborhood radii on merged clouds. A cloud of at
-    most ``k`` points falls back to its median nearest-neighbor distance
-    (``k = 1``); fewer than two points have no spacing (0).
+    most k points falls back to its median nearest-neighbor distance
+    (k = 1); fewer than two points have no spacing (0).
     """
     n = len(cloud)
     if n < 2:
         return 0.0
-    if n <= k:
-        k = 1
-    probe = cloud.points[::max(1, n // sample)]
+    k = SPACING_K if n > SPACING_K else 1
+    probe = cloud.points[::max(1, n // SPACING_SAMPLE)]
     d, _ = _kdtree(cloud).query(probe, k=k + 1)
     return float(np.median(d[:, k]) / np.sqrt(k))
 

@@ -69,7 +69,8 @@ class NoConvergence(SlopewatchError):
 
 
 class DegenerateSurface(SlopewatchError):
-    """Points are collinear in projection; no triangulation exists."""
+    """Points are collinear in projection: no triangulation exists, or a
+    region has no width or length."""
 
 
 class UndefinedMotionVector(SlopewatchError):

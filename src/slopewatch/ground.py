@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 # fall of a free particle per step: gravity 9.8 m/s^2 times a 0.2 s step
 # squared, in simulation units
 CLOTH_DROP_M = 9.8 * 0.2**2
+SUBSLOPE_MIN_POINTS = 30   # a raster cell with fewer joins its nearest neighbor
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,7 @@ class ClothParams:
 
 @dataclass
 class GroundLabeling:
-    labels: np.ndarray    # PointClass per point
-    stats: dict
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.uint8)
-        object.__setattr__(self, "labels", lab)
-        counts = {
-            "ground": int((lab == PointClass.GROUND).sum()),
-            "vegetation": int((lab == PointClass.VEGETATION).sum()),
-            "unknown": int((lab == PointClass.UNKNOWN).sum()),
-        }
-        merged = dict(self.stats or {})
-        merged.update(counts)
-        object.__setattr__(self, "stats", merged)
+    labels: np.ndarray    # uint8 PointClass per point
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +65,24 @@ class GroundLabeling:
 # ---------------------------------------------------------------------------
 
 
-def partition_subslopes(cloud: PointCloud, cell_size: float,
-                        min_points: int = 30) -> list[SubSlope]:
+def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
     """Bucket the cloud on a horizontal grid and fit one plane per cell.
 
-    Cells under ``min_points`` are merged into the nearest populated cell
-    (by cell-center distance, ties broken lexicographically). Raises
-    ``TooSparse`` when the whole cloud is below the minimum.
+    Cells under ``SUBSLOPE_MIN_POINTS`` are merged into the nearest
+    populated cell (by cell-center distance, ties broken
+    lexicographically). Raises ``TooSparse`` when the whole cloud is below
+    the minimum.
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     pts = cloud.points
-    if len(pts) < max(min_points, 3):
-        raise TooSparse(f"{len(pts)} points; need at least {max(min_points, 3)}")
+    if len(pts) < SUBSLOPE_MIN_POINTS:
+        raise TooSparse(f"{len(pts)} points; need at least {SUBSLOPE_MIN_POINTS}")
 
     keys = np.floor(pts[:, :2] / cell_size).astype(np.int64)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     counts = np.bincount(inverse, minlength=len(uniq))
-    populated = counts >= min_points
+    populated = counts >= SUBSLOPE_MIN_POINTS
     if not populated.any():
         # every cell sparse: collapse everything into the densest cell
         densest = int(np.argmax(counts))
@@ -162,7 +150,7 @@ def _fill_empty_cells(height: np.ndarray, occupied: np.ndarray) -> np.ndarray:
 def _settle_cloth(inv_z: np.ndarray, xy: np.ndarray, params: ClothParams):
     """Drop a constrained particle grid onto the inverted surface.
 
-    Returns (grid_origin, cloth_heights, nx, ny). Gravity lowers unpinned
+    Returns (grid_origin, cloth_heights). Gravity lowers unpinned
     particles each step; collision against the inverted height field pins
     them; ``rigidness`` relaxation passes act as internal springs.
     """
@@ -201,7 +189,7 @@ def _settle_cloth(inv_z: np.ndarray, xy: np.ndarray, params: ClothParams):
             clamp()
         residual = float(np.max(np.abs(z - before)))
         if residual < params.settle_tolerance:
-            return lo, z, nx, ny
+            return lo, z
     raise NoConvergence(residual=residual, iterations=params.max_iterations)
 
 
@@ -236,13 +224,13 @@ def csf_classify(cloud: PointCloud, params: ClothParams | None = None) -> Ground
     pts = cloud.points
     inv_z = -pts[:, 2]
     xy = pts[:, :2]
-    lo, cloth, _, _ = _settle_cloth(inv_z, xy, params)
+    lo, cloth = _settle_cloth(inv_z, xy, params)
     cloth_at = _bilinear(cloth, lo, params.grid_resolution, xy)
     dist = np.abs(inv_z - cloth_at)
     labels = np.where(dist <= params.class_threshold,
                       np.uint8(PointClass.GROUND),
                       np.uint8(PointClass.VEGETATION))
-    return GroundLabeling(labels=labels, stats={"threshold": params.class_threshold})
+    return GroundLabeling(labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +285,7 @@ def filter_vegetation(
         best_rank[target] = rank
         labels[target] = part.labels[better]
 
-    labeling = GroundLabeling(labels=labels, stats={"cell_size": cell_size})
+    labeling = GroundLabeling(labels=labels)
     ground_idx = np.flatnonzero(labels == PointClass.GROUND)
     removed_idx = np.flatnonzero(labels != PointClass.GROUND)
     return cloud.subset(ground_idx), cloud.subset(removed_idx), labeling
@@ -323,4 +311,4 @@ def apply_mask_overrides(labeling: GroundLabeling, mask_lines) -> GroundLabeling
         if not (0 <= idx < len(labels)):
             raise CloudFormatError(f"mask index {idx} out of range")
         labels[idx] = PointClass.GROUND if s[0] == "+" else PointClass.VEGETATION
-    return GroundLabeling(labels=labels, stats=dict(labeling.stats))
+    return GroundLabeling(labels=labels)

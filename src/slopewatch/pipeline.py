@@ -21,12 +21,12 @@ import numpy as np
 
 from . import analysis
 from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
-                       error_budget, interval_days, region_extent,
-                       report_to_json)
+                       error_budget, interval_days, measure_regions,
+                       regions_document, report_to_json)
 from .cloud import (EpochRecord, PointCloud, concat_clouds,
                     estimate_normals, fit_plane, remove_outliers,
                     validate_epoch_series, voxel_downsample, write_cloud)
-from .errors import CloudFormatError, PipelineStageError, UndefinedMotionVector
+from .errors import CloudFormatError, PipelineStageError
 from .ground import ClothParams, filter_vegetation
 from .registration import (NORMALS_K, register_global_hybrid,
                            register_multiview)
@@ -35,8 +35,8 @@ from .synth import (DEFAULT_NOISE_SIGMA_M, DEFAULT_SLOPE_DEG,
                     apply_landslide, gen_terrain, stations_facing_slope,
                     simulate_stations)
 from .terrain import (DeformationField, Region, build_dtm, mesh_distance,
-                      rate_field, region_volume, significant_regions,
-                      write_deformation, write_mesh)
+                      rate_field, significant_regions, write_deformation,
+                      write_mesh)
 
 logger = logging.getLogger(__name__)
 
@@ -222,7 +222,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 ground_labels=cloud_e.labels.copy(),
                 true_displacement=np.concatenate(
                     [pair_disp, np.zeros(len(cloud_e) - len(base))]),
-                region_specs=list(espec.landslides), frame=frame))
+                frame=frame))
 
     # -- station simulation ------------------------------------------------
     station_clouds: list[list[PointCloud]] = []
@@ -312,45 +312,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     all_regions: list[Region] = []
     all_shapes: list[ShapeMeasure | None] = []
     with _stage("analyze"):
-        next_id = 1
         for k, f in enumerate(fields):
             mesh = meshes[k + 1]
-            rates = rate_field(f)
-            regions = significant_regions(mesh, rates,
+            regions = significant_regions(mesh, rate_field(f),
                                           config.rate_threshold_mm_day,
                                           config.min_region_area_m2)
-            pair = f"{f.reference_epoch},{f.compared_epoch}"
-            for r in regions:
-                r.volume_m3 = region_volume(r, f, mesh)
-                r.region_id = next_id
-                r.epoch_pair = pair
-                next_id += 1
-                try:
-                    shape = region_extent(r, f, mesh)
-                    r.W_m, r.L_m = shape.W_m, shape.L_m
-                except UndefinedMotionVector:
-                    shape = None
-                all_regions.append(r)
-                all_shapes.append(shape)
-        regions_doc = {
-            "regions": [
-                {
-                    "id": r.region_id,
-                    "epoch_pair": r.epoch_pair,
-                    "vertex_set": [int(v) for v in r.vertex_set],
-                    "area_m2": float(r.area_m2),
-                    "mean_rate_mm_day": float(r.mean_rate_mm_day),
-                    "volume_m3": float(r.volume_m3),
-                    "W_m": None if r.W_m is None else float(r.W_m),
-                    "L_m": None if r.L_m is None else float(r.L_m),
-                }
-                for r in all_regions
-            ],
-            "threshold_mm_day": config.rate_threshold_mm_day,
-            "min_area_m2": config.min_region_area_m2,
-        }
-        emit("regions.json",
-             json.dumps(regions_doc, indent=2, sort_keys=True).encode(), "analyze")
+            all_shapes += measure_regions(regions, f, mesh,
+                                          first_id=len(all_regions) + 1)
+            all_regions += regions
+        regions_doc = regions_document(all_regions, all_shapes,
+                                       config.rate_threshold_mm_day,
+                                       config.min_region_area_m2)
+        emit("regions.json", report_to_json(regions_doc).encode(), "analyze")
 
     report: dict = {}
     with _stage("report"):

@@ -36,6 +36,9 @@ DESCRIPTOR_BINS = (8, 4, 4)  # azimuth x radial x elevation occupancy grid
 DESCRIPTOR_BITS = int(np.prod(DESCRIPTOR_BINS))
 ICP_RMSE_FLOOR_M = 1e-10   # an ICP residual this small is exact data: stop
 ICP_RESIDUAL_GATE = 3.0    # robust sigmas; pairs beyond are off the common surface
+# an RMSE change, up or down, within this share of the previous RMSE is
+# ICP convergence
+ICP_CONVERGENCE_EPS = 1e-2
 MAD_TO_SIGMA = 1.4826      # median absolute deviation -> Gaussian sigma
 DESCRIPTOR_ROW_BUDGET = 1 << 16  # neighbor rows binned per batch; bounds memory
 NORMALS_K = 16             # neighbors per normal estimate
@@ -60,9 +63,6 @@ HYBRID_ALPHAS = np.linspace(0.8, 0.0, 5)
 @dataclass
 class IcpParams:
     max_iter: int = 150
-    # an RMSE change, up or down, within this share of the previous RMSE
-    # is convergence
-    convergence_eps: float = 1e-2
     max_pair_dist: float | None = None  # default: 0.25 * target diameter
 
 
@@ -72,25 +72,10 @@ class FeatureSet:
 
     keypoint_indices: np.ndarray        # (m,) indices into the owning cloud
     descriptors: np.ndarray             # (m, bits) uint8 in {0, 1}
-    radius: float
-    dropped_count: int = 0
 
     def __post_init__(self):
         if len(self.keypoint_indices) != len(self.descriptors):
             raise ValueError("one descriptor per keypoint required")
-
-
-@dataclass
-class CorrespondenceSet:
-    pairs: np.ndarray       # (k, 2) of (source index, target index)
-    residuals: np.ndarray   # (k,) pairing distance, meters
-
-    def __post_init__(self):
-        if len(self.pairs) != len(self.residuals):
-            raise ValueError("one residual per pair required")
-        src = self.pairs[:, 0] if len(self.pairs) else np.empty(0)
-        if len(np.unique(src)) != len(src):
-            raise ValueError("duplicated source index after matching")
 
 
 @dataclass
@@ -165,12 +150,12 @@ def icp(
     1992). A target without normals gets them first. The RMSE is the
     residual along the target normals of the kept pairs after the step.
 
-    Stops as converged when the RMSE changes by at most ``convergence_eps``
-    of the previous RMSE, up or down, or reaches ``ICP_RMSE_FLOOR_M``. A
-    larger rise stops as not converged. Either kind of rise keeps the
-    previous transform, so the RMSE sequence never increases. Also stops,
-    not converged, when fewer than six pairs or a singular system remain,
-    or at ``max_iter``.
+    Stops as converged when the RMSE changes by at most
+    ``ICP_CONVERGENCE_EPS`` of the previous RMSE, up or down, or reaches
+    ``ICP_RMSE_FLOOR_M``. A larger rise stops as not converged. Either
+    kind of rise keeps the previous transform, so the RMSE sequence never
+    increases. Also stops, not converged, when fewer than six pairs or a
+    singular system remain, or at ``max_iter``.
 
     Raises
     ------
@@ -225,7 +210,7 @@ def icp(
         iterations = it
         settled = rmse <= ICP_RMSE_FLOOR_M or (
             np.isfinite(prev_rmse)
-            and abs(rmse - prev_rmse) <= params.convergence_eps * prev_rmse)
+            and abs(rmse - prev_rmse) <= ICP_CONVERGENCE_EPS * prev_rmse)
         if rmse > prev_rmse:
             converged = settled   # keep the previous, better transform
             break
@@ -306,8 +291,9 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
     is Hamming distance, so the representation is rotation invariant up to
     the frame-sign rule.
 
-    Keypoints with fewer than ``min_neighbors`` points inside ``radius``
-    are dropped and counted in ``dropped_count``.
+    Keypoints with fewer than ``min_neighbors`` points inside ``radius``,
+    or without a finite normal or a local frame, are dropped; the
+    ``FeatureSet`` lists the kept ones in their input order.
     """
     if cloud.normals is None:
         raise ValueError("descriptors need normals; run estimate_normals first")
@@ -336,8 +322,7 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
             kept[batch], desc[batch] = _bin_neighborhoods(
                 cloud, keypoints[batch], neighbors, sizes[batch], radius)
             lo = hi
-    return FeatureSet(keypoint_indices=keypoints[kept], descriptors=desc[kept],
-                      radius=radius, dropped_count=int(len(keypoints) - kept.sum()))
+    return FeatureSet(keypoint_indices=keypoints[kept], descriptors=desc[kept])
 
 
 def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
@@ -396,15 +381,16 @@ def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:
         axis=2, dtype=np.int64)
 
 
-def match_descriptors(a: FeatureSet, b: FeatureSet) -> CorrespondenceSet:
-    """Mutual-nearest descriptor matches (ties go to the lowest index).
+def match_descriptors(a: FeatureSet, b: FeatureSet) -> np.ndarray:
+    """Mutual-nearest descriptor matches (ties go to the lowest index), as
+    a (k, 2) int64 array of (row in ``a``, row in ``b``).
 
     A match survives only when its best distance beats the second best by
     at least one bit; featureless geometry (all descriptors alike)
     therefore produces no matches instead of arbitrary ones.
     """
     if len(a.keypoint_indices) == 0 or len(b.keypoint_indices) == 0:
-        return CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+        return np.zeros((0, 2), dtype=np.int64)
     d = hamming_matrix(a, b)
     best_b = np.argmin(d, axis=1)
     best_a = np.argmin(d, axis=0)
@@ -413,9 +399,7 @@ def match_descriptors(a: FeatureSet, b: FeatureSet) -> CorrespondenceSet:
     if d.shape[1] > 1:
         part = np.partition(d, 1, axis=1)
         mutual &= part[:, 1] > part[:, 0]
-    pairs = np.column_stack([rows[mutual], best_b[mutual]]).astype(np.int64)
-    resid = d[pairs[:, 0], pairs[:, 1]].astype(np.float64)
-    return CorrespondenceSet(pairs=pairs, residuals=resid)
+    return np.column_stack([rows[mutual], best_b[mutual]]).astype(np.int64)
 
 
 def consistent_match_subset(src_pts: np.ndarray, tgt_pts: np.ndarray,
@@ -489,8 +473,7 @@ def _consistent_matches(source: PointCloud, target: PointCloud,
     matches = match_descriptors(fs, ft)
     keep = consistent_match_subset(source.points[fs.keypoint_indices],
                                    target.points[ft.keypoint_indices],
-                                   matches.pairs,
-                                   CONSISTENCY_TOL_SPACINGS * spacing)
+                                   matches, CONSISTENCY_TOL_SPACINGS * spacing)
     return matches, keep
 
 
@@ -498,17 +481,15 @@ def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
                 ft: FeatureSet, spacing: float) -> RigidTransform:
     """Closed-form fit on the consistent matches of a prepared pair."""
     matches, keep = _consistent_matches(source, target, fs, ft, spacing)
-    if len(matches.pairs) < 3:
-        raise InsufficientGeometry(
-            f"only {len(matches.pairs)} mutual descriptor matches"
-        )
-    required = max(3, int(np.ceil(MIN_CONSISTENCY_RATIO * len(matches.pairs))))
+    if len(matches) < 3:
+        raise InsufficientGeometry(f"only {len(matches)} mutual descriptor matches")
+    required = max(3, int(np.ceil(MIN_CONSISTENCY_RATIO * len(matches))))
     if len(keep) < required:
         raise InsufficientGeometry(
-            f"only {len(keep)} of {len(matches.pairs)} matches are "
+            f"only {len(keep)} of {len(matches)} matches are "
             f"geometrically consistent (need {required})"
         )
-    pairs = matches.pairs[keep]
+    pairs = matches[keep]
     try:
         return fit_rigid(source.points[fs.keypoint_indices[pairs[:, 0]]],
                          target.points[ft.keypoint_indices[pairs[:, 1]]])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +26,11 @@ DEFAULT_NOISE_SIGMA_M = 0.006
 DEFAULT_DENSITY_PTS_M2 = 154.0
 DEFAULT_SLOPE_DEG = 70.0
 SUPPORT_QUERY_CHUNK = 256   # queries per distance block in _max_within
+VEG_SUPPORT_RADIUS_M = 2.0  # plan-view reach of the ground under vegetation
+# z-buffer occlusion: angular bin side, and how far behind the nearest
+# return in its bin a point may lie and stay visible
+OCCLUSION_BIN_DEG = 0.05
+OCCLUSION_TOL_M = 0.1
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,6 @@ class TerrainFrame:
     axis_u: np.ndarray
     axis_v: np.ndarray
     normal: np.ndarray
-    slope_deg: float
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ class SceneTruth:
     """Ground truth accompanying a generated cloud."""
 
     ground_labels: np.ndarray
-    station_poses: list = dc_field(default_factory=list)
     true_displacement: np.ndarray | None = None
-    region_specs: list = dc_field(default_factory=list)
     frame: TerrainFrame | None = None
 
 
@@ -108,7 +110,6 @@ def terrain_frame(slope_deg: float) -> TerrainFrame:
         axis_u=np.array([1.0, 0.0, 0.0]),
         axis_v=np.array([0.0, math.cos(theta), math.sin(theta)]),
         normal=np.array([0.0, -math.sin(theta), math.cos(theta)]),
-        slope_deg=slope_deg,
     )
 
 
@@ -118,7 +119,6 @@ def gen_terrain(
     roughness: float = 0.3,
     density_pts_m2: float = DEFAULT_DENSITY_PTS_M2,
     seed: int = 0,
-    epoch_id: str | None = None,
 ) -> tuple[PointCloud, SceneTruth]:
     """Fractal-noise height field over an inclined base plane.
 
@@ -146,7 +146,7 @@ def gen_terrain(
     pts = (u[:, None] * frame.axis_u + v[:, None] * frame.axis_v
            + h[:, None] * frame.normal)
     labels = np.full(n, np.uint8(PointClass.GROUND))
-    cloud = PointCloud(points=pts, labels=labels, epoch_id=epoch_id)
+    cloud = PointCloud(points=pts, labels=labels)
     truth = SceneTruth(ground_labels=labels.copy(),
                        true_displacement=np.zeros(n), frame=frame)
     return cloud, truth
@@ -157,15 +157,14 @@ def add_vegetation(
     coverage_fraction: float,
     height_range_m: tuple = (0.5, 2.0),
     seed: int = 0,
-    support_radius: float = 2.0,
 ) -> tuple[PointCloud, SceneTruth]:
     """Clustered above-surface blobs labeled vegetation, scattered in plan
     about their anchor ground points (1 m standard deviation, clipped at 3 m).
 
     ``coverage_fraction`` is the vegetation share of the output cloud.
     Blob points sit at least ``height_range_m[0]`` above the highest ground
-    point within ``support_radius`` (measured along the best-fit plane
-    normal), so no vegetation point hugs the local surface.
+    point within ``VEG_SUPPORT_RADIUS_M`` in plan view (measured along the
+    best-fit plane normal), so no vegetation point hugs the local surface.
     """
     if not (0.0 <= coverage_fraction < 1.0):
         raise ValueError("coverage must lie in [0, 1)")
@@ -195,7 +194,7 @@ def add_vegetation(
     heights = rng.uniform(height_range_m[0], height_range_m[1], size=n_veg)
 
     plan_q = plan[anchors[assign]] + jitter
-    s_base = _max_within(tree, s_ground, plan_q, support_radius)
+    s_base = _max_within(tree, s_ground, plan_q, VEG_SUPPORT_RADIUS_M)
     bare = np.isneginf(s_base)
     s_base[bare] = s_ground[anchors[assign[bare]]]
     veg_pts = (plan_q[:, 0, None] * axis_u + plan_q[:, 1, None] * axis_v
@@ -278,8 +277,7 @@ def apply_landslide(
     labels = cloud.labels if cloud.labels is not None else np.full(
         len(pts), np.uint8(PointClass.GROUND))
     truth = SceneTruth(ground_labels=labels.copy(),
-                       true_displacement=normal_change,
-                       region_specs=[region_spec])
+                       true_displacement=normal_change)
     return out, truth
 
 
@@ -326,14 +324,13 @@ def simulate_stations(
     max_range_m: float | None = None,
     occlusion: bool = False,
     seed: int = 0,
-    occlusion_bin_deg: float = 0.05,
-    occlusion_tol_m: float = 0.1,
 ) -> list[PointCloud]:
     """Per-station scans of the scene, in station-local frames.
 
     Each station transforms the scene into its own frame, drops points
     beyond ``max_range_m``, optionally drops points hidden behind nearer
-    surface (z-buffer over angular bins), and adds isotropic Gaussian
+    surface (z-buffer over ``OCCLUSION_BIN_DEG`` angular bins, with
+    ``OCCLUSION_TOL_M`` of depth tolerance), and adds isotropic Gaussian
     noise. With zero noise and no cropping the output is exactly the rigid
     transform of the input. A ``source_index`` channel maps each output
     point back to the scene point it samples.
@@ -353,13 +350,13 @@ def simulate_stations(
             rad = np.linalg.norm(pts, axis=1)
             az = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
             el = np.degrees(np.arctan2(pts[:, 2], np.hypot(pts[:, 0], pts[:, 1])))
-            bi = np.floor(az / occlusion_bin_deg).astype(np.int64)
-            bj = np.floor(el / occlusion_bin_deg).astype(np.int64)
+            bi = np.floor(az / OCCLUSION_BIN_DEG).astype(np.int64)
+            bj = np.floor(el / OCCLUSION_BIN_DEG).astype(np.int64)
             key = (bi - bi.min()) * (bj.max() - bj.min() + 1) + (bj - bj.min())
             uniq, inv = np.unique(key, return_inverse=True)
             nearest = np.full(len(uniq), np.inf)
             np.minimum.at(nearest, inv, rad)
-            visible = rad <= nearest[inv] + occlusion_tol_m
+            visible = rad <= nearest[inv] + OCCLUSION_TOL_M
             keep = keep[visible]
         pts = local[keep]
         if noise_sigma_m > 0:

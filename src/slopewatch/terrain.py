@@ -134,8 +134,6 @@ class Region:
     area_m2: float
     mean_rate_mm_day: float
     volume_m3: float = 0.0
-    W_m: float | None = None
-    L_m: float | None = None
     region_id: int | None = None
     epoch_pair: str | None = None
 

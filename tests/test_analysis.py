@@ -10,12 +10,12 @@ import slopewatch as sw
 from slopewatch.analysis import (DEFAULT_BUDGET_MM,
                                  MotionAnnotation, ShapeClass, build_report,
                                  classify_shape, error_budget, interval_days,
-                                 region_extent, relative_error,
-                                 report_to_json, shape_angle)
+                                 measure_regions, region_extent,
+                                 relative_error, report_to_json, shape_angle)
 from slopewatch.cloud import EpochRecord
-from slopewatch.errors import UndefinedMotionVector
+from slopewatch.errors import DegenerateSurface, UndefinedMotionVector
 from slopewatch.terrain import (DeformationField, Region, build_dtm,
-                                field_stats)
+                                field_stats, region_volume)
 
 
 def tilted_mesh(slope_deg=30.0, extent=(30.0, 20.0), n=60):
@@ -97,6 +97,40 @@ def test_region_extent_undefined_motion():
                              interval_days=100)
     with pytest.raises(UndefinedMotionVector):
         region_extent(region, field, mesh)
+
+
+def test_region_extent_of_one_vertex_is_degenerate():
+    # the vertex has a motion direction but no width or length
+    mesh = tilted_mesh()
+    field = DeformationField(values=np.full(len(mesh.vertices), 0.2),
+                             valid=np.ones(len(mesh.vertices), dtype=bool),
+                             interval_days=100)
+    region = Region(vertex_set=np.array([100]), area_m2=1.0,
+                    mean_rate_mm_day=1.0)
+    with pytest.raises(DegenerateSurface):
+        region_extent(region, field, mesh)
+
+
+def test_measure_regions_numbers_and_leaves_shapeless_regions_none():
+    mesh = tilted_mesh()
+    field = DeformationField(values=np.full(len(mesh.vertices), 0.2),
+                             valid=np.ones(len(mesh.vertices), dtype=bool),
+                             interval_days=100, compared_epoch="II",
+                             reference_epoch="I")
+    regions = [rect_region(mesh, (10, 20), (0, 20)),
+               Region(vertex_set=np.array([100]), area_m2=1.0,
+                      mean_rate_mm_day=1.0)]
+    shapes = measure_regions(regions, field, mesh, first_id=3)
+    assert [r.region_id for r in regions] == [3, 4]
+    assert [r.epoch_pair for r in regions] == ["I,II", "I,II"]
+    assert [r.volume_m3 for r in regions] == [
+        region_volume(r, field, mesh) for r in regions]
+    assert shapes == [region_extent(regions[0], field, mesh), None]
+    unnamed = DeformationField(values=field.values, valid=field.valid,
+                               interval_days=100)
+    measure_regions(regions, unnamed, mesh)
+    assert [(r.region_id, r.epoch_pair) for r in regions] == [(1, None),
+                                                              (2, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +322,7 @@ def test_build_report_region_row_rendering():
     region = Region(vertex_set=np.array([0, 1, 2]), area_m2=500.0,
                     mean_rate_mm_day=3.0, volume_m3=648.2, region_id=1)
     shape = sw.ShapeMeasure(W_m=31.1, L_m=56.0,
-                            theta_deg=shape_angle(31.1, 56.0),
-                            motion_vector=(0.0, 1.0))
+                            theta_deg=shape_angle(31.1, 56.0))
     report = build_report(
         epochs=[EpochRecord("I", datetime.date(2013, 3, 14), 6)],
         fields=[], regions=[region], shapes=[shape],

@@ -10,6 +10,7 @@ import slopewatch as sw
 from slopewatch import cloud as cloud_mod, pipeline as pipeline_mod
 from slopewatch import registration as reg
 from slopewatch.bench import BenchmarkConfig, TrialConfig, run_table2_benchmark
+from slopewatch.cli import main
 from slopewatch.errors import DisconnectedViews, PipelineStageError
 from slopewatch.pipeline import PipelineConfig, default_config, run_pipeline
 from slopewatch.synth import LandslideSpec
@@ -127,6 +128,45 @@ def test_pipeline_report_parses_back(pipeline_run):
     cfg, result = pipeline_run
     text = (Path(cfg.out_dir) / "report.json").read_text()
     assert json.loads(text) == result.report
+
+
+def test_regions_cli_writes_the_pipeline_rows(pipeline_run, tmp_path):
+    cfg, _ = pipeline_run
+    out = Path(cfg.out_dir)
+    assert main(["regions", "--field", str(out / "field_I_II.ply"),
+                 "--threshold", str(cfg.rate_threshold_mm_day),
+                 "--min-area", str(cfg.min_region_area_m2),
+                 "--out", str(tmp_path / "regions.json")]) == 0
+    want = json.loads((out / "regions.json").read_text())
+    got = json.loads((tmp_path / "regions.json").read_text())
+    assert got.keys() == want.keys()
+    assert got["threshold_mm_day"] == want["threshold_mm_day"]
+    assert got["min_area_m2"] == want["min_area_m2"]
+    assert len(got["regions"]) == len(want["regions"]) == 1
+    for g, w in zip(got["regions"], want["regions"]):
+        assert g.keys() == w.keys()
+        for key in ("id", "epoch_pair", "vertex_set"):
+            assert g[key] == w[key]
+        for key in ("area_m2", "mean_rate_mm_day", "volume_m3", "W_m", "L_m"):
+            assert g[key] == pytest.approx(w[key], rel=1e-9)
+
+
+def test_pipeline_reports_a_region_without_width_or_length(tmp_path):
+    # no area floor and a low threshold leave a one-vertex region beside
+    # the slide; it has no shape, which nulls its row instead of the run
+    cfg = fast_config(tmp_path, min_region_area_m2=0.01,
+                      rate_threshold_mm_day=0.5)
+    result = run_pipeline(cfg)
+    rows = result.report["regions"]
+    assert rows[0]["shape_class"] == "L"
+    shapeless = [k for k, r in enumerate(result.regions)
+                 if len(r.vertex_set) == 1]
+    assert shapeless
+    doc = json.loads((Path(cfg.out_dir) / "regions.json").read_text())
+    for k in shapeless:
+        assert [rows[k][key] for key in ("W_m", "L_m", "theta_deg",
+                                         "shape_class", "type")] == [None] * 5
+        assert doc["regions"][k]["W_m"] is doc["regions"][k]["L_m"] is None
 
 
 def test_pipeline_identical_epochs_no_regions(tmp_path):

@@ -118,6 +118,7 @@ def test_dtm_deform_regions_classify_chain(tmp_path, capsys):
                  "--out", str(tmp_path / "regions.json")]) == 0
     doc = json.loads((tmp_path / "regions.json").read_text())
     assert len(doc["regions"]) == 1
+    assert doc["regions"][0]["epoch_pair"] is None   # the field names none
     assert main(["classify", "--regions", str(tmp_path / "regions.json"),
                  "--field", str(tmp_path / "field.ply"),
                  "--out", str(tmp_path / "report.json"),
@@ -224,6 +225,19 @@ def _malformed_input(case, tmp_path):
     field = tmp_path / "field.ply"
     field.write_bytes(write_deformation(MESH, FIELD))
     row = {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0}
+    bad_value = {"regions-string-id": ("id", "1"),
+                 "regions-fractional-id": ("id", 1.5),
+                 "regions-boolean-id": ("id", True),
+                 "regions-string-area": ("area_m2", "2"),
+                 "regions-nan-area": ("area_m2", float("nan")),
+                 "regions-string-rate": ("mean_rate_mm_day", "60"),
+                 "regions-infinite-rate": ("mean_rate_mm_day", float("inf")),
+                 "regions-string-volume": ("volume_m3", "1"),
+                 "regions-boolean-volume": ("volume_m3", False)}.get(case)
+    if bad_value is not None:
+        # a row that classify accepts, but for the one bad value
+        row["vertex_set"] = [0, 1, 3]
+        row[bad_value[0]] = bad_value[1]
     vertex_set = {"regions-vertex-past-field": [0, 99],
                   "regions-negative-vertex": [0, -1],
                   "regions-fractional-vertex": [0, 1.5],
@@ -247,7 +261,10 @@ def _malformed_input(case, tmp_path):
     "regions-vertex-past-field", "regions-negative-vertex",
     "regions-fractional-vertex", "regions-string-vertex",
     "regions-empty-vertex-set", "regions-one-vertex", "regions-boolean-vertex",
-    "regions-nested-vertex-set"])
+    "regions-nested-vertex-set", "regions-string-id", "regions-fractional-id",
+    "regions-boolean-id", "regions-string-area", "regions-nan-area",
+    "regions-string-rate", "regions-infinite-rate", "regions-string-volume",
+    "regions-boolean-volume"])
 def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2

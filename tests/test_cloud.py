@@ -239,8 +239,8 @@ def test_plane_basis_orthonormal_right_handed(normal):
 def test_surface_spacing_small_cloud_is_nearest_neighbor_median(rng, n):
     pts = rng.uniform(0, 10, (n, 3))
     d, _ = cKDTree(pts).query(pts, k=2)
-    assert surface_spacing(sw.PointCloud(points=pts), k=4) == float(np.median(d[:, 1]))
-    assert surface_spacing(sw.PointCloud(points=pts[:1]), k=4) == 0.0
+    assert surface_spacing(sw.PointCloud(points=pts)) == float(np.median(d[:, 1]))
+    assert surface_spacing(sw.PointCloud(points=pts[:1])) == 0.0
 
 
 def test_one_tree_serves_every_neighbor_query_of_a_cloud(monkeypatch, rng):

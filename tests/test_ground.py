@@ -23,7 +23,7 @@ def flat_cloud(n=2000, extent=20.0, seed=0, z=0.0):
 
 def test_partition_single_cell_flat_plane():
     cloud = flat_cloud()
-    subs = partition_subslopes(cloud, cell_size=100.0, min_points=10)
+    subs = partition_subslopes(cloud, cell_size=100.0)
     assert len(subs) == 1
     np.testing.assert_allclose(subs[0].plane_normal, [0, 0, 1], atol=1e-6)
     assert len(subs[0].member_indices) == len(cloud)
@@ -37,7 +37,7 @@ def test_partition_two_tier_terrace():
     y = rng.uniform(0, 10, n)
     z = np.where(x < 10, 0.0, (x - 10) * np.tan(np.radians(40)))
     cloud = sw.PointCloud(points=np.column_stack([x, y, z]))
-    subs = partition_subslopes(cloud, cell_size=10.0, min_points=30)
+    subs = partition_subslopes(cloud, cell_size=10.0)
     assert len(subs) >= 2
     for sub in subs:
         member_x = cloud.points[sub.member_indices, 0]
@@ -59,7 +59,7 @@ def test_partition_empty_interior_cell_absent():
                             np.zeros(500)])
     right = left + np.array([20.0, 0.0, 0.0])
     cloud = sw.PointCloud(points=np.vstack([left, right]))
-    subs = partition_subslopes(cloud, cell_size=5.0, min_points=30)
+    subs = partition_subslopes(cloud, cell_size=5.0)
     cells = {s.cell_id for s in subs}
     assert (1, 0) not in cells and (2, 0) not in cells
 
@@ -70,7 +70,7 @@ def test_partition_sparse_cells_merge_to_neighbor():
                              np.zeros(500)])
     stray = np.array([[7.0, 2.0, 0.0]])
     cloud = sw.PointCloud(points=np.vstack([dense, stray]))
-    subs = partition_subslopes(cloud, cell_size=5.0, min_points=30)
+    subs = partition_subslopes(cloud, cell_size=5.0)
     assert len(subs) == 1
     assert len(subs[0].member_indices) == 501
 
@@ -78,7 +78,7 @@ def test_partition_sparse_cells_merge_to_neighbor():
 def test_partition_too_sparse():
     with pytest.raises(TooSparse):
         partition_subslopes(sw.PointCloud(points=np.zeros((5, 3))),
-                            cell_size=1.0, min_points=30)
+                            cell_size=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_partition_too_sparse():
 
 def test_level_horizontal_is_identity():
     cloud = flat_cloud(seed=4)
-    sub = partition_subslopes(cloud, 100.0, 10)[0]
+    sub = partition_subslopes(cloud, 100.0)[0]
     np.testing.assert_allclose(sub.level_rotation.rotation, np.eye(3),
                                atol=1e-9)
     np.testing.assert_allclose(sub.level_rotation.translation, 0.0)
@@ -107,7 +107,7 @@ def test_level_incline(incline_deg):
     # keep the noisy patch strictly inside one grid cell
     pts = pts + spread[:, None] * normal + np.array([5.0, 5.0, 0.0])
     cloud = sw.PointCloud(points=pts)
-    subs = partition_subslopes(cloud, 1000.0, 10)
+    subs = partition_subslopes(cloud, 1000.0)
     leveled = level_points(subs[0], pts[subs[0].member_indices])
     # leveled plane is horizontal: z-spread equals plane-orthogonal spread
     from slopewatch.cloud import fit_plane
@@ -216,8 +216,8 @@ def test_filter_partition_property():
     ground, removed, labeling = filter_vegetation(cloud, cell_size=12.0)
     assert len(ground) + len(removed) == len(cloud)
     assert len(labeling.labels) == len(cloud)
-    assert labeling.stats["ground"] == len(ground)
-    assert labeling.stats["vegetation"] == len(removed)
+    assert (labeling.labels == PointClass.GROUND).sum() == len(ground)
+    assert (labeling.labels == PointClass.VEGETATION).sum() == len(removed)
 
 
 def test_filter_invariant_under_subslope_permutation(monkeypatch):
@@ -235,7 +235,7 @@ def test_filter_invariant_under_subslope_permutation(monkeypatch):
 
 def test_mask_overrides():
     labeling = sw.ground.GroundLabeling(
-        labels=np.full(5, np.uint8(PointClass.GROUND)), stats={})
+        labels=np.full(5, np.uint8(PointClass.GROUND)))
     out = apply_mask_overrides(labeling, ["-0", "-3", "# note", "+3"])
     assert out.labels[0] == PointClass.VEGETATION
     assert out.labels[3] == PointClass.GROUND

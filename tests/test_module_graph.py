@@ -1,13 +1,12 @@
 import ast
 import dataclasses
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import slopewatch
-from slopewatch.ground import ClothParams
-from slopewatch.pipeline import PipelineConfig
-from slopewatch.registration import IcpParams
 
 PACKAGE_DIR = Path(slopewatch.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -41,12 +40,34 @@ def test_traced_benchmark_names_resolve(monkeypatch):
     assert missing == []
 
 
+# records whose fields no package code reads, each kept for a reader
+# outside the package; a whole class is named without a field
+READ_OUTSIDE = {
+    "PipelineResult": "run_pipeline's return value, read by its callers",
+    "RegistrationResult.rmse_sequence":
+        "the ICP's RMSE trace, for the per-run metrics file ROADMAP plans",
+    "SceneTruth.ground_labels":
+        "the generator's labels, the truth of acceptance criterion 7",
+}
+
+
+def package_dataclasses():
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
+        module = importlib.import_module(f"slopewatch.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
 def test_every_setting_is_read():
-    """Each field of the settings records is read as an attribute somewhere
-    in the package outside its own class, so a setting that no code uses
-    cannot linger; names in ``__post_init__`` strings do not count."""
+    """Each field of every record in the package is read as an attribute
+    somewhere in the package outside its own class, so a field that no
+    code uses cannot linger; names in ``__post_init__`` strings do not
+    count. ``READ_OUTSIDE`` names the exceptions, which must stay unread."""
     fields = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
-              for cls in (PipelineConfig, ClothParams, IcpParams)}
+              for cls in package_dataclasses()}
+    assert {"PipelineConfig", "ClothParams", "IcpParams", "Region"} <= set(fields)
     read = set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -58,5 +79,6 @@ def test_every_setting_is_read():
                     and isinstance(node.ctx, ast.Load)
                     and id(node) not in inside)
     unread = sorted(f"{cls}.{name}" for cls, names in fields.items()
+                    if cls not in READ_OUTSIDE
                     for name in names - read)
-    assert unread == []
+    assert unread == sorted(k for k in READ_OUTSIDE if "." in k)

@@ -194,15 +194,16 @@ def test_icp_converges_on_fall_within_tolerance():
     seq = result.rmse_sequence
     assert result.converged
     assert result.iterations == len(seq) < params.max_iter
-    assert 0 <= seq[-2] - seq[-1] <= params.convergence_eps * seq[-2]
+    assert 0 <= seq[-2] - seq[-1] <= reg.ICP_CONVERGENCE_EPS * seq[-2]
     assert result.rmse == seq[-1] > 0.005   # noise floor, not exact data
 
 
-def _stops_on_rise(eps):
+def _stops_on_rise(monkeypatch, eps):
     # at seed 20 the RMSE falls by 74%, then rises by about 1e-3 of itself
     source, target = _noisy_offset_pair(20)
     before = sw.icp(source, target, sw.IcpParams(max_iter=2))
-    result = sw.icp(source, target, sw.IcpParams(convergence_eps=eps))
+    monkeypatch.setattr(reg, "ICP_CONVERGENCE_EPS", eps)
+    result = sw.icp(source, target)
     assert result.iterations == 3
     assert result.rmse_sequence == before.rmse_sequence
     assert result.rmse == before.rmse
@@ -211,12 +212,12 @@ def _stops_on_rise(eps):
     return result
 
 
-def test_icp_rise_within_tolerance_converges_on_previous_pose():
-    assert _stops_on_rise(1e-2).converged
+def test_icp_rise_within_tolerance_converges_on_previous_pose(monkeypatch):
+    assert _stops_on_rise(monkeypatch, 1e-2).converged
 
 
-def test_icp_rise_beyond_tolerance_stops_unconverged_on_previous_pose():
-    assert not _stops_on_rise(1e-4).converged
+def test_icp_rise_beyond_tolerance_stops_unconverged_on_previous_pose(monkeypatch):
+    assert not _stops_on_rise(monkeypatch, 1e-4).converged
 
 
 def test_icp_ignores_changed_surface():
@@ -382,8 +383,7 @@ def test_descriptor_sparse_keypoints_dropped():
     cloud = sw.estimate_normals(sw.PointCloud(points=pts), k=10,
                                 viewpoint=(0, 0, 100))
     feats = sw.extract_descriptors(cloud, [0, 300], radius=1.0)
-    assert feats.dropped_count == 1
-    assert 300 not in feats.keypoint_indices
+    assert list(feats.keypoint_indices) == [0]
 
 
 def reference_descriptors(cloud, keypoints, radius, min_neighbors=10):
@@ -450,7 +450,7 @@ def assert_matches_reference(cloud, keypoints, radius, min_neighbors=10):
     np.testing.assert_array_equal(feats.descriptors, desc)
     assert feats.descriptors.shape == (len(kept), reg.DESCRIPTOR_BITS)
     assert feats.descriptors.dtype == np.uint8
-    assert feats.dropped_count == dropped
+    assert len(keypoints) - len(feats.keypoint_indices) == dropped
     return feats
 
 
@@ -467,7 +467,7 @@ def test_descriptors_match_per_keypoint_reference(monkeypatch, budget):
     # isolated keypoints fall under min_neighbors and are dropped
     feats = assert_matches_reference(cloud, keypoints, 1.5 * spacing,
                                      min_neighbors=6)
-    assert 0 < feats.dropped_count < len(keypoints)
+    assert 0 < len(feats.keypoint_indices) < len(keypoints)
 
 
 def test_descriptors_edge_cases():
@@ -480,10 +480,8 @@ def test_descriptors_edge_cases():
     holed = cloud.with_(normals=normals)
     empty = sw.extract_descriptors(holed, [], radius=1.0)
     assert empty.descriptors.shape == (0, reg.DESCRIPTOR_BITS)
-    assert empty.dropped_count == 0
     # a lone point (too few neighbors), a NaN normal, and plain patches
     feats = assert_matches_reference(holed, [0, 300, 301, 450, 0], 1.0)
-    assert feats.dropped_count == 2
     assert list(feats.keypoint_indices) == [0, 450, 0]
 
 
@@ -503,7 +501,7 @@ def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal():
     _, vecs = np.linalg.eigh(star.T @ star / len(star))
     np.testing.assert_array_equal(np.abs(vecs[:, 2]), [0, 0, 1.0])
     feats = assert_matches_reference(cloud, [0, centre], 1.5, min_neighbors=1)
-    assert feats.dropped_count == 0
+    assert len(feats.keypoint_indices) == 2
 
 
 def test_select_keypoints_matches_greedy_reference():
@@ -523,7 +521,7 @@ def test_select_keypoints_matches_greedy_reference():
 def test_hamming_matrix_matches_boolean_definition(rng):
     def feats(n, bits=reg.DESCRIPTOR_BITS):
         desc = rng.integers(0, 2, (n, bits)).astype(np.uint8)
-        return reg.FeatureSet(np.arange(n), desc, radius=1.0)
+        return reg.FeatureSet(np.arange(n), desc)
 
     for a, b in ((feats(37), feats(23)), (feats(0), feats(5)),
                  (feats(4), feats(0)), (feats(6, 13), feats(3, 13))):

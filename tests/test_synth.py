@@ -76,10 +76,9 @@ def test_vegetation_coverage_fraction():
 
 def test_vegetation_min_height_above_local_ground():
     cloud, _ = gen_terrain((20, 15), 70.0, 0.4, 40.0, seed=7)
-    support_radius = 2.0
+    support_radius = synth.VEG_SUPPORT_RADIUS_M
     h_min = 0.5
-    out, truth = add_vegetation(cloud, 0.10, (h_min, 2.0), seed=8,
-                                support_radius=support_radius)
+    out, truth = add_vegetation(cloud, 0.10, (h_min, 2.0), seed=8)
     ground = out.points[truth.ground_labels == PointClass.GROUND]
     veg = out.points[truth.ground_labels == PointClass.VEGETATION]
     normal, _ = fit_plane(ground)
@@ -235,8 +234,9 @@ def test_simulate_max_range_crop():
     assert np.linalg.norm(scans[0].points, axis=1).max() <= 22.0
 
 
-def test_simulate_occlusion_drops_hidden_points():
+def test_simulate_occlusion_drops_hidden_points(monkeypatch):
     # a near wall fully hides a far wall behind it
+    monkeypatch.setattr(synth, "OCCLUSION_BIN_DEG", 1.0)
     n = 40
     g = np.linspace(-2, 2, n)
     gx, gz = np.meshgrid(g, g)
@@ -246,7 +246,7 @@ def test_simulate_occlusion_drops_hidden_points():
     cloud = sw.PointCloud(points=np.vstack([near, far]))
     station = leveled_station_pose([0.0, 0.0, 0.0], [0.0, 10.0, 0.0])
     scans = simulate_stations(cloud, [station], noise_sigma_m=0.0,
-                              occlusion=True, occlusion_bin_deg=1.0)
+                              occlusion=True)
     kept = scans[0].scalars["source_index"].astype(int)
     assert (kept < n * n).all()
 
