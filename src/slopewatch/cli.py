@@ -300,6 +300,7 @@ _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _fraction = _number(float, lambda v: 0 <= v < 1, "a share in [0, 1)")
 _nonzero_float = _number(float, lambda v: np.isfinite(v) and v != 0,
                          "a finite nonzero number")
+_finite_float = _number(float, np.isfinite, "a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,9 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rg = sub.add_parser("regions", help="extract significant regions")
     rg.add_argument("--field", required=True)
-    rg.add_argument("--threshold", type=float,
+    rg.add_argument("--threshold", type=_nonnegative_float,
                     default=cfg.rate_threshold_mm_day)
-    rg.add_argument("--min-area", type=float, default=cfg.min_region_area_m2)
+    rg.add_argument("--min-area", type=_nonnegative_float,
+                    default=cfg.min_region_area_m2)
     rg.add_argument("--out", required=True)
     rg.set_defaults(func=cmd_regions)
 
@@ -366,17 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--regions", required=True)
     cl.add_argument("--field", required=True)
     cl.add_argument("--out", required=True)
-    cl.add_argument("--motion-az", type=float, default=None)
+    cl.add_argument("--motion-az", type=_finite_float, default=None)
     cl.add_argument("--annotate", type=_annotation, action="append",
                     metavar="ID=TYPE")
     cl.set_defaults(func=cmd_classify)
 
     b = sub.add_parser("budget", help="propagated displacement error, mm")
-    b.add_argument("--tls", type=float, required=True)
-    b.add_argument("--mreg", type=float, required=True)
-    b.add_argument("--treg", type=float, required=True)
-    b.add_argument("--veg", type=float, required=True)
-    b.add_argument("--mesh", type=float, required=True)
+    for name in ("--tls", "--mreg", "--treg", "--veg", "--mesh"):
+        b.add_argument(name, type=_nonnegative_float, required=True)
     b.set_defaults(func=cmd_budget)
 
     sy = sub.add_parser("synth", help="synthetic scene generators")
@@ -399,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=cmd_synth)
     sl = sysub.add_parser("slide")
     sl.add_argument("--in", dest="infile", required=True)
-    sl.add_argument("--center", type=float, nargs=3, required=True)
+    sl.add_argument("--center", type=_finite_float, nargs=3, required=True)
     sl.add_argument("--radius-along", type=_positive_float, default=10.0)
     sl.add_argument("--radius-across", type=_positive_float, default=5.0)
     sl.add_argument("--depth", type=_nonzero_float, default=0.5)
-    sl.add_argument("--azimuth", type=float, default=90.0)
+    sl.add_argument("--azimuth", type=_finite_float, default=90.0)
     sl.add_argument("--seed", type=int, default=0)
     sl.add_argument("--out", required=True)
     sl.set_defaults(func=cmd_synth)

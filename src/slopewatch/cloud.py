@@ -459,14 +459,38 @@ def read_cloud(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
+def _kept(cloud: PointCloud, key, make):
+    """``make()``, computed on the first call for ``cloud`` and ``key`` and
+    kept with the cloud for every later call. A cloud is immutable, so an
+    entry never goes stale as long as ``key`` names every setting the value
+    depends on; a new cloud (``with_``, ``subset``) starts empty."""
+    memo = cloud.__dict__.setdefault("_kept", {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
 def _kdtree(cloud: PointCloud) -> cKDTree:
     """The kd-tree over ``cloud.points``, built on first use and kept with
-    the cloud; a cloud is immutable, so the tree never goes stale."""
-    tree = cloud.__dict__.get("_kdtree")
-    if tree is None:
-        tree = cKDTree(cloud.points)
-        object.__setattr__(cloud, "_kdtree", tree)
-    return tree
+    the cloud."""
+    return _kept(cloud, "kdtree", lambda: cKDTree(cloud.points))
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    of a 2-D array: the distinct rows in lexicographic order, the index of
+    each one's first occurrence and, per row, the index of its distinct
+    row. One stable ``lexsort`` over the columns (first column primary),
+    with group boundaries where adjacent sorted rows differ, so ``-0.0``
+    and ``0.0`` are one value, as in ``np.unique``."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    first = order[new]
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[first], first, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +671,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     scalars = dict(cloud.scalars)
     scalars["curvature"] = curvature
     out = cloud.with_(normals=normals, scalars=scalars)
-    object.__setattr__(out, "_kdtree", tree)   # same points, same tree
+    _kept(out, "kdtree", lambda: tree)   # same points, same tree
     return out
 
 
@@ -666,14 +690,11 @@ def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
         return PointCloud(points=pts, epoch_id=cloud.epoch_id,
                           origin_shift=cloud.origin_shift)
     keys = np.floor(pts / cell).astype(np.int64)
-    # np.unique(axis=0) sorts lexicographically; recover first-occurrence order
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    ncell = len(uniq)
-    first_seen = np.full(ncell, len(pts), dtype=np.int64)
-    np.minimum.at(first_seen, inverse, np.arange(len(pts)))
-    order = np.argsort(first_seen, kind="stable")
+    # cells come sorted lexicographically; recover first-occurrence order
+    _, first, inverse = _unique_rows(keys)
+    ncell = len(first)
     rank = np.empty(ncell, dtype=np.int64)
-    rank[order] = np.arange(ncell)
+    rank[np.argsort(first)] = np.arange(ncell)
     cell_of = rank[inverse]
 
     counts = np.bincount(cell_of, minlength=ncell).astype(np.float64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, PointClass, fit_plane
+from .cloud import PointCloud, PointClass, fit_plane, _unique_rows
 from .errors import CloudFormatError, NoConvergence, TooSparse
 from .rigid import RigidTransform
 
@@ -80,7 +80,7 @@ def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
         raise TooSparse(f"{len(pts)} points; need at least {SUBSLOPE_MIN_POINTS}")
 
     keys = np.floor(pts[:, :2] / cell_size).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    uniq, _, inverse = _unique_rows(keys)
     counts = np.bincount(inverse, minlength=len(uniq))
     populated = counts >= SUBSLOPE_MIN_POINTS
     if not populated.any():

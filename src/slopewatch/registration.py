@@ -25,7 +25,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .cloud import (PointCloud, concat_clouds, diameter, estimate_normals,
-                    fit_plane, surface_spacing, _kdtree, _orient_deterministic)
+                    fit_plane, surface_spacing, _kdtree, _kept,
+                    _orient_deterministic, _unique_rows)
 from .errors import (DegenerateCorrespondences, DisconnectedViews,
                      InsufficientGeometry, NoOverlap)
 from .rigid import RigidTransform
@@ -275,7 +276,7 @@ def select_keypoints(cloud: PointCloud, count: int,
     if min_spacing <= 0:
         return order[:count]
     cells = np.floor(cloud.points[order] * (1.0 / min_spacing)).astype(np.int64)
-    _, first = np.unique(cells, axis=0, return_index=True)
+    _, first, _ = _unique_rows(cells)
     return order[np.sort(first)[:count]]
 
 
@@ -429,41 +430,60 @@ def consistent_match_subset(src_pts: np.ndarray, tgt_pts: np.ndarray,
 
 
 def _ensure_normals(cloud: PointCloud) -> PointCloud:
-    """Estimate normals with an up-facing default viewpoint when missing.
+    """The cloud with normals and a ``curvature`` channel: itself when it
+    has both, else an estimate with an up-facing default viewpoint.
 
-    The estimate is kept with the cloud, like its kd-tree; a cloud is
-    immutable, so it never goes stale.
+    The estimate is kept with the cloud (``cloud._kept``), like its
+    kd-tree, so every registration of one cloud estimates its normals once.
     """
     if cloud.normals is not None and "curvature" in cloud.scalars:
         return cloud
-    estimated = cloud.__dict__.get("_with_normals")
-    if estimated is None:
+
+    def estimate():
         k = min(NORMALS_K, len(cloud))
         normal, _ = fit_plane(cloud.points)
         vp = cloud.points.mean(axis=0) + _orient_deterministic(normal) * (
             2.0 * max(diameter(cloud), 1.0))
         logger.debug("estimating normals (k=%d) with default viewpoint", k)
-        estimated = cloud.__dict__["_with_normals"] = estimate_normals(
-            cloud, k=k, viewpoint=vp)
-    return estimated
+        return estimate_normals(cloud, k=k, viewpoint=vp)
+
+    return _kept(cloud, ("with_normals", NORMALS_K), estimate)
+
+
+def _spacing(cloud: PointCloud) -> float:
+    """``surface_spacing(cloud)``, kept with the cloud."""
+    return _kept(cloud, "surface_spacing", lambda: surface_spacing(cloud))
+
+
+def _features(cloud: PointCloud, radius: float) -> FeatureSet:
+    """Descriptors at ``radius`` on the cloud's ``KEYPOINT_COUNT`` keypoints,
+    picked ``KEYPOINT_GAP_SPACINGS`` surface spacings apart. The keypoints
+    and each radius's ``FeatureSet`` are kept with the cloud, keyed by every
+    setting they depend on."""
+    gap = KEYPOINT_GAP_SPACINGS * _spacing(cloud)
+    keypoints = _kept(cloud, ("keypoints", KEYPOINT_COUNT, gap),
+                      lambda: select_keypoints(cloud, KEYPOINT_COUNT, gap))
+    return _kept(cloud, ("descriptors", KEYPOINT_COUNT, gap, radius),
+                 lambda: extract_descriptors(cloud, keypoints, radius))
 
 
 def _prepare_pair(source: PointCloud, target: PointCloud):
-    """Shared-radius descriptor extraction for a cloud pair.
+    """Shared-radius descriptor extraction for a cloud pair: (source and
+    target with normals, their feature sets, the pair's spacing).
 
     Both sides must bin their neighborhoods at the same support radius or
     the descriptors are not comparable (merged clouds sample denser than
-    single scans).
+    single scans). Normals, spacing, keypoints and descriptors are kept
+    with each cloud, so every method run on one pair (coarse+icp, the
+    hybrid) and every multi-view round that rescores an unchanged group
+    reuses them; the results are those of computing them afresh.
     """
     source = _ensure_normals(source)
     target = _ensure_normals(target)
-    spacing = max(surface_spacing(source), surface_spacing(target))
+    spacing = max(_spacing(source), _spacing(target))
     radius = DESCRIPTOR_RADIUS_SPACINGS * spacing
-    fs = extract_descriptors(source, select_keypoints(source, KEYPOINT_COUNT),
-                             radius)
-    ft = extract_descriptors(target, select_keypoints(target, KEYPOINT_COUNT),
-                             radius)
-    return source, target, fs, ft, spacing
+    return (source, target, _features(source, radius),
+            _features(target, radius), spacing)
 
 
 def _consistent_matches(source: PointCloud, target: PointCloud,
@@ -585,7 +605,9 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
     fit. With ``refine_pair_m`` above 0, a last ICP from that result pairs
     only within that gate, so deforming surface cannot drag the alignment.
     Both ICP runs share the target's kd-tree, and a ``NoOverlap`` from the
-    assignment pose propagates.
+    assignment pose propagates. Normals, keypoints and descriptors come
+    from ``_prepare_pair``, so clouds already coarse-registered to each
+    other reuse the ones kept with them.
     """
     icp_params = icp_params or IcpParams()
     source, target, fs, ft, _ = _prepare_pair(source, target)

@@ -17,7 +17,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
 from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _ply_vertices,
-                    _read_ply, _working_frame)
+                    _read_ply, _unique_rows, _working_frame)
 from .errors import CloudFormatError, DegenerateSurface, NoOverlap
 
 logger = logging.getLogger(__name__)
@@ -185,7 +185,7 @@ def build_dtm(
                          plane_normal=normal, plane_offset=offset)
     uv = shell.project(pts)
 
-    _, first_idx = np.unique(uv, axis=0, return_index=True)
+    _, first_idx, _ = _unique_rows(uv)
     keep = np.sort(first_idx)
     dropped = len(pts) - len(keep)
     if dropped:

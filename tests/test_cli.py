@@ -330,6 +330,24 @@ def test_deform_refuses_days_that_are_not_positive(capsys, days):
     ["synth", "scan", "--in", "i", "--out", "o", "--noise", "-0.01"],
     ["synth", "terrain", "--out", "o", "--slope", "95"],
     ["synth", "terrain", "--out", "o", "--roughness", "-1"],
+    ["regions", "--field", "f", "--out", "o", "--threshold", "nan"],
+    ["regions", "--field", "f", "--out", "o", "--min-area", "-1"],
+    ["budget", "--mreg", "30", "--treg", "60", "--veg", "10", "--mesh", "10",
+     "--tls", "-5"],
+    ["budget", "--tls", "1", "--treg", "60", "--veg", "10", "--mesh", "10",
+     "--mreg", "nan"],
+    ["budget", "--tls", "1", "--mreg", "30", "--veg", "10", "--mesh", "10",
+     "--treg", "inf"],
+    ["budget", "--tls", "1", "--mreg", "30", "--treg", "60", "--mesh", "10",
+     "--veg", "-0.5"],
+    ["budget", "--tls", "1", "--mreg", "30", "--treg", "60", "--veg", "10",
+     "--mesh", "nan"],
+    ["classify", "--regions", "r", "--field", "f", "--out", "o",
+     "--motion-az", "nan"],
+    ["synth", "slide", "--in", "i", "--out", "o", "--center", "0", "0", "0",
+     "--azimuth", "inf"],
+    # --center takes three numbers; the middle one is refused
+    ["synth", "slide", "--in", "i", "--out", "o", "--center", "0", "nan", "0"],
 ], ids=lambda argv: argv[-2])
 def test_numeric_options_are_checked_when_parsed(capsys, argv):
     """The option named second to last refuses the value after it."""

@@ -366,3 +366,23 @@ def test_voxel_idempotent(rng):
 def test_voxel_rejects_bad_cell(random_cloud):
     with pytest.raises(ValueError):
         sw.voxel_downsample(random_cloud, 0.0)
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(1).integers(-3, 3, size=(500, 3)),
+    np.random.default_rng(2).integers(-2, 2, size=(400, 2)),
+    np.round(np.random.default_rng(3).normal(size=(300, 2)), 1),
+    np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]]),
+    np.array([[-0.0, 2.0], [0.0, 2.0]]),
+    np.array([[7, -1, 4]]),
+    np.zeros((0, 3), dtype=np.int64),
+], ids=["int3", "int2", "float2", "signed-zero", "signed-zero-first",
+        "one-row", "no-rows"])
+def test_unique_rows_matches_numpy(rows):
+    got = cloud_mod._unique_rows(rows)
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+    # -0.0 and 0.0 are one value, and the first occurrence's sign stays
+    np.testing.assert_array_equal(np.signbit(got[0]), np.signbit(want[0]))

@@ -82,3 +82,30 @@ def test_every_setting_is_read():
                     if cls not in READ_OUTSIDE
                     for name in names - read)
     assert unread == sorted(k for k in READ_OUTSIDE if "." in k)
+
+
+def test_derived_data_is_kept_one_way():
+    """Data derived from an immutable object (a cloud's kd-tree, normals,
+    registration features) is kept through ``cloud._kept`` alone: no other
+    code reads or writes an instance ``__dict__``, and ``object.__setattr__``
+    only sets fields in a frozen record's ``__post_init__``."""
+    stray = []
+    memo_helpers = 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {"_kept": set(), "__post_init__": set()}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in inside:
+                inside[fn.name].update(id(node) for node in ast.walk(fn))
+                memo_helpers += (path.name, fn.name) == ("cloud.py", "_kept")
+        if path.name != "cloud.py":
+            inside["_kept"] = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                    and id(node) not in inside["_kept"]):
+                stray.append(f"{path.name}:{node.lineno} __dict__")
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and id(node) not in inside["__post_init__"]):
+                stray.append(f"{path.name}:{node.lineno} __setattr__")
+    assert memo_helpers == 1
+    assert stray == []

@@ -286,6 +286,45 @@ def test_normals_estimated_once_per_cloud(monkeypatch):
     assert reg._ensure_normals(lifted) is not prepared
 
 
+def test_coarse_features_prepared_once_per_cloud(monkeypatch):
+    cloud, _ = make_terrain(seed=5, extent=(30, 20))
+    off = RigidTransform.rotation_about_axis([0.0, 0.0, 1.0], np.radians(30))
+    off = RigidTransform(off.rotation, np.array([2.0, -1.0, 0.5]))
+    source = off.apply_cloud(cloud)
+    # the same methods on fresh copies, each method on its own copies
+    fresh_coarse = sw.coarse_register(source.with_(), cloud.with_())
+    fresh_hybrid = sw.register_global_hybrid(source.with_(), cloud.with_())
+
+    calls = {name: [] for name in ("estimate_normals", "surface_spacing",
+                                   "select_keypoints", "extract_descriptors")}
+    for name, seen in calls.items():
+        def counting(c, *args, _real=getattr(reg, name), _seen=seen, **kwargs):
+            _seen.append(c)
+            return _real(c, *args, **kwargs)
+        monkeypatch.setattr(reg, name, counting)
+
+    coarse = sw.coarse_register(source, cloud)
+    hybrid = sw.register_global_hybrid(source, cloud)
+    # estimate_normals sees the raw clouds, the feature steps their
+    # prepared copies: once per cloud each
+    assert [id(c) for c in calls["estimate_normals"]] == [id(source), id(cloud)]
+    prepared = [reg._ensure_normals(source), reg._ensure_normals(cloud)]
+    for name in ("surface_spacing", "select_keypoints", "extract_descriptors"):
+        assert sorted(map(id, calls[name])) == sorted(map(id, prepared)), name
+    np.testing.assert_array_equal(coarse.matrix(), fresh_coarse.matrix())
+    np.testing.assert_array_equal(hybrid.transform.matrix(),
+                                  fresh_hybrid.transform.matrix())
+    assert hybrid.rmse_sequence == fresh_hybrid.rmse_sequence
+
+    # new points make a new cloud with entries of its own
+    lifted = cloud.with_(points=cloud.points + [0.0, 0.0, 1.0])
+    sw.coarse_register(source, lifted)
+    assert calls["estimate_normals"][-1] is lifted
+    for name in ("surface_spacing", "select_keypoints", "extract_descriptors"):
+        assert len(calls[name]) == 3, name
+        assert calls[name][-1] is reg._ensure_normals(lifted), name
+
+
 def test_icp_ignores_pairs_without_target_normal():
     cloud, _ = make_terrain(seed=5, extent=(30, 20))
     target = reg._ensure_normals(cloud)
