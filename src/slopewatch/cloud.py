@@ -14,6 +14,8 @@ accept ASCII or binary little-endian PLY and ASCII XYZ.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import IntEnum
@@ -27,6 +29,16 @@ logger = logging.getLogger(__name__)
 
 SPACING_K = 4           # surface_spacing's neighbor rank
 SPACING_SAMPLE = 2000   # surface_spacing probes about this many points
+# rows per block of a per-row kernel run by ``_by_rows``; it bounds the
+# kernels' working memory. 2,048 to 16,384 ran equally fast; a cloud of
+# up to this many points stays on the calling thread
+ROW_BLOCK = 8192
+# one thread per usable core: the kernels spend their time in numpy,
+# LAPACK and kd-tree queries, which release the interpreter lock
+_POOL = ThreadPoolExecutor(
+    max_workers=(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1),
+    thread_name_prefix="slopewatch-rows")
 
 
 class PointClass(IntEnum):
@@ -476,6 +488,27 @@ def _kdtree(cloud: PointCloud) -> cKDTree:
     return _kept(cloud, "kdtree", lambda: cKDTree(cloud.points))
 
 
+def _by_rows(kernel, rows) -> tuple:
+    """``kernel`` over ``rows`` cut into contiguous blocks of ``ROW_BLOCK``
+    rows, run on the module's thread pool; the arrays of each block's result
+    tuple are concatenated in block order. One block (zero rows make one
+    empty block, so the result keeps its column shapes) runs on the calling
+    thread: a pool thread would only hand it over, and would keep its
+    memory in a malloc arena of its own.
+
+    A kernel must compute each row on its own, so the result does not depend
+    on the block size or the thread count. It runs on a pool thread, so it
+    builds no ``cKDTree`` and calls neither ``_kept`` (an unlocked memo)
+    nor ``_by_rows`` (it would wait on its own pool), nor a function that
+    ``perfbench/tracing.py`` wraps: the tracer counts kd-tree builds and
+    calls on one span stack. A kernel sets any ``np.errstate`` it needs
+    itself; the caller's does not reach the pool threads.
+    """
+    blocks = [rows[s:s + ROW_BLOCK] for s in range(0, max(len(rows), 1), ROW_BLOCK)]
+    parts = [kernel(blocks[0])] if len(blocks) == 1 else list(_POOL.map(kernel, blocks))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
     of a 2-D array: the distinct rows in lexicographic order, the index of
@@ -522,7 +555,7 @@ def surface_spacing(cloud: PointCloud) -> float:
         return 0.0
     k = SPACING_K if n > SPACING_K else 1
     probe = cloud.points[::max(1, n // SPACING_SAMPLE)]
-    d, _ = _kdtree(cloud).query(probe, k=k + 1)
+    d, _ = _kdtree(cloud).query(probe, k=k + 1, workers=-1)
     return float(np.median(d[:, k]) / np.sqrt(k))
 
 
@@ -614,7 +647,7 @@ def remove_outliers(cloud: PointCloud, k: int = 8,
     n = len(cloud)
     if n <= k:
         return cloud
-    d, _ = _kdtree(cloud).query(cloud.points, k=k + 1)
+    d, _ = _kdtree(cloud).query(cloud.points, k=k + 1, workers=-1)
     mean_d = d[:, 1:].mean(axis=1)
     keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
     return cloud.subset(np.flatnonzero(keep))
@@ -627,6 +660,11 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     ``viewpoint``. Degenerate (collinear) neighborhoods get a NaN normal.
     A ``curvature`` scalar channel (smallest eigenvalue over the trace)
     is attached for downstream keypoint selection.
+
+    The kd-tree is built (or taken from the cloud) on the calling thread;
+    query, covariance, ``eigh``, orientation and curvature run per block
+    of ``ROW_BLOCK`` points on every core (``_by_rows``). Each point is
+    computed on its own, so the result is the same for any core count.
 
     Parameters
     ----------
@@ -645,12 +683,8 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     pts = cloud.points
     tree = _kdtree(cloud)
 
-    normals = np.empty((n, 3))
-    curvature = np.zeros(n)
-    chunk = 200_000
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        _, idx = tree.query(pts[start:stop], k=k)
+    def kernel(block):
+        _, idx = tree.query(block, k=k, workers=1)
         nb = pts[idx]                                # (m, k, 3)
         mean = nb.mean(axis=1, keepdims=True)
         centered = nb - mean
@@ -658,16 +692,16 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
         w, v = np.linalg.eigh(cov)                   # ascending eigenvalues
         nrm = v[:, :, 0]
         degenerate = w[:, 1] <= np.maximum(w[:, 2], 1e-300) * 1e-9
-        flip = np.einsum("mi,mi->m", nrm, vp - pts[start:stop]) < 0
+        flip = np.einsum("mi,mi->m", nrm, vp - block) < 0
         nrm[flip] *= -1.0
         nrm[degenerate] = np.nan
-        normals[start:stop] = nrm
         trace = w.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             c = np.where(trace > 0, w[:, 0] / np.where(trace > 0, trace, 1.0), 0.0)
         c[degenerate] = 0.0
-        curvature[start:stop] = c
+        return nrm, c
 
+    normals, curvature = _by_rows(kernel, pts)
     scalars = dict(cloud.scalars)
     scalars["curvature"] = curvature
     out = cloud.with_(normals=normals, scalars=scalars)

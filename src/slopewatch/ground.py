@@ -142,7 +142,7 @@ def _fill_empty_cells(height: np.ndarray, occupied: np.ndarray) -> np.ndarray:
     occ_idx = np.argwhere(occupied)
     empty_idx = np.argwhere(~occupied)
     tree = cKDTree(occ_idx.astype(np.float64))
-    _, nearest = tree.query(empty_idx.astype(np.float64), k=1)
+    _, nearest = tree.query(empty_idx.astype(np.float64), k=1, workers=-1)
     filled[tuple(empty_idx.T)] = height[tuple(occ_idx[nearest].T)]
     return filled
 

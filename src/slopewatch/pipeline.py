@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,13 +145,20 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
+    """Run a stage: failures become ``PipelineStageError(name)``, and its
+    wall and process-CPU seconds are logged when it ends (CPU above wall
+    means it ran on more than one core)."""
     logger.info("pipeline stage: %s", name)
+    wall, cpu = time.perf_counter(), time.process_time()
     try:
         yield
     except PipelineStageError:
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
+    finally:
+        logger.info("stage %s took %.3f s wall, %.3f s cpu", name,
+                    time.perf_counter() - wall, time.process_time() - cpu)
 
 
 def default_config(**overrides) -> PipelineConfig:

@@ -186,7 +186,7 @@ def icp(
 
     for it in range(1, params.max_iter + 1):
         moved = t.apply(src)
-        dist, idx = tree.query(moved)
+        dist, idx = tree.query(moved, workers=-1)
         mask = dist <= max_pair
         if it == 1 and not mask.any():
             raise NoOverlap(
@@ -304,7 +304,8 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
     kept = np.zeros(len(keypoints), dtype=bool)
     desc = np.zeros((len(keypoints), DESCRIPTOR_BITS), dtype=np.uint8)
     if len(keypoints):
-        lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius)
+        lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius,
+                                                workers=-1)
         sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
         usable = np.flatnonzero(
             (sizes >= min_neighbors)

@@ -16,8 +16,8 @@ from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
-from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _ply_vertices,
-                    _read_ply, _unique_rows, _working_frame)
+from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _by_rows,
+                    _ply_vertices, _read_ply, _unique_rows, _working_frame)
 from .errors import CloudFormatError, DegenerateSurface, NoOverlap
 
 logger = logging.getLogger(__name__)
@@ -308,6 +308,12 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
     rows are dropped before any triangle is gathered when their centroid
     distance rules them out. A ball query falls back where the k-th
     centroid cannot rule out closer or equally near triangles.
+
+    Centroids, radii, size groups and both group trees are built once on
+    the calling thread; the searches run per block of ``ROW_BLOCK``
+    vertices on every core (``cloud._by_rows``), which also bounds the
+    ball query's working memory. A vertex's search reads no other
+    vertex, so the result is the same for any core count.
     """
     centroids = (a + b + c) / 3.0
     r_tri = np.maximum.reduce([
@@ -315,71 +321,74 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
         np.linalg.norm(b - centroids, axis=1),
         np.linalg.norm(c - centroids, axis=1),
     ])
-    nv = len(verts)
-    best_d = np.full(nv, np.inf)
-    best_tri = np.zeros(nv, dtype=np.int64)
-    best_cp = np.zeros_like(verts)
-
-    def consider(flat: np.ndarray, owner: np.ndarray):
-        if len(flat) == 0:
-            return
-        dc = np.linalg.norm(centroids[flat] - verts[owner], axis=1)
-        improving = dc - r_tri[flat] <= best_d[owner]
-        flat = flat[improving]
-        owner = owner[improving]
-        if len(flat) == 0:
-            return
-        cps = closest_point_on_triangles(verts[owner], a[flat], b[flat], c[flat])
-        dd = np.linalg.norm(verts[owner] - cps, axis=1)
-        # per vertex the nearest candidates, held one included, and of
-        # those the lowest triangle index; an owner never lists a
-        # triangle twice, so one candidate per updated vertex wins
-        nearest = best_d.copy()
-        np.minimum.at(nearest, owner, dd)
-        at_min = dd == nearest[owner]
-        lowest = np.where(nearest == best_d, best_tri, len(centroids))
-        np.minimum.at(lowest, owner[at_min], flat[at_min])
-        win = at_min & (flat == lowest[owner])
-        upd = owner[win]
-        best_d[upd] = dd[win]
-        best_tri[upd] = flat[win]
-        best_cp[upd] = cps[win]
-
     limit = 2.0 * float(np.median(r_tri)) + 1e-12
     small = r_tri <= limit        # never empty: it holds the median triangle
     # the small group's nearest centroid seeds best_d, so the other columns
     # prune against a finite distance
-    for group, k_max, blocks in (
-            (np.flatnonzero(small), 24, (slice(0, 1), slice(1, None))),
-            (np.flatnonzero(~small), 4, (slice(None),))):
-        if len(group) == 0:
-            continue
-        g_rmax = float(r_tri[group].max())
-        g_tree = cKDTree(centroids[group])
-        k = min(k_max, len(group))
-        gd, gi = g_tree.query(verts, k=k)
-        gd = gd.reshape(nv, k)
-        gi = group[gi.reshape(nv, k)]
-        for cols in blocks:
-            # the tree's centroid distance with a relative slack, so rows
-            # kept here are a superset of those consider() admits
-            keep = (gd[:, cols] * (1.0 - 1e-12) - r_tri[gi[:, cols]]
-                    <= best_d[:, None])
-            owner, col = np.nonzero(keep)
-            consider(gi[:, cols][owner, col], owner)
-        pending = np.flatnonzero(gd[:, -1] <= np.minimum(best_d, cap) + g_rmax)
-        for start in range(0, len(pending), 4096):
-            sub = pending[start:start + 4096]
-            radius = np.minimum(best_d[sub], cap) + g_rmax
-            lists = g_tree.query_ball_point(verts[sub], r=radius)
+    groups = [(group, cKDTree(centroids[group]), min(k_max, len(group)),
+               float(r_tri[group].max()), columns)
+              for group, k_max, columns in (
+                  (np.flatnonzero(small), 24, (slice(0, 1), slice(1, None))),
+                  (np.flatnonzero(~small), 4, (slice(None),)))
+              if len(group)]
+
+    def kernel(pts: np.ndarray):
+        nv = len(pts)
+        best_d = np.full(nv, np.inf)
+        best_tri = np.zeros(nv, dtype=np.int64)
+        best_cp = np.zeros_like(pts)
+
+        def consider(flat: np.ndarray, owner: np.ndarray):
+            if len(flat) == 0:
+                return
+            dc = np.linalg.norm(centroids[flat] - pts[owner], axis=1)
+            improving = dc - r_tri[flat] <= best_d[owner]
+            flat = flat[improving]
+            owner = owner[improving]
+            if len(flat) == 0:
+                return
+            cps = closest_point_on_triangles(pts[owner], a[flat], b[flat], c[flat])
+            dd = np.linalg.norm(pts[owner] - cps, axis=1)
+            # per vertex the nearest candidates, held one included, and of
+            # those the lowest triangle index; an owner never lists a
+            # triangle twice, so one candidate per updated vertex wins
+            nearest = best_d.copy()
+            np.minimum.at(nearest, owner, dd)
+            at_min = dd == nearest[owner]
+            lowest = np.where(nearest == best_d, best_tri, len(centroids))
+            np.minimum.at(lowest, owner[at_min], flat[at_min])
+            win = at_min & (flat == lowest[owner])
+            upd = owner[win]
+            best_d[upd] = dd[win]
+            best_tri[upd] = flat[win]
+            best_cp[upd] = cps[win]
+
+        for group, g_tree, k, g_rmax, columns in groups:
+            gd, gi = g_tree.query(pts, k=k, workers=1)
+            gd = gd.reshape(nv, k)
+            gi = group[gi.reshape(nv, k)]
+            for cols in columns:
+                # the tree's centroid distance with a relative slack, so rows
+                # kept here are a superset of those consider() admits
+                keep = (gd[:, cols] * (1.0 - 1e-12) - r_tri[gi[:, cols]]
+                        <= best_d[:, None])
+                owner, col = np.nonzero(keep)
+                consider(gi[:, cols][owner, col], owner)
+            pending = np.flatnonzero(gd[:, -1] <= np.minimum(best_d, cap) + g_rmax)
+            if len(pending) == 0:
+                continue
+            radius = np.minimum(best_d[pending], cap) + g_rmax
+            lists = g_tree.query_ball_point(pts[pending], r=radius, workers=1)
             counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
-                                 count=len(sub))
+                                 count=len(pending))
             if counts.sum() == 0:
                 continue
             flat = group[np.concatenate(
                 [np.asarray(l, dtype=np.int64) for l in lists if l])]
-            consider(flat, np.repeat(sub, counts))
-    return best_d, best_tri, best_cp
+            consider(flat, np.repeat(pending, counts))
+        return best_d, best_tri, best_cp
+
+    return _by_rows(kernel, verts)
 
 
 def mesh_distance(

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import logging
+import re
 import sys
 from pathlib import Path
 
@@ -64,6 +66,21 @@ def test_benchmark_deterministic():
 # ---------------------------------------------------------------------------
 # pipeline configuration
 # ---------------------------------------------------------------------------
+
+
+def test_stage_logs_its_wall_and_cpu_seconds_when_it_ends(caplog):
+    with caplog.at_level(logging.INFO, logger="slopewatch.pipeline"):
+        with pipeline_mod._stage("busy"):
+            np.linalg.eigh(np.ones((50_000, 3, 3)))
+        with pytest.raises(PipelineStageError):
+            with pipeline_mod._stage("broken"):
+                raise ValueError("bad input")
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0::2] == ["pipeline stage: busy", "pipeline stage: broken"]
+    ends = [re.fullmatch(r"stage (\w+) took (\d+\.\d{3}) s wall, "
+                         r"(\d+\.\d{3}) s cpu", m) for m in messages[1::2]]
+    assert [m[1] for m in ends] == ["busy", "broken"]
+    assert float(ends[0][3]) > 0.0
 
 
 def test_pipeline_config_json_roundtrip(tmp_path):
@@ -207,6 +224,18 @@ def test_pipeline_scene_with_erosion(tmp_path):
     assert region_pairs(result) == [("I,II", "L")]
     assert result.report["epoch_pairs"][0]["mean_cm"] == pytest.approx(
         -1.09, abs=0.01)
+
+
+def test_pipeline_scene_with_erosion_beside_deposition(tmp_path):
+    cfg = scene_config(tmp_path)
+    cfg.epochs[1].landslides.append(LandslideSpec(
+        center=(48.0, 6.84, 18.79), radius_along=8.0, radius_across=5.0,
+        depth_m=-0.5, azimuth_deg=90.0))
+    result = run_pipeline(cfg)
+    assert region_pairs(result) == [("I,II", "L")] * 2
+    signs = sorted(np.sign(np.mean(result.fields[0].values[r.vertex_set]))
+                   for r in result.regions)
+    assert signs == [-1.0, 1.0]
 
 
 def test_pipeline_scene_with_a_third_epoch_without_slide(tmp_path):

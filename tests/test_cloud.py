@@ -1,3 +1,5 @@
+from threading import current_thread, main_thread
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -320,6 +322,50 @@ def test_normals_unit_norm_and_orientation(rng):
     dots = ((vp - cloud.points[valid]) * cloud.normals[valid]).sum(axis=1)
     assert np.all(dots >= -1e-12)
     assert "curvature" in cloud.scalars
+
+
+def test_normals_and_outliers_do_not_depend_on_blocks_or_threads(serial_blocks):
+    terr, _ = sw.gen_terrain((15, 10), 45, 0.4, 20, seed=3)
+    vp = terr.points.mean(axis=0) + np.array([0.0, -20.0, 30.0])
+    want_normals = sw.estimate_normals(terr, k=12, viewpoint=vp)
+    want_kept = remove_outliers(terr, k=4, std_ratio=1.0)
+    assert len(terr) > 7 * 100 and 0 < len(want_kept) < len(terr)
+    serial_blocks()
+    fresh = sw.PointCloud(points=terr.points)
+    got_normals = sw.estimate_normals(fresh, k=12, viewpoint=vp)
+    np.testing.assert_array_equal(got_normals.normals, want_normals.normals)
+    np.testing.assert_array_equal(got_normals.scalars["curvature"],
+                                  want_normals.scalars["curvature"])
+    got_kept = remove_outliers(sw.PointCloud(points=terr.points), k=4,
+                               std_ratio=1.0)
+    np.testing.assert_array_equal(got_kept.points, want_kept.points)
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, cloud_mod.ROW_BLOCK, cloud_mod.ROW_BLOCK + 1],
+                         ids=["no-rows", "one-row", "one-block",
+                              "one-block-and-a-row"])
+def test_by_rows_concatenates_blocks_in_row_order(n):
+    sizes, threads = [], set()
+
+    def kernel(block):
+        sizes.append(len(block))
+        threads.add(current_thread())
+        return 2.0 * block, block[:, 0].astype(np.int64)
+
+    rows = np.arange(3.0 * n).reshape(n, 3)
+    doubled, first = cloud_mod._by_rows(kernel, rows)
+    np.testing.assert_array_equal(doubled, 2.0 * rows)
+    assert doubled.shape == (n, 3) and first.dtype == np.int64
+    np.testing.assert_array_equal(first, 3 * np.arange(n))
+    if n > cloud_mod.ROW_BLOCK:
+        assert sorted(sizes) == [1, n - 1] and main_thread() not in threads
+    else:
+        assert sizes == [n] and threads == {main_thread()}
 
 
 # ---------------------------------------------------------------------------

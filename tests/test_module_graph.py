@@ -5,8 +5,11 @@ import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
+from threading import current_thread, main_thread
 
 import slopewatch
+from slopewatch import cloud, terrain
+from slopewatch.pipeline import default_config, run_pipeline
 
 PACKAGE_DIR = Path(slopewatch.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -109,3 +112,85 @@ def test_derived_data_is_kept_one_way():
                 stray.append(f"{path.name}:{node.lineno} __setattr__")
     assert memo_helpers == 1
     assert stray == []
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_one_thread_pool_and_no_other_threads_or_processes():
+    """The per-row kernels share one pool (``cloud._by_rows``); no other
+    code starts threads or processes of its own."""
+    pools, stray = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node) == "ThreadPoolExecutor":
+                pools.append(path.name)
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if any(n.split(".")[0] in ("multiprocessing", "Thread",
+                                       "ProcessPoolExecutor") for n in names):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert pools == ["cloud.py"]
+    assert stray == []
+
+
+def test_every_kdtree_query_names_its_workers():
+    """A plain query runs on every core (``workers=-1``); one inside a
+    ``_by_rows`` kernel already runs on a pool thread (``workers=1``)."""
+    queries, unnamed = 0, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("query", "query_ball_point")):
+                queries += 1
+                if not any(kw.arg == "workers" for kw in node.keywords):
+                    unnamed.append(f"{path.name}:{node.lineno}")
+    assert queries >= 8
+    assert unnamed == []
+
+
+def test_pool_threads_build_no_tree_and_keep_nothing(tmp_path, monkeypatch):
+    """The benchmark's tracer keeps one span stack and counts kd-tree
+    builds on it, and ``_kept`` writes an unlocked memo: during a pipeline
+    run both happen on the main thread only, while the nearest-triangle
+    search does run on pool threads."""
+    off_main, search_threads = [], set()
+    real_tree, real_kept = cloud.cKDTree, cloud._kept
+    real_closest = terrain.closest_point_on_triangles
+
+    def tree(*args, **kwargs):
+        if current_thread() is not main_thread():
+            off_main.append("cKDTree")
+        return real_tree(*args, **kwargs)
+
+    def kept(obj, key, make):
+        if current_thread() is not main_thread():
+            off_main.append(f"_kept {key!r}")
+        return real_kept(obj, key, make)
+
+    def closest(*args):
+        search_threads.add(current_thread().name)
+        return real_closest(*args)
+
+    for module in [m for n, m in sys.modules.items()
+                   if n.startswith("slopewatch.") and m is not None]:
+        for attr, real, fake in (("cKDTree", real_tree, tree),
+                                 ("_kept", real_kept, kept)):
+            if vars(module).get(attr) is real:
+                monkeypatch.setattr(module, attr, fake)
+    monkeypatch.setattr(terrain, "closest_point_on_triangles", closest)
+    run_pipeline(default_config(density_pts_m2=8, out_dir=str(tmp_path / "run")))
+    assert off_main == []
+    assert search_threads - {main_thread().name}

@@ -375,19 +375,12 @@ def _overhang_reference():
                            plane_normal=PLANE_Z[0], plane_offset=0.0)
 
 
-@pytest.mark.parametrize("case", ["mixed-sizes", "overhang"])
-def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
-    ball_trees = []
-
-    class BallSpy(cKDTree):
-        def query_ball_point(self, x, r, *args, **kwargs):
-            ball_trees.append(self.n)
-            return super().query_ball_point(x, r, *args, **kwargs)
-
-    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
-    rng = np.random.default_rng(31)
+def _brute_force_case(case):
+    """(reference, compared) meshes of a brute-force comparison; the
+    compared mesh is only its vertices."""
     if case == "mixed-sizes":
         reference = _mixed_size_reference()
+        rng = np.random.default_rng(31)
         n = 600
         xy = rng.uniform([-1.0, -1.0], [11.0, 21.0], (n, 2))
         z = 0.3 * np.sin(xy[:, 0]) * np.cos(xy[:, 1]) + rng.uniform(-0.7, 0.7, n)
@@ -398,6 +391,21 @@ def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
                           for y in (1.0, 2.3) for z in (0.45, 0.9, 1.1)])
     compared = sw.TriangleMesh(vertices=verts, triangles=np.zeros((0, 3)),
                                plane_normal=PLANE_Z[0], plane_offset=0.0)
+    return reference, compared
+
+
+@pytest.mark.parametrize("case", ["mixed-sizes", "overhang"])
+def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
+    ball_trees = []
+
+    class BallSpy(cKDTree):
+        def query_ball_point(self, x, r, *args, **kwargs):
+            ball_trees.append(self.n)
+            return super().query_ball_point(x, r, *args, **kwargs)
+
+    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
+    reference, compared = _brute_force_case(case)
+    verts = compared.vertices
     max_dist = 0.5
     f = mesh_distance(compared, reference, max_dist=max_dist)
     values, valid, dist, covers = _brute_force_field(verts, reference, max_dist)
@@ -410,6 +418,26 @@ def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
     else:
         assert (valid & ~covers).any()      # supported by another triangle
         assert (~valid & near & (verts[:, 0] > 6)).any()
+
+
+def test_mesh_distance_does_not_depend_on_blocks_or_threads(monkeypatch,
+                                                          serial_blocks):
+    reference, compared = _brute_force_case("mixed-sizes")
+    want = mesh_distance(compared, reference, max_dist=0.5)
+    ball_trees = []
+
+    class BallSpy(cKDTree):
+        def query_ball_point(self, x, r, *args, **kwargs):
+            ball_trees.append(self.n)
+            return super().query_ball_point(x, r, *args, **kwargs)
+
+    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
+    serial_blocks()
+    got = mesh_distance(compared, reference, max_dist=0.5)
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.valid, want.valid)
+    # the large group's ball fallback ran in many of the 7-vertex blocks
+    assert ball_trees.count(33) > 10
 
 
 def test_mesh_distance_plans_only_vertices_their_nearest_triangle_leaves_open(
