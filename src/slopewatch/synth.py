@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointClass, PointCloud, diameter, fit_plane, plane_basis
+from .errors import DegenerateSurface
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -25,7 +25,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_NOISE_SIGMA_M = 0.006
 DEFAULT_DENSITY_PTS_M2 = 154.0
 DEFAULT_SLOPE_DEG = 70.0
-SUPPORT_QUERY_CHUNK = 256   # queries per distance block in _max_within
 VEG_SUPPORT_RADIUS_M = 2.0  # plan-view reach of the ground under vegetation
 # z-buffer occlusion: angular bin side, and how far behind the nearest
 # return in its bin a point may lie and stay visible
@@ -164,7 +163,9 @@ def add_vegetation(
     ``coverage_fraction`` is the vegetation share of the output cloud.
     Blob points sit at least ``height_range_m[0]`` above the highest ground
     point within ``VEG_SUPPORT_RADIUS_M`` in plan view (measured along the
-    best-fit plane normal), so no vegetation point hugs the local surface.
+    best-fit plane normal, found exactly by ``_max_within``), so no
+    vegetation point hugs the local surface. ``DegenerateSurface`` when the
+    points labeled ground define no plane.
     """
     if not (0.0 <= coverage_fraction < 1.0):
         raise ValueError("coverage must lie in [0, 1)")
@@ -179,13 +180,14 @@ def add_vegetation(
 
     rng = np.random.default_rng(seed)
     ground_idx = np.flatnonzero(labels_in == PointClass.GROUND)
+    if len(ground_idx) == 0:
+        raise DegenerateSurface("no point is labeled ground")
     ground_pts = cloud.points[ground_idx]
-    normal, _ = fit_plane(ground_pts)
+    normal = _plane_normal(ground_pts)
     axis_u, axis_v = plane_basis(normal)
 
     plan = np.column_stack([ground_pts @ axis_u, ground_pts @ axis_v])
     s_ground = ground_pts @ normal
-    tree = cKDTree(plan)
 
     n_clusters = max(1, n_veg // 50)
     anchors = rng.choice(len(ground_idx), size=n_clusters, replace=True)
@@ -194,7 +196,7 @@ def add_vegetation(
     heights = rng.uniform(height_range_m[0], height_range_m[1], size=n_veg)
 
     plan_q = plan[anchors[assign]] + jitter
-    s_base = _max_within(tree, s_ground, plan_q, VEG_SUPPORT_RADIUS_M)
+    s_base = _max_within(plan, s_ground, plan_q, VEG_SUPPORT_RADIUS_M)
     bare = np.isneginf(s_base)
     s_base[bare] = s_ground[anchors[assign[bare]]]
     veg_pts = (plan_q[:, 0, None] * axis_u + plan_q[:, 1, None] * axis_v
@@ -212,22 +214,102 @@ def add_vegetation(
     return out, truth
 
 
-def _max_within(tree: cKDTree, values: np.ndarray, queries: np.ndarray,
+def _plane_normal(points: np.ndarray) -> np.ndarray:
+    """Unit normal of the best plane through ``points``; ``DegenerateSurface``
+    where they define none (fewer than 3, or collinear)."""
+    try:
+        return fit_plane(points)[0]
+    except ValueError as exc:
+        raise DegenerateSurface(f"the points define no plane: {exc}") from exc
+
+
+# cell offsets, in cells of radius / 2, that can meet a disc of the radius
+# about a point of the centre cell: the 5 x 5 block, and the middle three
+# cells of each side one further out, which only a point within rounding
+# of the radius can reach
+_STENCIL = [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+            if max(abs(a), abs(b)) <= 2 or min(abs(a), abs(b)) <= 1]
+_CELL_TOL = 1e-6   # relative slack of the cell tests against rounding
+
+
+def _max_within(points: np.ndarray, values: np.ndarray, queries: np.ndarray,
                 radius: float) -> np.ndarray:
-    """Per query, the largest of ``values`` over the tree's points within
+    """Per query, the largest of ``values`` over the plan ``points`` within
     ``radius`` (inclusive), or -inf where there is none.
 
-    Blocks of ``SUPPORT_QUERY_CHUNK`` queries go through one sparse distance
-    matrix each, so no per-query list is built and memory stays bounded.
+    A point is within when ``dx*dx + dy*dy <= radius*radius``, the rule of
+    scipy's ball queries, so the result is exact. The points are binned
+    into square cells of side ``radius / 2``; only occupied cells are
+    indexed (sorted keys and ``searchsorted``), so memory follows the point
+    count and not the plan extent. A cell wholly inside a query's disc
+    gives its highest value outright. A cell the disc only partly covers
+    is scanned highest point first, while its values beat the query's best
+    so far, and its first point inside the disc ends the scan. The cell
+    tests keep a relative slack of ``_CELL_TOL``, so rounding can only send
+    a cell to the exact point test.
     """
-    out = np.full(len(queries), -np.inf)
-    for start in range(0, len(queries), SUPPORT_QUERY_CHUNK):
-        block = queries[start:start + SUPPORT_QUERY_CHUNK]
-        pairs = cKDTree(block).sparse_distance_matrix(
-            tree, radius, output_type="ndarray")
-        np.maximum.at(out[start:start + len(block)], pairs["i"],
-                      values[pairs["j"]])
-    return out
+    best = np.full(len(queries), -np.inf)
+    if len(points) == 0 or len(queries) == 0:
+        return best
+    side = radius / 2.0
+    origin = points.min(axis=0)
+    cell = np.floor((points - origin) / side).astype(np.int64)
+    top_cell = cell.max(axis=0)
+    stride = top_cell[1] + 1
+    key = cell[:, 0] * stride + cell[:, 1]
+    # by cell, highest value first inside each (ties in any order)
+    order = np.argsort(-values)
+    order = order[np.argsort(key[order], kind="stable")]
+    x, y, value = points[order, 0], points[order, 1], values[order]
+    cell_keys, start, count = np.unique(key[order], return_index=True,
+                                        return_counts=True)
+
+    # per axis and offset: squared nearest and farthest distance from the
+    # query to the cell column (or row), in cells, and whether it exists
+    in_cells = (queries - origin) / side
+    q_cell = np.floor(in_cells).astype(np.int64)
+    frac = in_cells - q_cell
+    near2, far2, exists = {}, {}, {}
+    for axis in range(2):
+        for off in range(-3, 4):
+            lo, hi = off - frac[:, axis], off + 1 - frac[:, axis]
+            near2[axis, off] = np.maximum(np.maximum(lo, -hi), 0.0) ** 2
+            far2[axis, off] = np.maximum(np.abs(lo), np.abs(hi)) ** 2
+            c = q_cell[:, axis] + off
+            exists[axis, off] = (c >= 0) & (c <= top_cell[axis])
+    q_key = q_cell[:, 0] * stride + q_cell[:, 1]
+
+    scan_q, scan_cell = [], []
+    for a, b in _STENCIL:
+        # the disc's radius is 2 cells
+        q = np.flatnonzero((near2[0, a] + near2[1, b] <= 4.0 * (1 + _CELL_TOL))
+                           & exists[0, a] & exists[1, b])
+        c_key = q_key[q] + (a * stride + b)
+        pos = np.minimum(np.searchsorted(cell_keys, c_key), len(cell_keys) - 1)
+        occupied = cell_keys[pos] == c_key
+        q, pos = q[occupied], pos[occupied]
+        whole = far2[0, a][q] + far2[1, b][q] <= 4.0 * (1 - _CELL_TOL)
+        full = q[whole]
+        best[full] = np.maximum(best[full], value[start[pos[whole]]])
+        scan_q.append(q[~whole])
+        scan_cell.append(pos[~whole])
+
+    q = np.concatenate(scan_q)
+    cells = np.concatenate(scan_cell)
+    beats = value[start[cells]] > best[q]
+    q, cells = q[beats], cells[beats]
+    at, end = start[cells], start[cells] + count[cells]
+    qx, qy = queries[:, 0], queries[:, 1]
+    r2 = radius * radius
+    while len(q):
+        v = value[at]
+        dx, dy = x[at] - qx[q], y[at] - qy[q]
+        hit = dx * dx + dy * dy <= r2
+        np.maximum.at(best, q[hit], v[hit])
+        # a miss scans on while its next value may still beat the best
+        go = ~hit & (v > best[q]) & (at + 1 < end)
+        q, at, end = q[go], at[go] + 1, end[go]
+    return best
 
 
 def apply_landslide(
@@ -240,7 +322,10 @@ def apply_landslide(
     The taper is 0.5 * (1 + cos(pi * rho)) on the normalized elliptical
     radius rho, so the surface change peaks at ``depth_m`` in the center
     and falls smoothly to zero on the rim. ``true_displacement`` records
-    the signed change along the plane normal per point.
+    the signed change along the plane normal per point. Without ``frame``
+    the patch rides on the best plane of the ground points (of all points
+    when none is labeled ground); ``DegenerateSurface`` when they define
+    none.
     """
     pts = cloud.points
     if frame is not None:
@@ -252,7 +337,7 @@ def apply_landslide(
             base = pts[cloud.labels == PointClass.GROUND]
         else:
             base = pts
-        normal, _ = fit_plane(base)
+        normal = _plane_normal(base)
         axis_u, axis_v = plane_basis(normal)
 
     az = math.radians(region_spec.azimuth_deg)
@@ -302,8 +387,9 @@ def leveled_station_pose(position, target) -> RigidTransform:
 def stations_facing_slope(cloud: PointCloud, count: int, standoff: float,
                           jitter_rng=None) -> list[RigidTransform]:
     """Deterministic station poses on a line facing the cloud's best plane,
-    spread evenly over half the cloud's diameter."""
-    normal, _ = fit_plane(cloud.points)
+    spread evenly over half the cloud's diameter; ``DegenerateSurface``
+    when the cloud defines no plane."""
+    normal = _plane_normal(cloud.points)
     center = cloud.points.mean(axis=0)
     axis_u, _ = plane_basis(normal)
     spread = 0.5 * diameter(cloud)

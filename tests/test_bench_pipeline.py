@@ -216,6 +216,24 @@ def test_pipeline_scene_with_station_occlusion(tmp_path):
     assert region_pairs(result) == [("I,II", "L")]
 
 
+def test_pipeline_scene_with_station_occlusion_and_range_crop(tmp_path,
+                                                             monkeypatch):
+    # 72 m crops every station's far slope (its scene reaches past 77 m)
+    # but leaves the two views of each epoch linked
+    farthest = []
+
+    def scan(scene, poses, **kwargs):
+        farthest.extend(np.linalg.norm(scene.points - p.translation,
+                                       axis=1).max() for p in poses)
+        return sw.simulate_stations(scene, poses, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "simulate_stations", scan)
+    result = run_pipeline(scene_config(tmp_path, station_occlusion=True,
+                                       station_max_range_m=72.0))
+    assert len(farthest) == 4 and min(farthest) > 75.0
+    assert region_pairs(result) == [("I,II", "L")]
+
+
 def test_pipeline_scene_with_erosion(tmp_path):
     cfg = scene_config(tmp_path)
     slide = cfg.epochs[1].landslides[0]

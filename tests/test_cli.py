@@ -156,6 +156,27 @@ def test_synth_and_bench_cli(tmp_path, capsys):
     assert (tmp_path / "scan_station1.ply").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "veg"],
+    ["synth", "slide", "--center", "0", "0", "0"],
+    ["synth", "scan"]])
+def test_synth_on_collinear_points_exits_2_with_one_line(tmp_path, capsys,
+                                                         argv):
+    t = np.linspace(0.0, 10.0, 50)
+    line = tmp_path / "line.ply"
+    line.write_bytes(sw.write_cloud(sw.PointCloud(
+        points=np.column_stack([t, 2 * t, 0.5 * t]))))
+    out = tmp_path / "out.ply"
+    args = argv + ["--in", str(line), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == ("slopewatch: error: the points define no plane: "
+                   "points are collinear; plane undefined\n")
+    assert main(["-v"] + args) == 2
+    assert "DegenerateSurface" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_bench_cli(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(["bench", "table2", "--trials", "1", "--seed", "5",

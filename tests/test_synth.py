@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import slopewatch as sw
 from slopewatch import synth
 from slopewatch.cloud import PointClass, fit_plane
+from slopewatch.errors import DegenerateSurface
 from slopewatch.rigid import RigidTransform
 from slopewatch.synth import (LandslideSpec, add_vegetation, apply_landslide,
                               gen_terrain, leveled_station_pose,
@@ -97,22 +99,131 @@ def test_vegetation_min_height_above_local_ground():
         assert s_v[i] - local >= h_min - 1e-9
 
 
+def ball_query_max(points, values, queries, radius):
+    """The reference: the largest value over each query's scipy ball list."""
+    lists = cKDTree(points).query_ball_point(queries, r=radius)
+    return np.array([values[lst].max() if lst else -np.inf for lst in lists])
+
+
 def test_support_max_matches_ball_query_lists():
     # integer grid and queries: many neighbours sit exactly on the radius
-    from scipy.spatial import cKDTree
     rng = np.random.default_rng(4)
     grid = np.stack(np.meshgrid(np.arange(30.0), np.arange(20.0)), -1)
     plan = grid.reshape(-1, 2)
     values = rng.normal(size=len(plan))
     queries = np.vstack([rng.integers(-3, 33, (400, 2)).astype(float),
                          rng.uniform(-5, 35, (400, 2))])
-    tree = cKDTree(plan)
-    want = np.array([values[lst].max() if lst else -np.inf
-                     for lst in tree.query_ball_point(queries, r=2.0)])
-    got = synth._max_within(tree, values, queries, 2.0)
-    assert len(queries) > synth.SUPPORT_QUERY_CHUNK
+    want = ball_query_max(plan, values, queries, 2.0)
+    got = synth._max_within(plan, values, queries, 2.0)
+    # cells have side radius / 2: the queries fall in several hundred
+    assert len(np.unique(np.floor(queries / 1.0), axis=0)) > 300
     assert np.isneginf(want).any()
     np.testing.assert_array_equal(got, want)
+
+
+def test_support_max_on_points_at_the_radius_follows_the_ball_query():
+    # float points placed at distance r from each query: rounding puts each
+    # just inside or just outside, and only the squared rule sorts them as
+    # scipy does
+    rng = np.random.default_rng(11)
+    r = synth.VEG_SUPPORT_RADIUS_M
+    queries = (np.stack(np.meshgrid(np.arange(40.0), np.arange(30.0)), -1)
+               .reshape(-1, 2) * 10.0 + rng.uniform(0, 1, (1200, 2)))
+    angle = rng.uniform(0, 2 * np.pi, (len(queries), 4))
+    plan = (queries[:, None, :] + r * np.stack([np.cos(angle), np.sin(angle)],
+                                               -1)).reshape(-1, 2)
+    values = rng.normal(size=len(plan))
+    want = ball_query_max(plan, values, queries, r)
+    np.testing.assert_array_equal(synth._max_within(plan, values, queries, r),
+                                  want)
+    # the case is sharp: a rule on sqrt(d2) <= r keeps other points
+    d = plan.reshape(len(queries), 4, 2) - queries[:, None, :]
+    by_sqrt = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) <= r
+    sqrt_max = np.where(by_sqrt, values.reshape(-1, 4), -np.inf).max(axis=1)
+    assert np.isneginf(want).any() and np.isfinite(want).any()
+    assert not np.array_equal(sqrt_max, want)
+
+
+def test_support_max_cell_tests_leave_the_edge_cases_to_the_point_test():
+    # cells have side 1 from the origin (0, 0); the first query sits one
+    # ulp below x = 1, so x + r rounds to 3.0, three cells over, yet
+    # dx * dx is exactly r * r; for the second query, the next cell along x
+    # has its far corner 2e-7 cells outside the disc, and its only point
+    # sits in that corner
+    tx = 2.0 - np.sqrt(3.75 + 8e-7)
+    plan = np.array([[0.0, 0.0], [3.0, 5.5], [12 - 1e-9, 11 - 1e-9]])
+    values = np.array([-10.0, 1.0, 2.0])
+    queries = np.array([[np.nextafter(1.0, 0.0), 5.5], [10.0 + tx, 10.5]])
+    want = ball_query_max(plan, values, queries, 2.0)
+    np.testing.assert_array_equal(want, [1.0, -np.inf])
+    np.testing.assert_array_equal(synth._max_within(plan, values, queries, 2.0),
+                                  want)
+
+
+def test_support_max_for_queries_outside_the_ground():
+    rng = np.random.default_rng(12)
+    plan = rng.uniform(0, 10, (3000, 2))
+    values = rng.normal(size=len(plan))
+    queries = np.vstack([rng.uniform(-4, 14, (2000, 2)),
+                         rng.uniform(-1e4, 1e4, (50, 2))])
+    want = ball_query_max(plan, values, queries, 2.0)
+    assert np.isneginf(want).sum() > 100 and np.isfinite(want).sum() > 1000
+    np.testing.assert_array_equal(synth._max_within(plan, values, queries, 2.0),
+                                  want)
+
+
+def test_support_max_over_two_patches_100_km_apart():
+    # a dense grid over the plan extent would hold 4.8e9 cells; only the
+    # occupied ones are indexed
+    rng = np.random.default_rng(13)
+    patch = rng.uniform(0, 8, (2000, 2))
+    plan = np.vstack([patch, patch[::-1] + [60e3, 80e3]])
+    values = rng.normal(size=len(plan))
+    queries = np.vstack([rng.uniform(-3, 11, (1000, 2)),
+                         rng.uniform(-3, 11, (1000, 2)) + [60e3, 80e3],
+                         rng.uniform(0, 1, (20, 2)) * [60e3, 80e3]])
+    want = ball_query_max(plan, values, queries, 2.0)
+    assert np.isfinite(want[:2000]).sum() > 1000
+    np.testing.assert_array_equal(synth._max_within(plan, values, queries, 2.0),
+                                  want)
+
+
+def test_support_max_on_a_paper_density_terrain_patch():
+    cloud, truth = gen_terrain((12, 9), 70.0, 0.3, 154.0, seed=14)
+    u, v, n = truth.frame.axis_u, truth.frame.axis_v, truth.frame.normal
+    plan = np.column_stack([cloud.points @ u, cloud.points @ v])
+    heights = cloud.points @ n
+    rng = np.random.default_rng(15)
+    queries = (plan[rng.integers(0, len(plan), 3000)]
+               + np.clip(rng.normal(size=(3000, 2)), -3, 3))
+    want = ball_query_max(plan, heights, queries,
+                          synth.VEG_SUPPORT_RADIUS_M)
+    np.testing.assert_array_equal(
+        synth._max_within(plan, heights, queries, synth.VEG_SUPPORT_RADIUS_M),
+        want)
+
+
+@pytest.mark.parametrize("case", ["collinear", "two points", "no ground"])
+def test_generators_refuse_degenerate_ground(case):
+    t = np.linspace(0.0, 10.0, 50)
+    points = np.column_stack([t, 2 * t, 0.5 * t])
+    if case == "two points":
+        points = points[:2]
+    labels = None
+    if case == "no ground":
+        points = np.column_stack([t, np.cos(t), np.zeros(50)])
+        labels = np.full(50, np.uint8(PointClass.VEGETATION))
+    cloud = sw.PointCloud(points=points, labels=labels)
+    with pytest.raises(DegenerateSurface):
+        add_vegetation(cloud, 0.5)
+    if case != "no ground":
+        # without labeled ground, a slide rides on the plane of all points
+        spec = LandslideSpec(center=(0, 0, 0), radius_along=5,
+                             radius_across=5, depth_m=0.5, azimuth_deg=0)
+        with pytest.raises(DegenerateSurface):
+            apply_landslide(cloud, spec)
+        with pytest.raises(DegenerateSurface):
+            stations_facing_slope(cloud, 2, 60.0)
 
 
 def test_vegetation_rejects_bad_coverage():
