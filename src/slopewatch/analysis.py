@@ -175,20 +175,25 @@ def measure_regions(regions: list[Region], field_: DeformationField,
 
 def regions_document(regions: list[Region], shapes: list[ShapeMeasure | None],
                      threshold_mm_day: float, min_area_m2: float) -> dict:
-    """The ``regions.json`` document: one row per region with its vertices,
-    area, mean rate, volume and the W and L of its aligned shape (None
-    without one), plus the extraction settings."""
-    rows = [{"id": r.region_id,
-             "epoch_pair": r.epoch_pair,
-             "vertex_set": [int(v) for v in r.vertex_set],
-             "area_m2": float(r.area_m2),
-             "mean_rate_mm_day": float(r.mean_rate_mm_day),
-             "volume_m3": float(r.volume_m3),
-             "W_m": None if s is None else float(s.W_m),
-             "L_m": None if s is None else float(s.L_m)}
+    """The ``regions.json`` document: one row per region with its vertices
+    and the ``_region_row`` fields, plus the extraction settings."""
+    rows = [{**_region_row(r, s), "vertex_set": [int(v) for v in r.vertex_set]}
             for r, s in zip(regions, shapes, strict=True)]
     return {"regions": rows, "threshold_mm_day": threshold_mm_day,
             "min_area_m2": min_area_m2}
+
+
+def _region_row(region: Region, shape: ShapeMeasure | None) -> dict:
+    """The fields ``regions.json`` and the report share for a region: its
+    id, epoch pair, area, mean rate, volume, and the W and L of its aligned
+    shape (None without one)."""
+    return {"id": None if region.region_id is None else int(region.region_id),
+            "epoch_pair": region.epoch_pair,
+            "area_m2": float(region.area_m2),
+            "mean_rate_mm_day": float(region.mean_rate_mm_day),
+            "volume_m3": float(region.volume_m3),
+            "W_m": None if shape is None else float(shape.W_m),
+            "L_m": None if shape is None else float(shape.L_m)}
 
 
 def shape_angle(W_m: float, L_m: float) -> float:
@@ -307,23 +312,15 @@ def build_report(
     region_rows = []
     for r, s in zip(regions, shapes):
         cruden = ann_by_id.get(r.region_id)
-        row = {
-            "id": int(r.region_id) if r.region_id is not None else None,
-            "epoch_pair": r.epoch_pair,
-            "area_m2": float(r.area_m2),
-            "mean_rate_mm_day": float(r.mean_rate_mm_day),
-            "volume_m3": float(r.volume_m3),
-            "W_m": None if s is None else float(s.W_m),
-            "L_m": None if s is None else float(s.L_m),
+        shape_class = None if s is None else classify_shape(s.theta_deg).value
+        region_rows.append({
+            **_region_row(r, s),
             "theta_deg": None if s is None else float(s.theta_deg),
-            "shape_class": None if s is None else classify_shape(s.theta_deg).value,
+            "shape_class": shape_class,
             "cruden_type": cruden,
-        }
-        if row["shape_class"] is not None:
-            row["type"] = row["shape_class"] + (f"-{cruden}" if cruden else "")
-        else:
-            row["type"] = None
-        region_rows.append(row)
+            "type": (None if shape_class is None
+                     else shape_class + (f"-{cruden}" if cruden else "")),
+        })
 
     return {
         "epochs": epoch_rows,

@@ -47,6 +47,8 @@ def _result_json(result: registration.RegistrationResult) -> dict:
 def cmd_register(args) -> int:
     src = read_cloud(args.src)
     dst = read_cloud(args.dst)
+    if len(src) == 0 or len(dst) == 0:
+        raise CloudFormatError("--src and --dst must each hold at least one point")
     params = registration.IcpParams(max_iter=args.max_iter,
                                     max_pair_dist=args.max_pair_dist)
     result = bench.run_method(args.method, src, dst, params)
@@ -60,6 +62,8 @@ def cmd_register(args) -> int:
 def cmd_register_multiview(args) -> int:
     paths = [ln.strip() for ln in Path(args.list).read_text().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
+    if not paths:
+        raise CloudFormatError(f"{args.list} names no cloud")
     clouds = [read_cloud(p) for p in paths]
     transforms = registration.register_multiview(clouds)
     out_dir = Path(args.out_dir)

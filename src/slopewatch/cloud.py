@@ -23,15 +23,15 @@ from enum import IntEnum
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CloudFormatError, CloudParseError
+from .errors import CloudFormatError, CloudParseError, DegenerateSurface
 
 logger = logging.getLogger(__name__)
 
 SPACING_K = 4           # surface_spacing's neighbor rank
 SPACING_SAMPLE = 2000   # surface_spacing probes about this many points
 # rows per block of a per-row kernel run by ``_by_rows``; it bounds the
-# kernels' working memory. 2,048 to 16,384 ran equally fast; a cloud of
-# up to this many points stays on the calling thread
+# kernels' working memory. 2,048 to 16,384 ran equally fast; up to this
+# many rows stay on the calling thread
 ROW_BLOCK = 8192
 # one thread per usable core: the kernels spend their time in numpy,
 # LAPACK and kd-tree queries, which release the interpreter lock
@@ -494,7 +494,10 @@ def _by_rows(kernel, rows) -> tuple:
     tuple are concatenated in block order. One block (zero rows make one
     empty block, so the result keeps its column shapes) runs on the calling
     thread: a pool thread would only hand it over, and would keep its
-    memory in a malloc arena of its own.
+    memory in a malloc arena of its own. Three kernels run here: the
+    normals of ``estimate_normals``, the descriptors of
+    ``registration.extract_descriptors`` and the nearest-triangle search
+    of ``terrain.mesh_distance``.
 
     A kernel must compute each row on its own, so the result does not depend
     on the block size or the thread count. It runs on a pool thread, so it
@@ -575,16 +578,18 @@ def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares plane through ``points``: (unit normal, offset).
 
     Satisfies ``normal @ p ~= offset``; normal oriented upward with a
-    deterministic tie rule for vertical planes.
+    deterministic tie rule for vertical planes. ``DegenerateSurface`` when
+    the points define no plane: fewer than 3, or collinear.
     """
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit a plane")
+        raise DegenerateSurface("the points define no plane: need at least 3 points")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[1] <= max(s[0], 1e-300) * 1e-12:
-        raise ValueError("points are collinear; plane undefined")
+        raise DegenerateSurface(
+            "the points define no plane: points are collinear; plane undefined")
     normal = _orient_deterministic(vt[2])
     return normal, float(normal @ centroid)
 

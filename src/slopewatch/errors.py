@@ -69,8 +69,9 @@ class NoConvergence(SlopewatchError):
 
 
 class DegenerateSurface(SlopewatchError):
-    """Points are collinear in projection: no triangulation exists, or a
-    region has no width or length."""
+    """A point set with no plane (fewer than 3 points, or collinear) or no
+    surface spacing, no triangulation in projection, or a region without
+    width or length."""
 
 
 class UndefinedMotionVector(SlopewatchError):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud, PointClass, fit_plane, _unique_rows
-from .errors import CloudFormatError, NoConvergence, TooSparse
+from .errors import CloudFormatError, DegenerateSurface, NoConvergence, TooSparse
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -107,7 +107,7 @@ def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
         member_pts = pts[members]
         try:
             normal, offset = fit_plane(member_pts)
-        except ValueError:
+        except DegenerateSurface:
             # collinear cell content: treat as horizontal
             normal, offset = z_axis.copy(), float(member_pts[:, 2].mean())
         rot = RigidTransform.rotation_between(normal, z_axis)
@@ -269,13 +269,12 @@ def filter_vegetation(
         member_xy = pts[sub.member_indices, :2]
         lo = member_xy.min(axis=0) - 1.0
         hi = member_xy.max(axis=0) + 1.0
-        in_box = np.flatnonzero(
+        # the box holds the members and a 1 m apron around them
+        work = np.flatnonzero(
             (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
             & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1])
         )
-        work = np.union1d(in_box, sub.member_indices)
-        leveled = level_points(sub, pts[work])
-        part = csf_classify(cloud.subset(work).with_(points=leveled), cloth)
+        part = csf_classify(PointCloud(points=level_points(sub, pts[work])), cloth)
 
         plane_dist = np.abs(pts[work] @ sub.plane_normal - sub.plane_offset)
         better = (plane_dist < best_dist[work]) | (

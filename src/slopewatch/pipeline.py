@@ -208,20 +208,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # -- scene generation -------------------------------------------------
     scene_clouds: list[PointCloud] = []
     scene_truths: list[SceneTruth] = []
-    pair_truth_displacement: list[np.ndarray] = []
     with _stage("generate"):
         base, truth0 = gen_terrain(config.extent_m, config.mean_slope_deg,
                                    config.roughness_m, config.density_pts_m2,
                                    seed=config.rng_seed)
         frame = truth0.frame
         current = base
-        for i, espec in enumerate(config.epochs):
+        for espec in config.epochs:
             pair_disp = np.zeros(len(base))
             for spec in espec.landslides:
                 current, t = apply_landslide(current, spec, frame=frame)
                 pair_disp = pair_disp + t.true_displacement
-            if i > 0:
-                pair_truth_displacement.append(pair_disp)
             cloud_e, _ = add_vegetation(
                 current.with_(epoch_id=espec.epoch_id), config.veg_coverage,
                 config.veg_height_range_m, seed=config.veg_seed)
@@ -346,9 +343,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
              json.dumps(manifest, indent=2, sort_keys=True).encode(), "report")
 
     truths = {
-        "pair_truth_displacement": pair_truth_displacement,
         "scene_truths": scene_truths,
-        "scene_clouds": scene_clouds,
         "ground_clouds": ground_clouds,
         "meshes": meshes,
     }

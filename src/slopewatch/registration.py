@@ -25,10 +25,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .cloud import (PointCloud, concat_clouds, diameter, estimate_normals,
-                    fit_plane, surface_spacing, _kdtree, _kept,
+                    fit_plane, surface_spacing, _by_rows, _kdtree, _kept,
                     _orient_deterministic, _unique_rows)
-from .errors import (DegenerateCorrespondences, DisconnectedViews,
-                     InsufficientGeometry, NoOverlap)
+from .errors import (DegenerateCorrespondences, DegenerateSurface,
+                     DisconnectedViews, InsufficientGeometry, NoOverlap)
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ ICP_RESIDUAL_GATE = 3.0    # robust sigmas; pairs beyond are off the common surf
 # ICP convergence
 ICP_CONVERGENCE_EPS = 1e-2
 MAD_TO_SIGMA = 1.4826      # median absolute deviation -> Gaussian sigma
-DESCRIPTOR_ROW_BUDGET = 1 << 16  # neighbor rows binned per batch; bounds memory
+DESCRIPTOR_MIN_NEIGHBORS = 10  # points within the radius a descriptor needs
 NORMALS_K = 16             # neighbors per normal estimate
 KEYPOINT_COUNT = 500       # keypoints per cloud for coarse matching
 # coarse front-end scales, in multiples of the pair's surface spacing
@@ -259,19 +259,18 @@ def _point_to_plane_step(p: np.ndarray, q: np.ndarray,
 
 
 def select_keypoints(cloud: PointCloud, count: int,
-                     min_spacing: float | None = None) -> np.ndarray:
+                     min_spacing: float) -> np.ndarray:
     """Curvature-ranked keypoints with a minimum spacing between picks.
 
     Requires the ``curvature`` channel written by ``estimate_normals``.
     Deterministic: stable sort on (-curvature, index), then the first point
     of each ``min_spacing`` hash cell in that order, which is what a greedy
-    pass suppressing occupied cells would pick.
+    pass suppressing occupied cells would pick; a ``min_spacing`` of 0 or
+    less takes the first ``count`` in that order.
     """
     if "curvature" not in cloud.scalars:
         raise ValueError("cloud lacks a 'curvature' channel; run estimate_normals")
     curv = cloud.scalars["curvature"]
-    if min_spacing is None:
-        min_spacing = KEYPOINT_GAP_SPACINGS * surface_spacing(cloud)
     order = np.lexsort((np.arange(len(curv)), -curv))
     if min_spacing <= 0:
         return order[:count]
@@ -280,8 +279,8 @@ def select_keypoints(cloud: PointCloud, count: int,
     return order[np.sort(first)[:count]]
 
 
-def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
-                        min_neighbors: int = 10) -> FeatureSet:
+def extract_descriptors(cloud: PointCloud, keypoints,
+                        radius: float) -> FeatureSet:
     """Binary occupancy descriptors on a local reference frame per keypoint.
 
     The frame takes the stored normal as its z axis; the x axis is the
@@ -292,39 +291,37 @@ def extract_descriptors(cloud: PointCloud, keypoints, radius: float,
     is Hamming distance, so the representation is rotation invariant up to
     the frame-sign rule.
 
-    Keypoints with fewer than ``min_neighbors`` points inside ``radius``,
-    or without a finite normal or a local frame, are dropped; the
-    ``FeatureSet`` lists the kept ones in their input order.
+    Keypoints with fewer than ``DESCRIPTOR_MIN_NEIGHBORS`` points inside
+    ``radius``, or without a finite normal or a local frame, are dropped;
+    the ``FeatureSet`` lists the kept ones in their input order.
+
+    The ball query runs on the calling thread (``workers=-1``); gathering
+    and binning the neighborhoods run per block of ``cloud.ROW_BLOCK``
+    keypoints (``cloud._by_rows``). Each keypoint is binned on its own, so
+    the result is the same for any block size or core count.
     """
     if cloud.normals is None:
         raise ValueError("descriptors need normals; run estimate_normals first")
     if radius <= 0:
         raise ValueError("descriptor radius must be positive")
     keypoints = np.asarray(keypoints, dtype=np.int64)
-    kept = np.zeros(len(keypoints), dtype=bool)
-    desc = np.zeros((len(keypoints), DESCRIPTOR_BITS), dtype=np.uint8)
-    if len(keypoints):
-        lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius,
-                                                workers=-1)
-        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        usable = np.flatnonzero(
-            (sizes >= min_neighbors)
-            & np.all(np.isfinite(cloud.normals[keypoints]), axis=1))
-        # batches of whole keypoints within the row budget (at least one)
-        ends = np.cumsum(sizes[usable])
-        lo = 0
-        while lo < len(usable):
-            base = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(
-                ends, base + DESCRIPTOR_ROW_BUDGET, side="right")))
-            batch = usable[lo:hi]
-            neighbors = np.fromiter(
-                itertools.chain.from_iterable(lists[i] for i in batch),
-                dtype=np.int64, count=int(ends[hi - 1] - base))
-            kept[batch], desc[batch] = _bin_neighborhoods(
-                cloud, keypoints[batch], neighbors, sizes[batch], radius)
-            lo = hi
-    return FeatureSet(keypoint_indices=keypoints[kept], descriptors=desc[kept])
+    lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius,
+                                            workers=-1)
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    usable = np.flatnonzero(
+        (sizes >= DESCRIPTOR_MIN_NEIGHBORS)
+        & np.all(np.isfinite(cloud.normals[keypoints]), axis=1))
+
+    def kernel(block):
+        neighbors = np.fromiter(
+            itertools.chain.from_iterable(lists[i] for i in block),
+            dtype=np.int64, count=int(sizes[block].sum()))
+        return _bin_neighborhoods(cloud, keypoints[block], neighbors,
+                                  sizes[block], radius)
+
+    framed, desc = _by_rows(kernel, usable)
+    return FeatureSet(keypoint_indices=keypoints[usable[framed]],
+                      descriptors=desc[framed])
 
 
 def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
@@ -332,8 +329,8 @@ def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
                        radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors of keypoints whose neighbor lists lie back to back in
     ``neighbors`` (``sizes[i]`` entries each, all at least one). Returns a
-    mask of keypoints with a local frame and one descriptor row each; rows
-    without a frame are meaningless."""
+    mask of keypoints with a local frame and one uint8 descriptor row each;
+    rows without a frame are meaningless."""
     n_az, n_rad, n_el = DESCRIPTOR_BINS
     m = len(keypoints)
     owner = np.repeat(np.arange(m), sizes)
@@ -370,7 +367,7 @@ def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
     flat = (i_az * n_rad + i_rad) * n_el + i_el
     counts = np.bincount(owner * DESCRIPTOR_BITS + flat,
                          minlength=m * DESCRIPTOR_BITS).reshape(m, DESCRIPTOR_BITS)
-    return framed, counts > np.median(counts, axis=1, keepdims=True)
+    return framed, (counts > np.median(counts, axis=1, keepdims=True)).astype(np.uint8)
 
 
 def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:
@@ -478,10 +475,14 @@ def _prepare_pair(source: PointCloud, target: PointCloud):
     with each cloud, so every method run on one pair (coarse+icp, the
     hybrid) and every multi-view round that rescores an unchanged group
     reuses them; the results are those of computing them afresh.
+    ``DegenerateSurface`` when neither cloud has a surface spacing (most
+    of their points coincide), which leaves no descriptor radius.
     """
     source = _ensure_normals(source)
     target = _ensure_normals(target)
     spacing = max(_spacing(source), _spacing(target))
+    if spacing <= 0:
+        raise DegenerateSurface("the clouds have no surface spacing")
     radius = DESCRIPTOR_RADIUS_SPACINGS * spacing
     return (source, target, _features(source, radius),
             _features(target, radius), spacing)
@@ -554,7 +555,7 @@ def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
             try:
                 pair = _prepare_pair(groups[ia]["cloud"], groups[ib]["cloud"])
                 _, keep = _consistent_matches(*pair)
-            except ValueError:
+            except DegenerateSurface:
                 continue   # a pair that cannot be prepared has no link
             if best is None or len(keep) > best[0]:
                 best = (len(keep), ia, ib, pair)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointClass, PointCloud, diameter, fit_plane, plane_basis
+from .cloud import (PointClass, PointCloud, diameter, fit_plane, plane_basis,
+                    _unique_rows)
 from .errors import DegenerateSurface
 from .rigid import RigidTransform
 
@@ -183,7 +184,7 @@ def add_vegetation(
     if len(ground_idx) == 0:
         raise DegenerateSurface("no point is labeled ground")
     ground_pts = cloud.points[ground_idx]
-    normal = _plane_normal(ground_pts)
+    normal = fit_plane(ground_pts)[0]
     axis_u, axis_v = plane_basis(normal)
 
     plan = np.column_stack([ground_pts @ axis_u, ground_pts @ axis_v])
@@ -212,15 +213,6 @@ def add_vegetation(
     truth = SceneTruth(ground_labels=labels.copy(),
                        true_displacement=np.zeros(len(points)))
     return out, truth
-
-
-def _plane_normal(points: np.ndarray) -> np.ndarray:
-    """Unit normal of the best plane through ``points``; ``DegenerateSurface``
-    where they define none (fewer than 3, or collinear)."""
-    try:
-        return fit_plane(points)[0]
-    except ValueError as exc:
-        raise DegenerateSurface(f"the points define no plane: {exc}") from exc
 
 
 # cell offsets, in cells of radius / 2, that can meet a disc of the radius
@@ -337,7 +329,7 @@ def apply_landslide(
             base = pts[cloud.labels == PointClass.GROUND]
         else:
             base = pts
-        normal = _plane_normal(base)
+        normal = fit_plane(base)[0]
         axis_u, axis_v = plane_basis(normal)
 
     az = math.radians(region_spec.azimuth_deg)
@@ -389,7 +381,7 @@ def stations_facing_slope(cloud: PointCloud, count: int, standoff: float,
     """Deterministic station poses on a line facing the cloud's best plane,
     spread evenly over half the cloud's diameter; ``DegenerateSurface``
     when the cloud defines no plane."""
-    normal = _plane_normal(cloud.points)
+    normal = fit_plane(cloud.points)[0]
     center = cloud.points.mean(axis=0)
     axis_u, _ = plane_basis(normal)
     spread = 0.5 * diameter(cloud)
@@ -436,10 +428,8 @@ def simulate_stations(
             rad = np.linalg.norm(pts, axis=1)
             az = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
             el = np.degrees(np.arctan2(pts[:, 2], np.hypot(pts[:, 0], pts[:, 1])))
-            bi = np.floor(az / OCCLUSION_BIN_DEG).astype(np.int64)
-            bj = np.floor(el / OCCLUSION_BIN_DEG).astype(np.int64)
-            key = (bi - bi.min()) * (bj.max() - bj.min() + 1) + (bj - bj.min())
-            uniq, inv = np.unique(key, return_inverse=True)
+            bins = np.floor(np.column_stack([az, el]) / OCCLUSION_BIN_DEG)
+            uniq, _, inv = _unique_rows(bins.astype(np.int64))
             nearest = np.full(len(uniq), np.inf)
             np.minimum.at(nearest, inv, rad)
             visible = rad <= nearest[inv] + OCCLUSION_TOL_M

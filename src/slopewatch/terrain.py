@@ -60,12 +60,7 @@ class TriangleMesh:
         return np.column_stack([pts @ u, pts @ v])
 
     def triangle_projected_areas(self) -> np.ndarray:
-        uv = self.project(self.vertices)
-        a = uv[self.triangles[:, 0]]
-        b = uv[self.triangles[:, 1]]
-        c = uv[self.triangles[:, 2]]
-        return 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        return np.abs(_signed_areas(self.project(self.vertices), self.triangles))
 
     def vertex_projected_areas(self) -> np.ndarray:
         """One third of every incident triangle's projected area."""
@@ -101,6 +96,14 @@ class TriangleMesh:
         n = len(self.vertices)
         key = np.unique(e[:, 0] * n + e[:, 1])
         return np.column_stack([key // n, key % n])
+
+
+def _signed_areas(uv: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed area of each triangle over the 2-D points ``uv``: positive
+    where its corners run counter-clockwise."""
+    a, b, c = uv[triangles[:, 0]], uv[triangles[:, 1]], uv[triangles[:, 2]]
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
 
 @dataclass
@@ -173,10 +176,7 @@ def build_dtm(
     if len(pts) < 3:
         raise DegenerateSurface("need at least 3 points")
     if projection_plane is None:
-        try:
-            projection_plane = fit_plane(pts)
-        except ValueError as exc:
-            raise DegenerateSurface(str(exc)) from exc
+        projection_plane = fit_plane(pts)
     normal = np.asarray(projection_plane[0], dtype=np.float64)
     normal = normal / np.linalg.norm(normal)
     offset = float(projection_plane[1])
@@ -207,11 +207,7 @@ def build_dtm(
         & (np.linalg.norm(b - c, axis=1) <= max_edge)
         & (np.linalg.norm(c - a, axis=1) <= max_edge)
     )
-    ua = uv_u[simplices[:, 0]]
-    ub = uv_u[simplices[:, 1]]
-    uc = uv_u[simplices[:, 2]]
-    signed = 0.5 * ((ub[:, 0] - ua[:, 0]) * (uc[:, 1] - ua[:, 1])
-                    - (uc[:, 0] - ua[:, 0]) * (ub[:, 1] - ua[:, 1]))
+    signed = _signed_areas(uv_u, simplices)
     keep_tri = edge_ok & (np.abs(signed) > 1e-12)
     simplices = simplices[keep_tri]
     flip = signed[keep_tri] < 0
@@ -588,7 +584,7 @@ def _read_surface(data: bytes) -> tuple[TriangleMesh, dict, list]:
     elif len(work) >= 3:
         try:
             normal, offset = fit_plane(work)
-        except ValueError as exc:
+        except DegenerateSurface as exc:
             raise DegenerateSurface(f"mesh PLY names no projection plane: {exc}") from exc
     else:
         normal, offset = np.array([0.0, 0.0, 1.0]), 0.0

@@ -72,6 +72,41 @@ def test_register_multiview_cli(tmp_path):
     assert (tmp_path / "out" / "s1_transform.txt").exists()
 
 
+@pytest.mark.parametrize("method, target", [
+    *((m, t) for t in ("collinear", "two points", "empty")
+      for m in ("icp", "coarse+icp", "hybrid")),
+    ("multiview", "empty list")])
+def test_register_on_degenerate_input_exits_2_with_one_line(tmp_path, capsys,
+                                                            method, target):
+    listing = tmp_path / "clouds.txt"
+    if method == "multiview":
+        listing.write_text("# no cloud yet\n\n")
+        argv = ["register-multiview", "--list", str(listing),
+                "--out-dir", str(tmp_path / "out")]
+        want = f"{listing} names no cloud"
+    else:
+        write_terrain(tmp_path / "src.ply", seed=1)
+        t = np.linspace(0.0, 10.0, 50)
+        points = {"collinear": np.column_stack([t, 2 * t, 0.5 * t]),
+                  "two points": [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                  "empty": np.zeros((0, 3))}[target]
+        (tmp_path / "dst.ply").write_bytes(
+            sw.write_cloud(sw.PointCloud(points=points)))
+        argv = ["register", "--src", str(tmp_path / "src.ply"),
+                "--dst", str(tmp_path / "dst.ply"), "--method", method,
+                "--out-transform", str(tmp_path / "out.txt"),
+                "--out-result", str(tmp_path / "out.json")]
+        want = {"collinear": "the points define no plane: points are "
+                             "collinear; plane undefined",
+                "two points": "the points define no plane: need at least "
+                              "3 points",
+                "empty": "--src and --dst must each hold at least one "
+                         "point"}[target]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"slopewatch: error: {want}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_filter_cli_with_mask(tmp_path, capsys):
     terr, _ = sw.gen_terrain((25, 18), 70.0, 0.3, 25, seed=5)
     cloud, truth = sw.add_vegetation(terr, 0.1, seed=6)

@@ -9,7 +9,7 @@ import slopewatch.cloud as cloud_mod
 from slopewatch.cloud import (EpochRecord, parse_cloud, plane_basis,
                               remove_outliers, surface_spacing,
                               validate_epoch_series, write_cloud, write_ply)
-from slopewatch.errors import CloudFormatError, CloudParseError
+from slopewatch.errors import CloudFormatError, CloudParseError, DegenerateSurface
 from slopewatch.terrain import read_mesh
 
 from ply_literals import CLOUD, CLOUD_PLY, CLOUD_XYZ
@@ -297,6 +297,16 @@ def test_normals_rotated_plane_matches_eigen_oracle(rng):
     # whole cloud: +-n_true with the sign fixed by the viewpoint
     np.testing.assert_allclose(np.abs(cloud.normals @ n_true), 1.0, atol=1e-6)
     assert np.all((cloud.normals * (vp - pts)).sum(axis=1) >= -1e-12)
+
+
+@pytest.mark.parametrize("case", ["two points", "collinear", "coincident"])
+def test_fit_plane_refuses_point_sets_with_no_plane(case):
+    t = np.linspace(0.0, 10.0, 50)
+    points = {"two points": [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+              "collinear": np.column_stack([t, 2 * t, 0.5 * t]),
+              "coincident": np.ones((5, 3))}[case]
+    with pytest.raises(DegenerateSurface, match="^the points define no plane: "):
+        sw.fit_plane(points)
 
 
 def test_normals_k_too_small(random_cloud):

@@ -21,6 +21,17 @@ def flat_cloud(n=2000, extent=20.0, seed=0, z=0.0):
 # ---------------------------------------------------------------------------
 
 
+def test_partition_levels_a_collinear_cell_horizontally():
+    t = np.linspace(0.0, 5.0, 40)
+    pts = np.column_stack([t, 0.5 * t, 2.0 + 3.0 * t])
+    subs = partition_subslopes(sw.PointCloud(points=pts), 100.0)
+    assert len(subs) == 1
+    np.testing.assert_array_equal(subs[0].plane_normal, [0.0, 0.0, 1.0])
+    assert subs[0].plane_offset == pts[:, 2].mean()
+    np.testing.assert_array_equal(subs[0].level_rotation.rotation, np.eye(3))
+    np.testing.assert_allclose(level_points(subs[0], pts), pts, atol=1e-12)
+
+
 def test_partition_single_cell_flat_plane():
     cloud = flat_cloud()
     subs = partition_subslopes(cloud, cell_size=100.0)

@@ -12,7 +12,8 @@ from slopewatch import cloud, terrain
 from slopewatch.pipeline import default_config, run_pipeline
 
 PACKAGE_DIR = Path(slopewatch.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = BENCH_DIR / "tracing.py"
 
 
 def test_no_function_local_imports():
@@ -85,6 +86,60 @@ def test_every_setting_is_read():
                     if cls not in READ_OUTSIDE
                     for name in names - read)
     assert unread == sorted(k for k in READ_OUTSIDE if "." in k)
+
+
+# defaulted parameters of public functions that no call in the package or
+# the benchmark passes, each with the caller that sets it
+PASSED_OUTSIDE = {
+    "cli.main.argv": "the tests drive the CLI in-process",
+    "cloud.remove_outliers.k":
+        "perfbench passes it positionally through Outcome.call",
+    "cloud.remove_outliers.std_ratio":
+        "perfbench passes it positionally through Outcome.call",
+}
+
+
+def test_every_parameter_is_passed():
+    """The parameter twin of ``test_every_setting_is_read``: each defaulted
+    parameter of a public module-level function in the package is passed,
+    by name or by position, by some call in the package or in
+    ``perfbench/``, so a knob that only the tests turn cannot linger. A
+    call counts by the called name alone; one with ``*args`` or
+    ``**kwargs`` passes everything. ``PASSED_OUTSIDE`` names the
+    exceptions, which must stay unpassed."""
+    defaulted = {}   # function name -> (module, {parameter: position})
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            params = {a.arg: i for i, a in enumerate(args) if i >= first}
+            params.update({a.arg: None for a, d in zip(fn.args.kwonlyargs,
+                                                         fn.args.kw_defaults)
+                           if d is not None})
+            assert fn.name not in defaulted, fn.name
+            defaulted[fn.name] = (path.stem, params)
+    assert {"icp", "build_dtm", "filter_vegetation"} <= set(defaulted)
+
+    passed = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            fn = _call_name(node) if isinstance(node, ast.Call) else None
+            if fn not in defaulted:
+                continue
+            module, params = defaulted[fn]
+            named = {kw.arg for kw in node.keywords}
+            spread = (None in named
+                      or any(isinstance(a, ast.Starred) for a in node.args))
+            passed.update(f"{module}.{fn}.{name}" for name, pos in params.items()
+                          if spread or name in named
+                          or (pos is not None and pos < len(node.args)))
+    unpassed = sorted(f"{module}.{fn}.{name}"
+                      for fn, (module, params) in defaulted.items()
+                      for name in params
+                      if f"{module}.{fn}.{name}" not in passed)
+    assert unpassed == sorted(PASSED_OUTSIDE)
 
 
 def test_derived_data_is_kept_one_way():

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import slopewatch as sw
-from slopewatch import registration as reg
+from slopewatch import cloud as cloud_mod, registration as reg
 from slopewatch.cloud import _kdtree, surface_spacing
-from slopewatch.errors import (DegenerateCorrespondences, DisconnectedViews,
-                               InsufficientGeometry, NoOverlap)
+from slopewatch.errors import (DegenerateCorrespondences, DegenerateSurface,
+                               DisconnectedViews, InsufficientGeometry,
+                               NoOverlap)
 from slopewatch.rigid import RigidTransform
 
 
@@ -407,7 +408,8 @@ def test_descriptor_rotation_invariance():
     cloud, _ = make_terrain(seed=7, extent=(20, 15), density=12)
     vp = cloud.points.mean(axis=0) + np.array([0.0, -30.0, 30.0])
     cloud = sw.estimate_normals(cloud, k=14, viewpoint=vp)
-    kp = sw.select_keypoints(cloud, 40)
+    kp = sw.select_keypoints(cloud, 40,
+                             reg.KEYPOINT_GAP_SPACINGS * surface_spacing(cloud))
     feats = sw.extract_descriptors(cloud, kp, radius=1.5)
     t = RigidTransform.rotation_about_axis([0.2, -0.4, 0.9], np.radians(75))
     t = RigidTransform(t.rotation, np.array([5.0, -3.0, 8.0]))
@@ -425,9 +427,10 @@ def test_descriptor_sparse_keypoints_dropped():
     assert list(feats.keypoint_indices) == [0]
 
 
-def reference_descriptors(cloud, keypoints, radius, min_neighbors=10):
-    """Per-keypoint descriptor loop: the definition the batched
+def reference_descriptors(cloud, keypoints, radius):
+    """Per-keypoint descriptor loop: the definition the blocked
     ``extract_descriptors`` must reproduce bit for bit."""
+    min_neighbors = reg.DESCRIPTOR_MIN_NEIGHBORS
     keypoints = np.asarray(keypoints, dtype=np.int64)
     pts = cloud.points
     n_az, n_rad, n_el = reg.DESCRIPTOR_BINS
@@ -481,10 +484,9 @@ def reference_keypoints(cloud, count, min_spacing):
     return picked
 
 
-def assert_matches_reference(cloud, keypoints, radius, min_neighbors=10):
-    feats = sw.extract_descriptors(cloud, keypoints, radius, min_neighbors)
-    kept, desc, dropped = reference_descriptors(cloud, keypoints, radius,
-                                                min_neighbors)
+def assert_matches_reference(cloud, keypoints, radius):
+    feats = sw.extract_descriptors(cloud, keypoints, radius)
+    kept, desc, dropped = reference_descriptors(cloud, keypoints, radius)
     np.testing.assert_array_equal(feats.keypoint_indices, kept)
     np.testing.assert_array_equal(feats.descriptors, desc)
     assert feats.descriptors.shape == (len(kept), reg.DESCRIPTOR_BITS)
@@ -493,19 +495,20 @@ def assert_matches_reference(cloud, keypoints, radius, min_neighbors=10):
     return feats
 
 
-@pytest.mark.parametrize("budget", [reg.DESCRIPTOR_ROW_BUDGET, 700])
-def test_descriptors_match_per_keypoint_reference(monkeypatch, budget):
-    # a small row budget splits the keypoints into many batches
-    monkeypatch.setattr(reg, "DESCRIPTOR_ROW_BUDGET", budget)
+@pytest.mark.parametrize("row_block", [cloud_mod.ROW_BLOCK, 7])
+def test_descriptors_match_per_keypoint_reference(monkeypatch, row_block):
+    # a small block splits the keypoints into many blocks run on the pool
+    monkeypatch.setattr(cloud_mod, "ROW_BLOCK", row_block)
     cloud, _ = make_terrain(seed=3, extent=(30, 20))
     cloud = reg._ensure_normals(cloud)
     spacing = surface_spacing(cloud)
-    keypoints = sw.select_keypoints(cloud, 300)
+    keypoints = sw.select_keypoints(cloud, 300,
+                                    reg.KEYPOINT_GAP_SPACINGS * spacing)
     for radius in (4.0 * spacing, 10.0 * spacing):
         assert_matches_reference(cloud, keypoints, radius)
-    # isolated keypoints fall under min_neighbors and are dropped
-    feats = assert_matches_reference(cloud, keypoints, 1.5 * spacing,
-                                     min_neighbors=6)
+    # isolated keypoints fall under the neighbor floor and are dropped
+    monkeypatch.setattr(reg, "DESCRIPTOR_MIN_NEIGHBORS", 6)
+    feats = assert_matches_reference(cloud, keypoints, 1.5 * spacing)
     assert 0 < len(feats.keypoint_indices) < len(keypoints)
 
 
@@ -519,16 +522,21 @@ def test_descriptors_edge_cases():
     holed = cloud.with_(normals=normals)
     empty = sw.extract_descriptors(holed, [], radius=1.0)
     assert empty.descriptors.shape == (0, reg.DESCRIPTOR_BITS)
+    # keypoints none of which is usable bin one empty block
+    none = sw.extract_descriptors(holed, [300, 301], radius=1.0)
+    assert none.keypoint_indices.shape == (0,)
+    assert none.descriptors.shape == (0, reg.DESCRIPTOR_BITS)
+    assert none.descriptors.dtype == np.uint8
     # a lone point (too few neighbors), a NaN normal, and plain patches
     feats = assert_matches_reference(holed, [0, 300, 301, 450, 0], 1.0)
     assert list(feats.keypoint_indices) == [0, 450, 0]
 
 
-def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal():
+def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal(monkeypatch):
     # points on the three axes, spread most along z: the covariance is
     # diagonal, its dominant eigenvector is the normal and projects to
     # nothing, so the x axis comes from column 1; a lone point
-    # (min_neighbors=1) has a zero covariance
+    # (a neighbor floor of 1) has a zero covariance
     t = np.linspace(-1, 1, 21)
     star = np.unique(np.vstack([np.outer(t, [0, 0, 1.0]),
                                 np.outer(0.5 * t[::4], [0, 1.0, 0]),
@@ -539,7 +547,8 @@ def test_descriptors_x_axis_falls_back_when_eigenvector_is_the_normal():
     centre = int(np.flatnonzero(~pts.any(axis=1))[0])
     _, vecs = np.linalg.eigh(star.T @ star / len(star))
     np.testing.assert_array_equal(np.abs(vecs[:, 2]), [0, 0, 1.0])
-    feats = assert_matches_reference(cloud, [0, centre], 1.5, min_neighbors=1)
+    monkeypatch.setattr(reg, "DESCRIPTOR_MIN_NEIGHBORS", 1)
+    feats = assert_matches_reference(cloud, [0, centre], 1.5)
     assert len(feats.keypoint_indices) == 2
 
 
@@ -648,6 +657,27 @@ def test_multiview_three_stations_recover_poses():
         err = transforms[i].apply(pts) - truth.apply(pts)
         rmse = np.sqrt(np.mean((err ** 2).sum(axis=1)))
         assert rmse < 2 * sigma
+
+
+@pytest.mark.parametrize("case", ["collinear", "two points"])
+def test_multiview_view_with_no_plane_has_no_link(case):
+    a, _ = make_terrain(seed=10, extent=(20, 15))
+    t = np.linspace(0.0, 10.0, 50)
+    points = np.column_stack([t, 2 * t, 0.5 * t])
+    bad = sw.PointCloud(points=points[:2] if case == "two points" else points)
+    with pytest.raises(DisconnectedViews) as err:
+        sw.register_multiview([a, bad, a.with_()])
+    assert sorted(map(sorted, err.value.components)) == [[0, 2], [1]]
+
+
+def test_multiview_views_without_surface_spacing_have_no_link():
+    # every point six times over: the median 4th neighbor is the point itself
+    a, _ = make_terrain(seed=10, extent=(20, 15))
+    stacked = sw.PointCloud(points=np.repeat(a.points, 6, axis=0))
+    with pytest.raises(DegenerateSurface, match="no surface spacing"):
+        sw.coarse_register(stacked, stacked.with_())
+    with pytest.raises(DisconnectedViews):
+        sw.register_multiview([stacked, stacked.with_()])
 
 
 def test_multiview_disconnected_views():
