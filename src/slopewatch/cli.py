@@ -213,9 +213,7 @@ def cmd_synth(args) -> int:
             mean_slope_deg=args.slope, roughness=args.roughness,
             density_pts_m2=args.density, seed=args.seed)
     elif args.what == "veg":
-        base = read_cloud(args.infile)
-        labels = np.full(len(base), np.uint8(PointClass.GROUND))
-        cloud, _ = synth.add_vegetation(base.with_(labels=labels),
+        cloud, _ = synth.add_vegetation(read_cloud(args.infile),
                                         args.coverage, seed=args.seed)
     elif args.what == "slide":
         base = read_cloud(args.infile)
@@ -321,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--method", choices=bench.METHODS, default="icp")
     r.add_argument("--out-transform", default="transform.txt")
     r.add_argument("--out-result", default="result.json")
-    r.add_argument("--max-iter", type=_positive_int, default=50)
+    r.add_argument("--max-iter", type=_positive_int,
+                   default=registration.IcpParams().max_iter)
     r.add_argument("--max-pair-dist", type=_positive_float, default=None)
     r.set_defaults(func=cmd_register)
 
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--radius-across", type=_positive_float, default=5.0)
     sl.add_argument("--depth", type=_nonzero_float, default=0.5)
     sl.add_argument("--azimuth", type=_finite_float, default=90.0)
-    sl.add_argument("--seed", type=int, default=0)
     sl.add_argument("--out", required=True)
     sl.set_defaults(func=cmd_synth)
     sc = sysub.add_parser("scan")

@@ -494,8 +494,10 @@ def _by_rows(kernel, rows) -> tuple:
     tuple are concatenated in block order. One block (zero rows make one
     empty block, so the result keeps its column shapes) runs on the calling
     thread: a pool thread would only hand it over, and would keep its
-    memory in a malloc arena of its own. Three kernels run here: the
-    normals of ``estimate_normals``, the descriptors of
+    memory in a malloc arena of its own. The pool runs all of the package's
+    work that leaves the calling thread, in five kernels: the normals of
+    ``estimate_normals``, the neighbour distances of ``remove_outliers``,
+    the pairing query of ``registration.icp``, the descriptors of
     ``registration.extract_descriptors`` and the nearest-triangle search
     of ``terrain.mesh_distance``.
 
@@ -558,7 +560,7 @@ def surface_spacing(cloud: PointCloud) -> float:
         return 0.0
     k = SPACING_K if n > SPACING_K else 1
     probe = cloud.points[::max(1, n // SPACING_SAMPLE)]
-    d, _ = _kdtree(cloud).query(probe, k=k + 1, workers=-1)
+    d, _ = _kdtree(cloud).query(probe, k=k + 1)
     return float(np.median(d[:, k]) / np.sqrt(k))
 
 
@@ -652,8 +654,13 @@ def remove_outliers(cloud: PointCloud, k: int = 8,
     n = len(cloud)
     if n <= k:
         return cloud
-    d, _ = _kdtree(cloud).query(cloud.points, k=k + 1, workers=-1)
-    mean_d = d[:, 1:].mean(axis=1)
+    tree = _kdtree(cloud)
+
+    def kernel(block):
+        d, _ = tree.query(block, k=k + 1)
+        return (d[:, 1:].mean(axis=1),)
+
+    mean_d, = _by_rows(kernel, cloud.points)
     keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
     return cloud.subset(np.flatnonzero(keep))
 
@@ -689,7 +696,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     tree = _kdtree(cloud)
 
     def kernel(block):
-        _, idx = tree.query(block, k=k, workers=1)
+        _, idx = tree.query(block, k=k)
         nb = pts[idx]                                # (m, k, 3)
         mean = nb.mean(axis=1, keepdims=True)
         centered = nb - mean

@@ -30,7 +30,6 @@ SUBSLOPE_MIN_POINTS = 30   # a raster cell with fewer joins its nearest neighbor
 class SubSlope:
     """One raster cell of the slope with its fitted plane and leveling rotation."""
 
-    cell_id: tuple
     member_indices: np.ndarray
     plane_normal: np.ndarray
     plane_offset: float
@@ -70,8 +69,9 @@ def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
 
     Cells under ``SUBSLOPE_MIN_POINTS`` are merged into the nearest
     populated cell (by cell-center distance, ties broken
-    lexicographically). Raises ``TooSparse`` when the whole cloud is below
-    the minimum.
+    lexicographically). The sub-slopes come in cell order: by x cell, then
+    by y cell. Raises ``TooSparse`` when the whole cloud is below the
+    minimum.
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -112,7 +112,6 @@ def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
             normal, offset = z_axis.copy(), float(member_pts[:, 2].mean())
         rot = RigidTransform.rotation_between(normal, z_axis)
         subslopes.append(SubSlope(
-            cell_id=(int(uniq[cell, 0]), int(uniq[cell, 1])),
             member_indices=members,
             plane_normal=normal,
             plane_offset=offset,
@@ -142,7 +141,7 @@ def _fill_empty_cells(height: np.ndarray, occupied: np.ndarray) -> np.ndarray:
     occ_idx = np.argwhere(occupied)
     empty_idx = np.argwhere(~occupied)
     tree = cKDTree(occ_idx.astype(np.float64))
-    _, nearest = tree.query(empty_idx.astype(np.float64), k=1, workers=-1)
+    _, nearest = tree.query(empty_idx.astype(np.float64), k=1)
     filled[tuple(empty_idx.T)] = height[tuple(occ_idx[nearest].T)]
     return filled
 
@@ -248,24 +247,18 @@ def filter_vegetation(
     Each sub-slope classifies its members plus a 1 m apron borrowed from
     neighboring cells; a point seen by several cells takes the label from
     the cell whose fitted plane it matches best, so the outcome does not
-    depend on processing order. Returns (ground cloud,
-    removed cloud, per-point labeling); the two clouds partition the input.
+    depend on processing order; an exact tie goes to the lowest cell, the
+    first in the partition's cell order. Returns (ground cloud, removed
+    cloud, per-point labeling); the two clouds partition the input.
     """
     cloth = cloth or ClothParams()
     subslopes = partition_subslopes(cloud, cell_size)
     pts = cloud.points
     n = len(pts)
     best_dist = np.full(n, np.inf)
-    best_rank = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     labels = np.full(n, np.uint8(PointClass.UNKNOWN))
 
-    # ties broken by cell id, not processing position, so the outcome is
-    # invariant under any permutation of the sub-slope order
-    cell_rank = {sub.cell_id: i for i, sub in
-                 enumerate(sorted(subslopes, key=lambda s: s.cell_id))}
-
     for sub in subslopes:
-        rank = cell_rank[sub.cell_id]
         member_xy = pts[sub.member_indices, :2]
         lo = member_xy.min(axis=0) - 1.0
         hi = member_xy.max(axis=0) + 1.0
@@ -277,11 +270,9 @@ def filter_vegetation(
         part = csf_classify(PointCloud(points=level_points(sub, pts[work])), cloth)
 
         plane_dist = np.abs(pts[work] @ sub.plane_normal - sub.plane_offset)
-        better = (plane_dist < best_dist[work]) | (
-            (plane_dist == best_dist[work]) & (rank < best_rank[work]))
+        better = plane_dist < best_dist[work]
         target = work[better]
         best_dist[target] = plane_dist[better]
-        best_rank[target] = rank
         labels[target] = part.labels[better]
 
     labeling = GroundLabeling(labels=labels)

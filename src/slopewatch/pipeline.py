@@ -224,7 +224,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 config.veg_height_range_m, seed=config.veg_seed)
             scene_clouds.append(cloud_e)
             scene_truths.append(SceneTruth(
-                ground_labels=cloud_e.labels.copy(),
                 true_displacement=np.concatenate(
                     [pair_disp, np.zeros(len(cloud_e) - len(base))]),
                 frame=frame))

@@ -186,7 +186,7 @@ def icp(
 
     for it in range(1, params.max_iter + 1):
         moved = t.apply(src)
-        dist, idx = tree.query(moved, workers=-1)
+        dist, idx = _by_rows(tree.query, moved)
         mask = dist <= max_pair
         if it == 1 and not mask.any():
             raise NoOverlap(
@@ -295,18 +295,17 @@ def extract_descriptors(cloud: PointCloud, keypoints,
     ``radius``, or without a finite normal or a local frame, are dropped;
     the ``FeatureSet`` lists the kept ones in their input order.
 
-    The ball query runs on the calling thread (``workers=-1``); gathering
-    and binning the neighborhoods run per block of ``cloud.ROW_BLOCK``
-    keypoints (``cloud._by_rows``). Each keypoint is binned on its own, so
-    the result is the same for any block size or core count.
+    The ball query runs on the calling thread; gathering and binning the
+    neighborhoods run per block of ``cloud.ROW_BLOCK`` keypoints on the
+    package's one pool (``cloud._by_rows``). Each keypoint is binned on its
+    own, so the result is the same for any block size or core count.
     """
     if cloud.normals is None:
         raise ValueError("descriptors need normals; run estimate_normals first")
     if radius <= 0:
         raise ValueError("descriptor radius must be positive")
     keypoints = np.asarray(keypoints, dtype=np.int64)
-    lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius,
-                                            workers=-1)
+    lists = _kdtree(cloud).query_ball_point(cloud.points[keypoints], r=radius)
     sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
     usable = np.flatnonzero(
         (sizes >= DESCRIPTOR_MIN_NEIGHBORS)

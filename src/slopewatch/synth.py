@@ -69,7 +69,6 @@ class LandslideSpec:
 class SceneTruth:
     """Ground truth accompanying a generated cloud."""
 
-    ground_labels: np.ndarray
     true_displacement: np.ndarray | None = None
     frame: TerrainFrame | None = None
 
@@ -147,8 +146,7 @@ def gen_terrain(
            + h[:, None] * frame.normal)
     labels = np.full(n, np.uint8(PointClass.GROUND))
     cloud = PointCloud(points=pts, labels=labels)
-    truth = SceneTruth(ground_labels=labels.copy(),
-                       true_displacement=np.zeros(n), frame=frame)
+    truth = SceneTruth(true_displacement=np.zeros(n), frame=frame)
     return cloud, truth
 
 
@@ -175,8 +173,7 @@ def add_vegetation(
         n_ground, np.uint8(PointClass.GROUND))
     n_veg = int(round(coverage_fraction / (1.0 - coverage_fraction) * n_ground))
     if n_veg == 0:
-        truth = SceneTruth(ground_labels=labels_in.copy(),
-                           true_displacement=np.zeros(n_ground))
+        truth = SceneTruth(true_displacement=np.zeros(n_ground))
         return cloud, truth
 
     rng = np.random.default_rng(seed)
@@ -210,8 +207,7 @@ def add_vegetation(
                for k, v in cloud.scalars.items()}
     out = PointCloud(points=points, scalars=scalars, labels=labels,
                      epoch_id=cloud.epoch_id, origin_shift=cloud.origin_shift)
-    truth = SceneTruth(ground_labels=labels.copy(),
-                       true_displacement=np.zeros(len(points)))
+    truth = SceneTruth(true_displacement=np.zeros(len(points)))
     return out, truth
 
 
@@ -351,10 +347,7 @@ def apply_landslide(
     moved = pts + displacement
 
     out = cloud.with_(points=moved)
-    labels = cloud.labels if cloud.labels is not None else np.full(
-        len(pts), np.uint8(PointClass.GROUND))
-    truth = SceneTruth(ground_labels=labels.copy(),
-                       true_displacement=normal_change)
+    truth = SceneTruth(true_displacement=normal_change)
     return out, truth
 
 

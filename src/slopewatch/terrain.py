@@ -360,7 +360,7 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
             best_cp[upd] = cps[win]
 
         for group, g_tree, k, g_rmax, columns in groups:
-            gd, gi = g_tree.query(pts, k=k, workers=1)
+            gd, gi = g_tree.query(pts, k=k)
             gd = gd.reshape(nv, k)
             gi = group[gi.reshape(nv, k)]
             for cols in columns:
@@ -374,7 +374,7 @@ def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
             if len(pending) == 0:
                 continue
             radius = np.minimum(best_d[pending], cap) + g_rmax
-            lists = g_tree.query_ball_point(pts[pending], r=radius, workers=1)
+            lists = g_tree.query_ball_point(pts[pending], r=radius)
             counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
                                  count=len(pending))
             if counts.sum() == 0:

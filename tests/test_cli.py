@@ -250,6 +250,8 @@ def test_stage_defaults_match_pipeline_config():
     regions = parser.parse_args(["regions", "--field", "f", "--out", "o"])
     assert regions.min_area == cfg.min_region_area_m2
     assert regions.threshold == cfg.rate_threshold_mm_day
+    register = parser.parse_args(["register", "--src", "s", "--dst", "d"])
+    assert register.max_iter == sw.IcpParams().max_iter
 
 
 def _malformed_input(case, tmp_path):

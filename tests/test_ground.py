@@ -71,8 +71,9 @@ def test_partition_empty_interior_cell_absent():
     right = left + np.array([20.0, 0.0, 0.0])
     cloud = sw.PointCloud(points=np.vstack([left, right]))
     subs = partition_subslopes(cloud, cell_size=5.0)
-    cells = {s.cell_id for s in subs}
-    assert (1, 0) not in cells and (2, 0) not in cells
+    cells = [{tuple(c) for c in np.floor(cloud.points[s.member_indices, :2]
+                                         / 5.0).astype(int)} for s in subs]
+    assert cells == [{(0, 0)}, {(4, 0)}]
 
 
 def test_partition_sparse_cells_merge_to_neighbor():
@@ -214,9 +215,9 @@ def test_filter_vegetation_free_slope():
 
 def test_filter_vegetation_steep_slope_with_cover():
     terr, _ = sw.gen_terrain((40, 25), 70.0, 0.3, 40, seed=14)
-    cloud, truth = sw.add_vegetation(terr, 0.15, (0.5, 2.0), seed=15)
+    cloud, _ = sw.add_vegetation(terr, 0.15, (0.5, 2.0), seed=15)
     ground, removed, labeling = filter_vegetation(cloud, cell_size=15.0)
-    accuracy = (labeling.labels == truth.ground_labels).mean()
+    accuracy = (labeling.labels == cloud.labels).mean()
     assert accuracy >= 0.95
     assert len(ground) + len(removed) == len(cloud)
 

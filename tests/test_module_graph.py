@@ -5,7 +5,7 @@ import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
-from threading import current_thread, main_thread
+from threading import Thread, current_thread, main_thread
 
 import slopewatch
 from slopewatch import cloud, terrain
@@ -50,8 +50,6 @@ READ_OUTSIDE = {
     "PipelineResult": "run_pipeline's return value, read by its callers",
     "RegistrationResult.rmse_sequence":
         "the ICP's RMSE trace, for the per-run metrics file ROADMAP plans",
-    "SceneTruth.ground_labels":
-        "the generator's labels, the truth of acceptance criterion 7",
 }
 
 
@@ -199,31 +197,35 @@ def test_one_thread_pool_and_no_other_threads_or_processes():
     assert stray == []
 
 
-def test_every_kdtree_query_names_its_workers():
-    """A plain query runs on every core (``workers=-1``); one inside a
-    ``_by_rows`` kernel already runs on a pool thread (``workers=1``)."""
-    queries, unnamed = 0, []
+def test_no_kdtree_query_starts_threads():
+    """No call passes ``workers``, so scipy runs each kd-tree query on the
+    calling thread and the one pool (``cloud._by_rows``) is the only way
+    onto more cores. A query counts where it is called or handed to
+    ``_by_rows``."""
+    queries, threaded = 0, []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("query", "query_ball_point")):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("query", "query_ball_point")):
                 queries += 1
-                if not any(kw.arg == "workers" for kw in node.keywords):
-                    unnamed.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Call)
+                    and any(kw.arg == "workers" for kw in node.keywords)):
+                threaded.append(f"{path.name}:{node.lineno}")
     assert queries >= 8
-    assert unnamed == []
+    assert threaded == []
 
 
 def test_pool_threads_build_no_tree_and_keep_nothing(tmp_path, monkeypatch):
     """The benchmark's tracer keeps one span stack and counts kd-tree
     builds on it, and ``_kept`` writes an unlocked memo: during a pipeline
     run both happen on the main thread only, while the nearest-triangle
-    search does run on pool threads."""
-    off_main, search_threads = [], set()
+    search does run on pool threads. Every thread the run starts is a
+    thread of the one pool."""
+    off_main, search_threads, started = [], set(), []
     real_tree, real_kept = cloud.cKDTree, cloud._kept
     real_closest = terrain.closest_point_on_triangles
+    real_start = Thread.start
 
     def tree(*args, **kwargs):
         if current_thread() is not main_thread():
@@ -239,6 +241,10 @@ def test_pool_threads_build_no_tree_and_keep_nothing(tmp_path, monkeypatch):
         search_threads.add(current_thread().name)
         return real_closest(*args)
 
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
     for module in [m for n, m in sys.modules.items()
                    if n.startswith("slopewatch.") and m is not None]:
         for attr, real, fake in (("cKDTree", real_tree, tree),
@@ -246,6 +252,9 @@ def test_pool_threads_build_no_tree_and_keep_nothing(tmp_path, monkeypatch):
             if vars(module).get(attr) is real:
                 monkeypatch.setattr(module, attr, fake)
     monkeypatch.setattr(terrain, "closest_point_on_triangles", closest)
+    monkeypatch.setattr(Thread, "start", start)
     run_pipeline(default_config(density_pts_m2=8, out_dir=str(tmp_path / "run")))
     assert off_main == []
     assert search_threads - {main_thread().name}
+    assert [name for name in started
+            if not name.startswith("slopewatch-rows_")] == []

@@ -64,15 +64,15 @@ def test_gen_terrain_rejects_bad_slope_and_roughness(slope, roughness):
 
 def test_vegetation_zero_coverage_unchanged():
     cloud, _ = gen_terrain((15, 10), 70.0, 0.3, 20.0, seed=3)
-    out, truth = add_vegetation(cloud, 0.0, seed=4)
+    out, _ = add_vegetation(cloud, 0.0, seed=4)
     np.testing.assert_array_equal(out.points, cloud.points)
-    assert (truth.ground_labels == PointClass.GROUND).all()
+    assert (out.labels == PointClass.GROUND).all()
 
 
 def test_vegetation_coverage_fraction():
     cloud, _ = gen_terrain((20, 15), 70.0, 0.3, 40.0, seed=5)
-    out, truth = add_vegetation(cloud, 0.15, seed=6)
-    frac = (truth.ground_labels == PointClass.VEGETATION).mean()
+    out, _ = add_vegetation(cloud, 0.15, seed=6)
+    frac = (out.labels == PointClass.VEGETATION).mean()
     assert frac == pytest.approx(0.15, abs=0.03)
 
 
@@ -80,9 +80,9 @@ def test_vegetation_min_height_above_local_ground():
     cloud, _ = gen_terrain((20, 15), 70.0, 0.4, 40.0, seed=7)
     support_radius = synth.VEG_SUPPORT_RADIUS_M
     h_min = 0.5
-    out, truth = add_vegetation(cloud, 0.10, (h_min, 2.0), seed=8)
-    ground = out.points[truth.ground_labels == PointClass.GROUND]
-    veg = out.points[truth.ground_labels == PointClass.VEGETATION]
+    out, _ = add_vegetation(cloud, 0.10, (h_min, 2.0), seed=8)
+    ground = out.points[out.labels == PointClass.GROUND]
+    veg = out.points[out.labels == PointClass.VEGETATION]
     normal, _ = fit_plane(ground)
     helper = np.array([1.0, 0, 0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1, 0])
     u = helper - (helper @ normal) * normal
