@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import date, datetime
 from enum import Enum
 
@@ -58,14 +58,16 @@ class ErrorBudget:
     m_treg: float
     m_veg: float
     m_mesh: float
-    sigma_mm: float = 0.0
 
     def __post_init__(self):
-        comps = (self.m_TLS, self.m_mreg, self.m_treg, self.m_veg, self.m_mesh)
-        if any(c < 0 for c in comps):
+        if any(c < 0 for c in astuple(self)):
             raise ValueError("error components must be non-negative")
-        sigma = math.sqrt(sum(k * c * c for k, c in zip(ERROR_MULTIPLICITIES, comps)))
-        object.__setattr__(self, "sigma_mm", sigma)
+
+    @property
+    def sigma_mm(self) -> float:
+        """The propagated displacement error of the five components."""
+        return math.sqrt(sum(k * c * c for k, c in
+                             zip(ERROR_MULTIPLICITIES, astuple(self))))
 
 
 @dataclass(frozen=True)

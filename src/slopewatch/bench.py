@@ -83,7 +83,7 @@ def run_table2_benchmark(config: BenchmarkConfig | None = None) -> dict:
     report = {"configurations": [], "trials": config.trials,
               "success_threshold_m": config.success_threshold_m}
     for ci, trial_cfg in enumerate(config.configurations):
-        per_method = {m: {"successes": 0, "rmse": [], "failures": 0}
+        per_method = {m: {"successes": 0, "rmse": []}
                       for m in config.methods}
         trial_records = []
         for t in range(config.trials):
@@ -123,7 +123,6 @@ def run_table2_benchmark(config: BenchmarkConfig | None = None) -> dict:
                     record[m] = {"success": bool(ev.success),
                                  "pose_rmse_m": float(ev.pose_rmse)}
                 except SlopewatchError as exc:
-                    per_method[m]["failures"] += 1
                     per_method[m]["rmse"].append(float("inf"))
                     record[m] = {"success": False, "error": str(exc)}
                     logger.info("trial %d method %s errored: %s", t, m, exc)

@@ -102,18 +102,9 @@ class PipelineConfig:
     def from_dict(d: dict) -> "PipelineConfig":
         d = dict(d)
         d["epochs"] = [
-            EpochSpec(
-                epoch_id=e["epoch_id"], date=e["date"],
-                station_count=e.get("station_count", 2),
-                landslides=[
-                    LandslideSpec(center=tuple(s["center"]),
-                                  radius_along=s["radius_along"],
-                                  radius_across=s["radius_across"],
-                                  depth_m=s["depth_m"],
-                                  azimuth_deg=s["azimuth_deg"])
-                    for s in e.get("landslides", [])
-                ],
-            )
+            EpochSpec(**{**e, "landslides": [
+                LandslideSpec(**{**s, "center": tuple(s["center"])})
+                for s in e.get("landslides", [])]})
             for e in d.get("epochs", [])
         ]
         if isinstance(d.get("cloth"), dict):

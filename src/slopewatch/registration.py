@@ -406,24 +406,23 @@ def consistent_match_subset(src_pts: np.ndarray, tgt_pts: np.ndarray,
 
     A retained set is mutually consistent: for every two kept matches the
     source-side and target-side separations agree within ``tolerance``.
-    Seeded from the match with the most consistent partners; deterministic.
+    Seeded from the match with the most consistent partners, then sweeps
+    the rest in that order; deterministic.
     """
-    m = len(pairs)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
     ps = src_pts[pairs[:, 0]]
     pt = tgt_pts[pairs[:, 1]]
     ds = np.linalg.norm(ps[:, None, :] - ps[None, :, :], axis=2)
     dt = np.linalg.norm(pt[:, None, :] - pt[None, :, :], axis=2)
     compat = np.abs(ds - dt) <= tolerance
     np.fill_diagonal(compat, True)
-    scores = compat.sum(axis=1)
-    order = np.lexsort((np.arange(m), -scores))
-    members = [int(order[0])]
-    for cand in order[1:]:
-        if compat[cand, members].all():
-            members.append(int(cand))
-    return np.asarray(sorted(members), dtype=np.int64)
+    order = np.lexsort((np.arange(len(pairs)), -compat.sum(axis=1)))
+    kept = np.zeros(len(pairs), dtype=bool)
+    fits = np.ones(len(pairs), dtype=bool)   # consistent with every kept match
+    for cand in order:
+        if fits[cand]:
+            kept[cand] = True
+            fits &= compat[cand]
+    return np.flatnonzero(kept)
 
 
 def _ensure_normals(cloud: PointCloud) -> PointCloud:
@@ -498,9 +497,13 @@ def _consistent_matches(source: PointCloud, target: PointCloud,
     return matches, keep
 
 
-def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
-                ft: FeatureSet, spacing: float) -> RigidTransform:
-    """Closed-form fit on the consistent matches of a prepared pair."""
+def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
+    """Descriptor matching + geometric consistency + closed-form fit.
+
+    Raises ``InsufficientGeometry`` when fewer than three matches survive
+    the consistency filter (featureless or non-overlapping geometry).
+    """
+    source, target, fs, ft, spacing = _prepare_pair(source, target)
     matches, keep = _consistent_matches(source, target, fs, ft, spacing)
     if len(matches) < 3:
         raise InsufficientGeometry(f"only {len(matches)} mutual descriptor matches")
@@ -518,23 +521,15 @@ def _coarse_fit(source: PointCloud, target: PointCloud, fs: FeatureSet,
         raise InsufficientGeometry(str(exc)) from exc
 
 
-def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
-    """Descriptor matching + geometric consistency + closed-form fit.
-
-    Raises ``InsufficientGeometry`` when fewer than three matches survive
-    the consistency filter (featureless or non-overlapping geometry).
-    """
-    return _coarse_fit(*_prepare_pair(source, target))
-
-
 def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
     """Hierarchical multi-view registration into the first cloud's frame.
 
     Scores every pair of current groups by descriptor-set overlap (matches
     surviving geometric consistency), registers and merges the strongest
-    pair (coarse fit on the scored features + ICP), and repeats until one
-    cloud remains. Returns one transform per input cloud; the first cloud
-    maps to identity.
+    pair (``coarse_register`` + ICP; the features scored are kept with the
+    clouds, so the fit reuses them), and repeats until one cloud remains.
+    Returns one transform per input cloud; the first cloud maps to
+    identity.
 
     Raises ``DisconnectedViews`` naming the components when no remaining
     pair clears the minimum link strength.
@@ -544,39 +539,31 @@ def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
     if len(clouds) == 1:
         return [RigidTransform.identity()]
 
-    groups = [
-        {"members": [i], "transforms": {i: RigidTransform.identity()}, "cloud": c}
-        for i, c in enumerate(clouds)
-    ]
+    # (merged cloud, {member index: pose into that cloud's frame})
+    groups = [(c, {i: RigidTransform.identity()}) for i, c in enumerate(clouds)]
     while len(groups) > 1:
-        best = None   # (link strength, ia, ib, prepared pair)
+        best = None   # (link strength, ia, ib)
         for ia, ib in itertools.combinations(range(len(groups)), 2):
             try:
-                pair = _prepare_pair(groups[ia]["cloud"], groups[ib]["cloud"])
-                _, keep = _consistent_matches(*pair)
+                pair = _prepare_pair(groups[ia][0], groups[ib][0])
             except DegenerateSurface:
                 continue   # a pair that cannot be prepared has no link
-            if best is None or len(keep) > best[0]:
-                best = (len(keep), ia, ib, pair)
+            strength = len(_consistent_matches(*pair)[1])
+            if best is None or strength > best[0]:
+                best = (strength, ia, ib)
         if best is None or best[0] < MIN_LINK_MATCHES:
-            raise DisconnectedViews([sorted(g["members"]) for g in groups])
-        strength, ia, ib, (a, b, fa, fb, spacing) = best
-        ga, gb = groups[ia], groups[ib]
+            raise DisconnectedViews([sorted(g[1]) for g in groups])
+        strength, ia, ib = best
+        (a, poses_a), (b, poses_b) = groups[ia], groups[ib]
         logger.info("merging views %s <- %s (link strength %d)",
-                    ga["members"], gb["members"], strength)
-        t_coarse = _coarse_fit(b, a, fb, fa, spacing)
-        result = icp(gb["cloud"], ga["cloud"], init=t_coarse)
-        t = result.transform
-        merged = concat_clouds([ga["cloud"], t.apply_cloud(gb["cloud"])])
-        transforms = dict(ga["transforms"])
-        for m, tm in gb["transforms"].items():
-            transforms[m] = t.compose(tm)
-        new_group = {"members": ga["members"] + gb["members"],
-                     "transforms": transforms, "cloud": merged}
+                    list(poses_a), list(poses_b), strength)
+        t = icp(b, a, init=coarse_register(b, a)).transform
+        poses = dict(poses_a)
+        poses.update((m, t.compose(tm)) for m, tm in poses_b.items())
         groups = [g for k, g in enumerate(groups) if k not in (ia, ib)]
-        groups.append(new_group)
+        groups.append((concat_clouds([a, t.apply_cloud(b)]), poses))
 
-    final = groups[0]["transforms"]
+    final = groups[0][1]
     rebase = final[0].inverse()
     return [rebase.compose(final[i]) for i in range(len(clouds))]
 

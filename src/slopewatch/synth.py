@@ -78,7 +78,6 @@ def _value_noise(u: np.ndarray, v: np.ndarray, extent: tuple, rng,
     """Multi-octave bilinear value noise, RMS roughly 1."""
     out = np.zeros_like(u)
     base = max(extent) / 4.0
-    total_amp = 0.0
     for o in range(octaves):
         cell = max(base / (2 ** o), 1e-6)
         amp = 0.5 ** o
@@ -98,7 +97,6 @@ def _value_noise(u: np.ndarray, v: np.ndarray, extent: tuple, rng,
                + (1 - smooth_x) * smooth_y * lattice[i0, j0 + 1]
                + smooth_x * smooth_y * lattice[i0 + 1, j0 + 1])
         out += amp * val
-        total_amp += amp
     rms = float(np.sqrt(np.mean(out ** 2)))
     return out / rms if rms > 0 else out
 
@@ -174,7 +172,7 @@ def add_vegetation(
     n_veg = int(round(coverage_fraction / (1.0 - coverage_fraction) * n_ground))
     if n_veg == 0:
         truth = SceneTruth(true_displacement=np.zeros(n_ground))
-        return cloud, truth
+        return cloud.with_(labels=labels_in), truth
 
     rng = np.random.default_rng(seed)
     ground_idx = np.flatnonzero(labels_in == PointClass.GROUND)

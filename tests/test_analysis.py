@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import json
 import math
@@ -234,6 +235,14 @@ def test_error_budget_reference_value():
 
 def test_error_budget_single_component():
     assert error_budget(0, 0, 60, 0, 0).sigma_mm == pytest.approx(60.0)
+
+
+def test_error_budget_sigma_follows_its_components():
+    budget = error_budget(6, 30, 60, 10, 10)
+    with pytest.raises(TypeError):
+        sw.ErrorBudget(6, 30, 60, 10, 10, sigma_mm=1.0)
+    assert dataclasses.replace(budget, m_treg=0).sigma_mm == pytest.approx(
+        math.sqrt(2 * 36 + 2 * 900 + 2 * 100 + 100))
 
 
 def test_error_budget_rejects_negative():

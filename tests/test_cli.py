@@ -276,8 +276,16 @@ def _malformed_input(case, tmp_path):
     if case.startswith("config"):
         out = tmp_path / "run"
         config = tmp_path / "cfg.json"
-        config.write_text("not json" if case == "config-not-json" else
-                          json.dumps({"out_dir": str(out), "bogus_key": 1}))
+        doc = {"out_dir": str(out), "bogus_key": 1}
+        if case != "config-unknown-key":   # a misspelt key one level down
+            doc = sw.default_config(out_dir=str(out)).to_dict()
+            first, second = doc["epochs"]
+            if case == "config-unknown-epoch-key":
+                first["station_cout"] = first.pop("station_count")
+            else:
+                second["landslides"][0]["radius_acros"] = 5.0
+        config.write_text("not json" if case == "config-not-json"
+                          else json.dumps(doc))
         return (["pipeline", "--config", str(config)], out,
                 "malformed pipeline config")
     field = tmp_path / "field.ply"
@@ -315,7 +323,8 @@ def _malformed_input(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "ply-header", "mask-not-an-integer", "mask-index-past-cloud",
-    "config-not-json", "config-unknown-key", "regions-row-without-vertex-set",
+    "config-not-json", "config-unknown-key", "config-unknown-epoch-key",
+    "config-unknown-landslide-key", "regions-row-without-vertex-set",
     "regions-vertex-past-field", "regions-negative-vertex",
     "regions-fractional-vertex", "regions-string-vertex",
     "regions-empty-vertex-set", "regions-one-vertex", "regions-boolean-vertex",

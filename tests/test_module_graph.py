@@ -140,6 +140,40 @@ def test_every_parameter_is_passed():
     assert unpassed == sorted(PASSED_OUTSIDE)
 
 
+# public module-level functions that no code in the package or the
+# benchmark names, each with the reader that uses it
+REFERENCED_OUTSIDE = {
+    "analysis.relative_error":
+        "acceptance criterion 3's relative-error bound, checked by the tests",
+}
+
+
+def test_every_public_function_is_referenced():
+    """Each public module-level function of the package is called or
+    referenced by name (a call, an attribute or a bare name, not an import)
+    somewhere in the package or in ``perfbench/``, so a function that only
+    the tests use cannot linger. ``REFERENCED_OUTSIDE`` names the
+    exceptions, which must stay unreferenced."""
+    public = {}   # function name -> module
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                assert fn.name not in public, fn.name
+                public[fn.name] = path.stem
+    assert {"icp", "coarse_register", "run_pipeline"} <= set(public)
+
+    named = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                named.add(node.attr)
+    unreferenced = sorted(f"{module}.{fn}" for fn, module in public.items()
+                          if fn not in named)
+    assert unreferenced == sorted(REFERENCED_OUTSIDE)
+
+
 def test_derived_data_is_kept_one_way():
     """Data derived from an immutable object (a cloud's kd-tree, normals,
     registration features) is kept through ``cloud._kept`` alone: no other

@@ -582,6 +582,38 @@ def test_hamming_matrix_matches_boolean_definition(rng):
         reg.hamming_matrix(feats(2), feats(2, 64))
 
 
+def reference_consistent_subset(src, tgt, pairs, tolerance):
+    """Each match in rank order kept when it agrees with every kept one."""
+    ps, pt = src[pairs[:, 0]], tgt[pairs[:, 1]]
+    ds = np.linalg.norm(ps[:, None, :] - ps[None, :, :], axis=2)
+    dt = np.linalg.norm(pt[:, None, :] - pt[None, :, :], axis=2)
+    compat = np.abs(ds - dt) <= tolerance
+    np.fill_diagonal(compat, True)
+    order = np.lexsort((np.arange(len(pairs)), -compat.sum(axis=1)))
+    members = [int(order[0])]
+    for cand in order[1:]:
+        if compat[cand, members].all():
+            members.append(int(cand))
+    return np.sort(members)
+
+
+def test_consistent_match_subset_matches_greedy_reference(rng):
+    for m, moved_share, tolerance in ((400, 0.5, 0.3), (60, 0.9, 1.0),
+                                      (25, 0.0, 0.05), (1, 0.0, 0.1)):
+        src = rng.uniform(0.0, 30.0, (m, 3))
+        tgt = src + rng.normal(0.0, 0.05, (m, 3))
+        moved = rng.random(m) < moved_share
+        tgt[moved] = rng.uniform(0.0, 30.0, (int(moved.sum()), 3))
+        order = rng.permutation(m)
+        pairs = np.column_stack([order, order])
+        got = reg.consistent_match_subset(src, tgt, pairs, tolerance)
+        np.testing.assert_array_equal(
+            got, reference_consistent_subset(src, tgt, pairs, tolerance))
+        assert got.dtype == np.int64
+    empty = reg.consistent_match_subset(src, tgt, np.zeros((0, 2), np.int64), 1.0)
+    assert empty.dtype == np.int64 and len(empty) == 0
+
+
 # ---------------------------------------------------------------------------
 # coarse registration
 # ---------------------------------------------------------------------------
@@ -637,14 +669,23 @@ def test_multiview_single_cloud():
     np.testing.assert_allclose(out[0].matrix(), np.eye(4), atol=1e-12)
 
 
-def test_multiview_three_stations_recover_poses():
+def test_multiview_three_stations_recover_poses(monkeypatch):
     scene, _ = sw.gen_terrain((40, 25), 70.0, 0.5, 12, seed=9)
     poses = sw.stations_facing_slope(scene, 3, standoff=50.0)
     sigma = 0.006
     scans = sw.simulate_stations(scene, poses, noise_sigma_m=sigma, seed=3)
     prepared = [sw.estimate_normals(s, k=16, viewpoint=(0, 0, 0))
                 for s in scans]
+    coarse_calls = []
+    real_coarse = reg.coarse_register
+
+    def coarse(*args):
+        coarse_calls.append(args)
+        return real_coarse(*args)
+
+    monkeypatch.setattr(reg, "coarse_register", coarse)
     transforms = sw.register_multiview(prepared)
+    assert len(coarse_calls) == 2   # one per merge, through the public fit
 
     for i in (1, 2):
         # truth: station-i locals into station-0 locals

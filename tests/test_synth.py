@@ -69,6 +69,14 @@ def test_vegetation_zero_coverage_unchanged():
     assert (out.labels == PointClass.GROUND).all()
 
 
+def test_vegetation_zero_coverage_labels_an_unlabeled_cloud_ground():
+    cloud, _ = gen_terrain((15, 10), 70.0, 0.3, 20.0, seed=3)
+    for coverage in (0.0, 0.1):
+        out, _ = add_vegetation(sw.PointCloud(points=cloud.points), coverage)
+        assert (out.labels[:len(cloud)] == PointClass.GROUND).all()
+        assert (out.labels[len(cloud):] == PointClass.VEGETATION).all()
+
+
 def test_vegetation_coverage_fraction():
     cloud, _ = gen_terrain((20, 15), 70.0, 0.3, 40.0, seed=5)
     out, _ = add_vegetation(cloud, 0.15, seed=6)
