@@ -370,13 +370,17 @@ def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
 
 
 def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:
-    """Pairwise Hamming distances, shape (len(a), len(b))."""
+    """Pairwise Hamming distances, shape (len(a), len(b)): the bits packed
+    into 64-bit words, counted one word column at a time."""
     if a.descriptors.shape[1] != b.descriptors.shape[1]:
         raise ValueError("descriptor lengths differ")
-    pa = np.packbits(a.descriptors, axis=1)
-    pb = np.packbits(b.descriptors, axis=1)
-    return np.bitwise_count(pa[:, None, :] ^ pb[None, :, :]).sum(
-        axis=2, dtype=np.int64)
+    pa, pb = (np.packbits(f.descriptors, axis=1) for f in (a, b))
+    pa, pb = (np.pad(p, ((0, 0), (0, -p.shape[1] % 8))).view(np.uint64)
+              for p in (pa, pb))
+    d = np.zeros((len(pa), len(pb)), dtype=np.int64)
+    for k in range(pa.shape[1]):
+        d += np.bitwise_count(pa[:, k, None] ^ pb[None, :, k])
+    return d
 
 
 def match_descriptors(a: FeatureSet, b: FeatureSet) -> np.ndarray:

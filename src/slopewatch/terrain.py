@@ -46,12 +46,10 @@ class TriangleMesh:
         n = n / np.linalg.norm(n)
         shift = self.origin_shift
         shift = np.zeros(3) if shift is None else np.asarray(shift, dtype=np.float64)
-        for a in (v, t, n, shift):
+        for name, a in (("vertices", v), ("triangles", t), ("plane_normal", n),
+                        ("origin_shift", shift)):
             a.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "plane_normal", n)
-        object.__setattr__(self, "origin_shift", shift)
+            object.__setattr__(self, name, a)
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """In-plane 2D coordinates of ``points`` on ``plane_basis``."""
@@ -72,12 +70,9 @@ class TriangleMesh:
 
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals oriented along the projection normal."""
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
+        a, b, c = (self.vertices[self.triangles[:, k]] for k in range(3))
         tn = np.cross(b - a, c - a)
-        flip = tn @ self.plane_normal < 0
-        tn[flip] *= -1.0
+        tn[tn @ self.plane_normal < 0] *= -1.0
         out = np.zeros_like(self.vertices)
         for k in range(3):
             np.add.at(out, self.triangles[:, k], tn)
@@ -199,9 +194,7 @@ def build_dtm(
         raise DegenerateSurface(f"projected points are degenerate: {exc}") from exc
     simplices = tri.simplices.astype(np.int64)
 
-    a = verts[simplices[:, 0]]
-    b = verts[simplices[:, 1]]
-    c = verts[simplices[:, 2]]
+    a, b, c = (verts[simplices[:, k]] for k in range(3))
     edge_ok = (
         (np.linalg.norm(a - b, axis=1) <= max_edge)
         & (np.linalg.norm(b - c, axis=1) <= max_edge)
@@ -232,53 +225,42 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     Vectorized region-based test (vertex / edge / face) over aligned rows.
     """
     p = np.atleast_2d(p)
-    ab = b - a
-    ac = c - a
-    ap = p - a
+    ab, ac, ap = b - a, c - a, p - a
 
     def dot(x, y):
         return np.einsum("ij,ij->i", x, y)
 
-    d1 = dot(ab, ap)
-    d2 = dot(ac, ap)
-    bp = p - b
-    d3 = dot(ab, bp)
-    d4 = dot(ac, bp)
-    cp = p - c
-    d5 = dot(ab, cp)
-    d6 = dot(ac, cp)
+    bp, cp = p - b, p - c
+    d1, d2 = dot(ab, ap), dot(ac, ap)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
 
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
+    vc, vb, va = d1 * d4 - d3 * d2, d5 * d2 - d1 * d6, d3 * d6 - d5 * d4
 
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    todo = np.ones(len(p), dtype=bool)
 
-    def settle(mask, value):
-        nonlocal done
-        use = mask & ~done
-        out[use] = value[use]
-        done |= use
+    def settle(mask, value):        # rows of mask not yet settled get value(rows)
+        rows = np.flatnonzero(mask & todo)
+        out[rows] = value(rows)
+        todo[rows] = False
 
-    settle((d1 <= 0) & (d2 <= 0), a)
-    settle((d3 >= 0) & (d4 <= d3), b)
-    settle((d6 >= 0) & (d5 <= d6), c)
-
+    settle((d1 <= 0) & (d2 <= 0), lambda i: a[i])
+    settle((d3 >= 0) & (d4 <= d3), lambda i: b[i])
+    settle((d6 >= 0) & (d5 <= d6), lambda i: c[i])
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
-        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab[:, None] * ab)
-        w_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
-        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w_ac[:, None] * ac)
-        den_bc = (d4 - d3) + (d5 - d6)
-        w_bc = np.where(den_bc != 0, (d4 - d3) / den_bc, 0.0)
-        settle((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-               b + w_bc[:, None] * (c - b))
+        # edges: origin + num / den along the edge, the origin where den is 0
+        for o, e, num, den, mask in (
+                (a, ab, d1, d1 - d3, (vc <= 0) & (d1 >= 0) & (d3 <= 0)),
+                (a, ac, d2, d2 - d6, (vb <= 0) & (d2 >= 0) & (d6 <= 0)),
+                (b, c - b, d4 - d3, (d4 - d3) + (d5 - d6),
+                 (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))):
+            settle(mask, lambda i: o[i] + np.where(den[i] != 0, num[i] / den[i],
+                                                   0.0)[:, None] * e[i])
         denom = va + vb + vc
         denom = np.where(denom != 0, denom, 1.0)
-        v = vb / denom
-        w = vc / denom
-        settle(np.ones(len(p), dtype=bool), a + v[:, None] * ab + w[:, None] * ac)
+        settle(todo, lambda i: a[i] + (vb[i] / denom[i])[:, None] * ab[i]
+               + (vc[i] / denom[i])[:, None] * ac[i])
     return out
 
 
@@ -287,104 +269,127 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
 _SUPPORT_EPS = 1e-9
 
 
-def _nearest_triangle(verts: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      c: np.ndarray, cap: float):
-    """Exact nearest reference triangle per vertex.
+def _ragged(counts: np.ndarray, budget: int = 1 << 16):
+    """(run, offset) of the items of consecutive runs of ``counts`` items,
+    in chunks of at most ``budget`` items, so working memory stays bounded."""
+    ends = np.cumsum(counts)
+    starts, total = ends - counts, int(ends[-1:].sum())
+    for s in range(0, total, budget):
+        e = min(s + budget, total)
+        i, j = np.searchsorted(ends, [s, e - 1], "right") + [0, 1]
+        run = np.repeat(np.arange(i, j), np.minimum(ends[i:j], e) - np.maximum(starts[i:j], s))
+        yield run, np.arange(s, e) - starts[run]
 
-    Points and triangle corners share one dimension, 2 or 3: in-plane
-    projections answer projection support, 3D coordinates the distance.
-    Distances above ``cap`` may be overestimates (the vertex is invalid
-    either way); at or below ``cap`` the distance, triangle index and
-    closest point are exact. Of equally near triangles the one with the
-    lowest index wins, so the result depends only on the meshes, not on
-    the search order. Triangles split into a small and a large size group,
-    each with its own centroid tree. A k-NN query per group (k = 24 for
-    the small, 4 for the few large ones) gives the candidates; the first
-    column of the small group's query seeds every vertex, and the other
-    rows are dropped before any triangle is gathered when their centroid
-    distance rules them out. A ball query falls back where the k-th
-    centroid cannot rule out closer or equally near triangles.
 
-    Centroids, radii, size groups and both group trees are built once on
-    the calling thread; the searches run per block of ``ROW_BLOCK``
-    vertices on every core (``cloud._by_rows``), which also bounds the
-    ball query's working memory. A vertex's search reads no other
-    vertex, so the result is the same for any core count.
+def _near(x, o, lo, hi, t, r2) -> np.ndarray:
+    """Whether, pair by pair, row ``o`` of ``x`` lies within sqrt(r2[o]) of box ``t``."""
+    xo, d = np.take(x, o, axis=0), x.shape[1]
+    g = np.maximum(np.take(lo, t, axis=0)[:, :d] - xo, xo - np.take(hi, t, axis=0)[:, :d])
+    np.maximum(g, 0.0, out=g)
+    return np.einsum("ij,ij->i", g, g) <= r2[o]
+
+
+def _plan_grid(uvh: np.ndarray, tris: np.ndarray):
+    """Plan-view grid of triangles ``tris`` on vertices ``uvh`` (u, v on
+    ``plane_basis``, height along the normal): a triangle is listed in each
+    cell its (u, v) box overlaps, a cell keeps its triangles' height range.
+    The side starts at the median (u, v) box side and doubles until there
+    are at most 8 listings and 8 cells per triangle, bounding memory and
+    cell keys. ``pairs(x, r)`` yields, in bounded chunks, each (row of
+    ``x``, triangle) pair once whose box distance over the columns of ``x``
+    is at most ``r`` of the row, plus 1e-9 of the coordinates for rounding."""
+    corners = [np.take(uvh, tris[:, k], axis=0) for k in range(3)]
+    lo, hi = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    origin, limit = lo[:, :2].min(axis=0), 8 * len(tris)
+    side = (float(np.median((hi - lo)[:, :2].max(axis=1)))
+            or float((hi[:, :2] - origin).max()) or 1.0)
+    while True:
+        first, last = (np.floor((e[:, :2] - origin) / side) for e in (lo, hi))
+        shape = last.max(axis=0) + 1
+        if max((last - first + 1).prod(axis=1).sum(), shape.prod()) <= limit:
+            break
+        side *= 2.0
+    first, last, shape = (e.astype(np.int64) for e in (first, last, shape))
+
+    def key(low, span, run, k):     # cell key of item k of box ``run``
+        return (low[run, 0] + k // span[run, 1]) * shape[1] + low[run, 1] + k % span[run, 1]
+
+    tri, k = next(_ragged((last - first + 1).prod(axis=1), limit))
+    cell = key(first, last - first + 1, tri, k)
+    order = np.argsort(cell)
+    listed = tri[order]
+    start = np.searchsorted(cell[order], np.arange(shape.prod() + 1))
+    # cell boxes: the square in plan, the height range of its triangles
+    corner = origin + side * np.column_stack(np.divmod(np.arange(len(start) - 1), shape[1]))
+    c_lo, c_hi = (np.column_stack([corner + s, np.full(len(corner), h)])
+                  for s, h in ((0.0, np.inf), (side, -np.inf)))
+    full = np.flatnonzero(start[:-1] < start[1:])
+    c_lo[full, 2] = np.minimum.reduceat(lo[listed, 2], start[full])
+    c_hi[full, 2] = np.maximum.reduceat(hi[listed, 2], start[full])
+    size = float(np.maximum(-lo, hi).max())
+
+    def pairs(x: np.ndarray, r: np.ndarray):
+        r = r + 1e-9 * (1.0 + size + np.abs(x).max(axis=1, initial=0.0))
+        r2 = r * r
+        w0, w1, home = (np.clip(np.floor((x[:, :2] + s * r[:, None] - origin) / side),
+                                0, shape - 1).astype(np.int64) for s in (-1, 1, 0))
+        for own, k in _ragged((w1 - w0 + 1).prod(axis=1)):
+            c = key(w0, w1 - w0 + 1, own, k)
+            near = _near(x, own, c_lo, c_hi, c, r2)
+            own, c = own[near], c[near]
+            for j, k in _ragged(start[c + 1] - start[c]):
+                o, t, cj = own[j], listed[start[c[j]] + k], c[j]
+                near = _near(x, o, lo, hi, t, r2)
+                o, t, cj = o[near], t[near], cj[near]
+                # a pair comes only from the cell holding the point of the
+                # triangle's box nearest in plan, so it comes once
+                h = np.minimum(np.maximum(np.take(home, o, 0), np.take(first, t, 0)),
+                               np.take(last, t, 0))
+                once = h[:, 0] * shape[1] + h[:, 1] == cj
+                yield o[once], t[once]
+
+    return pairs
+
+
+def _nearest_triangle(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      c: np.ndarray, pairs, x: np.ndarray, cap: float,
+                      seeds: cKDTree | None = None):
+    """Exact nearest triangle per point: (distance, index, closest point).
+
+    Points and corners share one dimension, 3D or in-plane; ``x`` holds the
+    points on the axes of ``pairs``, a ``_plan_grid`` search. The nearest
+    centroid in ``seeds`` (else triangle 0) gives each point an exact seed
+    distance d0; only triangles within min(d0, ``cap``) by box distance are
+    then tested, so at or below ``cap`` the result is exact. Of equally
+    near triangles the lowest index wins. Blocks of ``ROW_BLOCK`` points
+    run on every core (``cloud._by_rows``), each point on its own.
     """
-    centroids = (a + b + c) / 3.0
-    r_tri = np.maximum.reduce([
-        np.linalg.norm(a - centroids, axis=1),
-        np.linalg.norm(b - centroids, axis=1),
-        np.linalg.norm(c - centroids, axis=1),
-    ])
-    limit = 2.0 * float(np.median(r_tri)) + 1e-12
-    small = r_tri <= limit        # never empty: it holds the median triangle
-    # the small group's nearest centroid seeds best_d, so the other columns
-    # prune against a finite distance
-    groups = [(group, cKDTree(centroids[group]), min(k_max, len(group)),
-               float(r_tri[group].max()), columns)
-              for group, k_max, columns in (
-                  (np.flatnonzero(small), 24, (slice(0, 1), slice(1, None))),
-                  (np.flatnonzero(~small), 4, (slice(None),)))
-              if len(group)]
-
-    def kernel(pts: np.ndarray):
-        nv = len(pts)
-        best_d = np.full(nv, np.inf)
-        best_tri = np.zeros(nv, dtype=np.int64)
-        best_cp = np.zeros_like(pts)
-
-        def consider(flat: np.ndarray, owner: np.ndarray):
-            if len(flat) == 0:
-                return
-            dc = np.linalg.norm(centroids[flat] - pts[owner], axis=1)
-            improving = dc - r_tri[flat] <= best_d[owner]
-            flat = flat[improving]
-            owner = owner[improving]
-            if len(flat) == 0:
-                return
-            cps = closest_point_on_triangles(pts[owner], a[flat], b[flat], c[flat])
-            dd = np.linalg.norm(pts[owner] - cps, axis=1)
-            # per vertex the nearest candidates, held one included, and of
-            # those the lowest triangle index; an owner never lists a
-            # triangle twice, so one candidate per updated vertex wins
+    def kernel(rows: np.ndarray):
+        p = pts[rows]
+        best_tri = np.zeros(len(p), np.int64) if seeds is None else seeds.query(p)[1]
+        best_cp = closest_point_on_triangles(p, a[best_tri], b[best_tri], c[best_tri])
+        best_d = np.linalg.norm(p - best_cp, axis=1)
+        for owner, flat in pairs(x[rows], np.minimum(best_d, cap)):
+            po = np.take(p, owner, axis=0)
+            cps = closest_point_on_triangles(po, *(np.take(e, flat, axis=0)
+                                                   for e in (a, b, c)))
+            dd = np.linalg.norm(po - cps, axis=1)
+            # per point the nearest candidates, held one included, and of
+            # those the lowest triangle index; a point gets each triangle
+            # once, so one candidate per updated point wins
             nearest = best_d.copy()
             np.minimum.at(nearest, owner, dd)
             at_min = dd == nearest[owner]
-            lowest = np.where(nearest == best_d, best_tri, len(centroids))
+            lowest = np.where(nearest == best_d, best_tri, len(a))
             np.minimum.at(lowest, owner[at_min], flat[at_min])
             win = at_min & (flat == lowest[owner])
             upd = owner[win]
             best_d[upd] = dd[win]
             best_tri[upd] = flat[win]
             best_cp[upd] = cps[win]
-
-        for group, g_tree, k, g_rmax, columns in groups:
-            gd, gi = g_tree.query(pts, k=k)
-            gd = gd.reshape(nv, k)
-            gi = group[gi.reshape(nv, k)]
-            for cols in columns:
-                # the tree's centroid distance with a relative slack, so rows
-                # kept here are a superset of those consider() admits
-                keep = (gd[:, cols] * (1.0 - 1e-12) - r_tri[gi[:, cols]]
-                        <= best_d[:, None])
-                owner, col = np.nonzero(keep)
-                consider(gi[:, cols][owner, col], owner)
-            pending = np.flatnonzero(gd[:, -1] <= np.minimum(best_d, cap) + g_rmax)
-            if len(pending) == 0:
-                continue
-            radius = np.minimum(best_d[pending], cap) + g_rmax
-            lists = g_tree.query_ball_point(pts[pending], r=radius)
-            counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
-                                 count=len(pending))
-            if counts.sum() == 0:
-                continue
-            flat = group[np.concatenate(
-                [np.asarray(l, dtype=np.int64) for l in lists if l])]
-            consider(flat, np.repeat(pending, counts))
         return best_d, best_tri, best_cp
 
-    return _by_rows(kernel, verts)
+    return _by_rows(kernel, np.arange(len(pts)))
 
 
 def mesh_distance(
@@ -405,34 +410,35 @@ def mesh_distance(
     or missing coverage). Without the second guard a vertex over a hole
     would report its lateral distance to the hole rim as deformation.
 
-    Support is read from the 3-D search first: a vertex within
-    ``max_dist`` is supported when its own nearest triangle, projected,
-    covers its projection. Only the near vertices it does not cover go
-    to a second, in-plane nearest-triangle search; a vertex beyond
-    ``max_dist`` is invalid without either test.
+    Both searches prune on one plan-view grid whose cells keep height
+    ranges (``_plan_grid``; Cignoni, Rocchini & Scopigno 1998, "Metro"): a
+    box distance on orthonormal axes never exceeds the true distance, so
+    the result stays exact. A near vertex is supported when its nearest
+    triangle covers its projection; only those it leaves open go to the
+    in-plane search, heights ignored.
     """
     if len(reference.triangles) == 0:
-        raise ValueError("reference mesh has no triangles")
+        raise DegenerateSurface("reference mesh has no triangles")
     verts = compared.vertices + (compared.origin_shift - reference.origin_shift)
-    tris = reference.triangles
-    rv = reference.vertices
+    tris, rv, n = reference.triangles, reference.vertices, reference.plane_normal
     a, b, c = rv[tris[:, 0]], rv[tris[:, 1]], rv[tris[:, 2]]
-    best_d, best_tri, best_cp = _nearest_triangle(verts, a, b, c, cap=max_dist)
+    seeds = cKDTree((a + b + c) / 3.0)
+    uv, q = reference.project(rv), reference.project(verts)
+    pairs = _plan_grid(np.column_stack([uv, rv @ n]), tris)
+    best_d, best_tri, best_cp = _nearest_triangle(
+        verts, a, b, c, pairs, np.column_stack([q, verts @ n]), max_dist, seeds)
 
     tn = np.cross(b[best_tri] - a[best_tri], c[best_tri] - a[best_tri])
     norms = np.linalg.norm(tn, axis=1)
     degenerate = norms < 1e-300
-    tn[degenerate] = reference.plane_normal
+    tn[degenerate] = n
     norms[degenerate] = 1.0
     tn /= norms[:, None]
-    flip = tn @ reference.plane_normal < 0
-    tn[flip] *= -1.0
+    tn[tn @ n < 0] *= -1.0
     side = np.einsum("ij,ij->i", verts - best_cp, tn)
     values = np.where(side >= 0, best_d, -best_d)
 
-    uv = reference.project(rv)
     ua, ub, uc = uv[tris[:, 0]], uv[tris[:, 1]], uv[tris[:, 2]]
-    q = reference.project(verts)
     near = np.flatnonzero(best_d <= max_dist)
     t = best_tri[near]
     own_d = np.linalg.norm(
@@ -441,7 +447,7 @@ def mesh_distance(
     valid[near] = own_d <= _SUPPORT_EPS
     open_ = near[~valid[near]]
     if len(open_):
-        plan_d, _, _ = _nearest_triangle(q[open_], ua, ub, uc, cap=_SUPPORT_EPS)
+        plan_d = _nearest_triangle(q[open_], ua, ub, uc, pairs, q[open_], _SUPPORT_EPS)[0]
         valid[open_] = plan_d <= _SUPPORT_EPS
     values = np.where(valid, values, np.nan)
     return DeformationField(values=values, valid=valid,
@@ -496,25 +502,18 @@ def significant_regions(
     both = selected[edges[:, 0]] & selected[edges[:, 1]]
     e = edges[both]
     n = len(mesh.vertices)
-    graph = sparse.coo_matrix(
-        (np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n)
-    )
-    n_comp, comp = connected_components(graph, directed=False)
+    graph = sparse.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
     vertex_area = mesh.vertex_projected_areas()
 
     regions = []
-    sel_idx = np.flatnonzero(selected)
-    comp_ids = np.unique(comp[sel_idx])
-    for cid in comp_ids:
+    for cid in np.unique(comp[selected]):
         members = np.flatnonzero(selected & (comp == cid))
         area = float(vertex_area[members].sum())
         if area < min_area_m2 or area <= 0:
             continue
-        regions.append(Region(
-            vertex_set=np.sort(members),
-            area_m2=area,
-            mean_rate_mm_day=float(np.mean(rates[members])),
-        ))
+        regions.append(Region(vertex_set=np.sort(members), area_m2=area,
+                              mean_rate_mm_day=float(np.mean(rates[members]))))
     regions.sort(key=lambda r: (-r.area_m2, int(r.vertex_set[0])))
     for i, r in enumerate(regions, start=1):
         r.region_id = i

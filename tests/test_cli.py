@@ -6,9 +6,9 @@ import pytest
 
 import slopewatch as sw
 from slopewatch.cli import build_parser, main
-from slopewatch.terrain import write_deformation
+from slopewatch.terrain import write_deformation, write_mesh
 
-from ply_literals import FIELD, MESH
+from ply_literals import FIELD, MESH, MESH_NO_FACES_PLY
 
 
 def write_terrain(path, seed=0, density=10.0, extent=(25, 18)):
@@ -362,6 +362,22 @@ def test_deform_without_a_valid_vertex_exits_2_with_one_line(tmp_path, capsys):
     assert err == "slopewatch: error: no valid vertex in the deformation field\n"
     assert main(["-v"] + args) == 2
     assert "NoOverlap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deform_against_a_face_less_reference_exits_2_with_one_line(tmp_path,
+                                                                  capsys):
+    (tmp_path / "compared.ply").write_bytes(write_mesh(MESH))
+    (tmp_path / "reference.ply").write_bytes(MESH_NO_FACES_PLY)
+    out = tmp_path / "f.ply"
+    args = ["deform", "--compared", str(tmp_path / "compared.ply"),
+            "--reference", str(tmp_path / "reference.ply"), "--days", "10",
+            "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "slopewatch: error: reference mesh has no triangles\n"
+    assert main(["-v"] + args) == 2
+    assert "DegenerateSurface" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -246,7 +246,7 @@ def test_no_kdtree_query_starts_threads():
             if (isinstance(node, ast.Call)
                     and any(kw.arg == "workers" for kw in node.keywords)):
                 threaded.append(f"{path.name}:{node.lineno}")
-    assert queries >= 8
+    assert queries >= 7
     assert threaded == []
 
 

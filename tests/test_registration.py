@@ -582,6 +582,23 @@ def test_hamming_matrix_matches_boolean_definition(rng):
         reg.hamming_matrix(feats(2), feats(2, 64))
 
 
+def test_hamming_matrix_matches_byte_wise_counting(rng):
+    """The 64-bit word count equals the count over packed bytes, also for
+    lengths that leave a partial word or byte."""
+    for na, nb, bits in ((500, 480, reg.DESCRIPTOR_BITS), (9, 7, 1), (9, 7, 7),
+                         (9, 7, 63), (9, 7, 64), (9, 7, 65), (9, 7, 130),
+                         (0, 3, 70)):
+        a, b = (reg.FeatureSet(np.arange(n), rng.integers(0, 2, (n, bits),
+                                                          dtype=np.uint8))
+                for n in (na, nb))
+        pa, pb = (np.packbits(f.descriptors, axis=1) for f in (a, b))
+        want = np.bitwise_count(pa[:, None, :] ^ pb[None, :, :]).sum(
+            axis=2, dtype=np.int64)
+        got = reg.hamming_matrix(a, b)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 def reference_consistent_subset(src, tgt, pairs, tolerance):
     """Each match in rank order kept when it agrees with every kept one."""
     ps, pt = src[pairs[:, 0]], tgt[pairs[:, 1]]

@@ -343,20 +343,24 @@ def _brute_force_field(verts, reference, max_dist):
     return values, valid, dist, covers
 
 
+def _grid_triangles(n, base=0):
+    """Two triangles per cell of an n x n vertex grid numbered row by row
+    from ``base``."""
+    k = base + (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+    return np.vstack([np.column_stack([k, k + n, k + 1]),
+                      np.column_stack([k + 1, k + n, k + n + 1])]).tolist()
+
+
 def _mixed_size_reference():
     """Fine 0.5 m cells beside 2.5 m cells on one wavy surface and one
-    20 m apron beyond them, so the triangles split into a small and a large
-    size group, and the apron's reach sends vertices to the ball query."""
+    20 m apron beyond them: triangles of three sizes, and a few large
+    ones that reach far beyond the fine ones."""
     verts, tris = [], []
     for y0, step in ((0.0, 0.5), (10.0, 2.5)):
         n = int(round(10.0 / step)) + 1
         g = np.mgrid[0:n, 0:n].reshape(2, -1).T * step
-        base = len(verts)
+        tris += _grid_triangles(n, len(verts))
         verts.extend([x, y0 + y, 0.3 * np.sin(x) * np.cos(y0 + y)] for x, y in g)
-        for i in range(n - 1):
-            for j in range(n - 1):
-                k = base + i * n + j
-                tris += [[k, k + n, k + 1], [k + 1, k + n, k + n + 1]]
     verts += [[-5.0, 22.0, 0.0], [15.0, 22.0, 0.0], [5.0, 26.0, 0.0]]
     tris.append([len(verts) - 3, len(verts) - 2, len(verts) - 1])
     return sw.TriangleMesh(vertices=np.array(verts), triangles=np.array(tris),
@@ -375,9 +379,53 @@ def _overhang_reference():
                            plane_normal=PLANE_Z[0], plane_offset=0.0)
 
 
+def _tilted_case():
+    """A wavy 0.25 m grid on a plane tilted 60 degrees, and vertices 1 to 3 m
+    (4 to 12 grid cells) off it along its normal, some beside it."""
+    tilt = np.radians(60.0)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(tilt), -np.sin(tilt)],
+                    [0.0, np.sin(tilt), np.cos(tilt)]])
+    n = 21
+    g = np.mgrid[0:n, 0:n].reshape(2, -1).T * 0.25
+    surface = np.column_stack([g, 0.2 * np.sin(2 * g[:, 0]) * np.cos(3 * g[:, 1])])
+    reference = sw.TriangleMesh(vertices=surface @ rot.T,
+                                triangles=np.array(_grid_triangles(n)),
+                                plane_normal=rot[:, 2], plane_offset=0.0)
+    rng = np.random.default_rng(41)
+    off = rng.uniform(1.0, 3.0, 400) * rng.choice([-1.0, 1.0], 400)
+    local = np.column_stack([rng.uniform(-1.0, 6.0, (400, 2)), off])
+    return reference, local @ rot.T
+
+
+def _huge_and_tiny_case():
+    """5,000 triangles of a wavy 0.1 m grid under three huge ones: a 2 km
+    plate 0.4 m below, a 1 km plate 1 m above the grid's far half, and a
+    sliver to a vertex 1e9 m away. The huge ones alone would list in
+    billions of 0.1 m cells."""
+    n = 51
+    g = np.mgrid[0:n, 0:n].reshape(2, -1).T * 0.1
+    verts = np.vstack([
+        np.column_stack([g, 0.05 * np.sin(4 * g[:, 0]) * np.cos(5 * g[:, 1])]),
+        [[-1000.0, -1000.0, -0.4], [1000.0, -1000.0, -0.4], [0.0, 1000.0, -0.4],
+         [2.5, -500.0, 1.0], [2.5, 500.0, 1.0], [1000.0, 0.0, 1.0],
+         [4.0, 4.0, 0.3], [4.0, 4.2, 0.3], [1e9, 4.1, 0.3]]])
+    big = n * n + np.arange(9).reshape(3, 3)
+    reference = sw.TriangleMesh(vertices=verts,
+                                triangles=np.vstack([_grid_triangles(n), big]),
+                                plane_normal=PLANE_Z[0], plane_offset=0.0)
+    rng = np.random.default_rng(43)
+    return reference, np.column_stack([rng.uniform(-0.5, 5.5, (600, 2)),
+                                       rng.uniform(-1.0, 1.5, 600)])
+
+
 def _brute_force_case(case):
     """(reference, compared) meshes of a brute-force comparison; the
     compared mesh is only its vertices."""
+    if case in ("tilted", "huge-and-tiny"):
+        reference, verts = (_tilted_case if case == "tilted" else _huge_and_tiny_case)()
+        return reference, sw.TriangleMesh(
+            vertices=verts, triangles=np.zeros((0, 3)),
+            plane_normal=reference.plane_normal, plane_offset=0.0)
     if case == "mixed-sizes":
         reference = _mixed_size_reference()
         rng = np.random.default_rng(31)
@@ -394,74 +442,86 @@ def _brute_force_case(case):
     return reference, compared
 
 
-@pytest.mark.parametrize("case", ["mixed-sizes", "overhang"])
-def test_mesh_distance_equals_brute_force_on_every_vertex(monkeypatch, case):
-    ball_trees = []
-
-    class BallSpy(cKDTree):
-        def query_ball_point(self, x, r, *args, **kwargs):
-            ball_trees.append(self.n)
-            return super().query_ball_point(x, r, *args, **kwargs)
-
-    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
+@pytest.mark.parametrize("case", ["mixed-sizes", "overhang", "tilted",
+                                  "huge-and-tiny"])
+def test_mesh_distance_equals_brute_force_on_every_vertex(case):
     reference, compared = _brute_force_case(case)
     verts = compared.vertices
-    max_dist = 0.5
+    max_dist = 2.5 if case == "tilted" else 0.5
     f = mesh_distance(compared, reference, max_dist=max_dist)
     values, valid, dist, covers = _brute_force_field(verts, reference, max_dist)
     np.testing.assert_array_equal(f.valid, valid)
     np.testing.assert_array_equal(f.values, values)
     near = dist <= max_dist
-    assert (valid & covers).any() and (near & ~valid).any() and (~near).any()
-    if case == "mixed-sizes":
-        assert 33 in ball_trees             # the 33 large triangles fell back
-    else:
+    assert (valid & covers).any() and (~near).any()
+    # near but over a hole, except where the 2 km plate lies under all
+    assert (near & ~valid).any() == (case != "huge-and-tiny")
+    if case == "overhang":
         assert (valid & ~covers).any()      # supported by another triangle
         assert (~valid & near & (verts[:, 0] > 6)).any()
+    if case == "tilted":                    # valid on both sides, many cells off
+        assert (valid & (values > 1.0)).any() and (valid & (values < -1.0)).any()
+    if case == "huge-and-tiny":             # off the grid, over the 2 km plate
+        beside = (verts[:, :2] < 0).any(axis=1) | (verts[:, :2] > 5).any(axis=1)
+        assert (valid & beside).any() and (valid & ~beside).any()
 
 
 def test_mesh_distance_does_not_depend_on_blocks_or_threads(monkeypatch,
                                                           serial_blocks):
-    reference, compared = _brute_force_case("mixed-sizes")
-    want = mesh_distance(compared, reference, max_dist=0.5)
-    ball_trees = []
-
-    class BallSpy(cKDTree):
-        def query_ball_point(self, x, r, *args, **kwargs):
-            ball_trees.append(self.n)
-            return super().query_ball_point(x, r, *args, **kwargs)
-
-    monkeypatch.setattr(terrain, "cKDTree", BallSpy)
+    cases = [_brute_force_case(case) for case in ("mixed-sizes", "tilted")]
+    want = [mesh_distance(compared, reference, max_dist=2.5)
+            for reference, compared in cases]
     serial_blocks()
-    got = mesh_distance(compared, reference, max_dist=0.5)
-    np.testing.assert_array_equal(got.values, want.values)
-    np.testing.assert_array_equal(got.valid, want.valid)
-    # the large group's ball fallback ran in many of the 7-vertex blocks
-    assert ball_trees.count(33) > 10
+    # candidate chunks of 5 pairs split vertices' windows and cells' lists
+    chunks, real = [], terrain._ragged
+
+    def small_chunks(counts, budget=5):
+        for run, offset in real(counts, budget):
+            chunks.append(len(run))
+            yield run, offset
+
+    monkeypatch.setattr(terrain, "_ragged", small_chunks)
+    for (reference, compared), w in zip(cases, want):
+        got = mesh_distance(compared, reference, max_dist=2.5)
+        np.testing.assert_array_equal(got.values, w.values)
+        np.testing.assert_array_equal(got.valid, w.valid)
+    assert len(chunks) > 1000
 
 
 def test_mesh_distance_plans_only_vertices_their_nearest_triangle_leaves_open(
         monkeypatch):
-    builds = []
+    builds, searches, real = [], [], terrain._nearest_triangle
 
     def counting(data):
         builds.append(len(data))
         return cKDTree(data)
 
+    def search(pts, *args):
+        searches.append(pts.shape)
+        return real(pts, *args)
+
     monkeypatch.setattr(terrain, "cKDTree", counting)
+    monkeypatch.setattr(terrain, "_nearest_triangle", search)
     ref = build_dtm(plane_cloud(6000, seed=4), projection_plane=PLANE_Z,
                     max_edge=3.0)
     above = build_dtm(plane_cloud(3000, lo=3, hi=27, z=0.30, seed=5),
                       projection_plane=PLANE_Z, max_edge=3.0)
     assert mesh_distance(above, ref).valid.all()
-    assert len(builds) == 2                  # one tree per size group, in 3-D
+    assert builds == [len(ref.triangles)]    # one centroid tree
+    assert searches == [above.vertices.shape]          # the 3-D search only
     builds.clear()
+    searches.clear()
     base = plane_cloud(6000, seed=7)
     keep = np.linalg.norm(base.points[:, :2] - 15.0, axis=1) > 8.0
     holed = build_dtm(base.subset(np.flatnonzero(keep)),
                       projection_plane=PLANE_Z, max_edge=2.5)
-    assert not mesh_distance(above, holed).valid.all()
-    assert 2 < len(builds) <= 4              # and the planar search's
+    f = mesh_distance(above, holed)
+    assert not f.valid.all()
+    assert builds == [len(holed.triangles)]  # the in-plane search adds none
+    # and the in-plane search gets only near vertices left open, in 2-D:
+    # fewer than the invalid ones, most of which lie beyond max_dist
+    assert len(searches) == 2 and searches[1][1] == 2
+    assert 0 < searches[1][0] < (~f.valid).sum()
 
 
 def test_mesh_distance_empty_reference():
@@ -471,7 +531,7 @@ def test_mesh_distance_empty_reference():
                             triangles=np.zeros((0, 3), dtype=int),
                             plane_normal=np.array([0, 0, 1.0]),
                             plane_offset=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateSurface, match="no triangles"):
         mesh_distance(mesh, empty, 5.0, 10)
 
 
