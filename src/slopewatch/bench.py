@@ -77,9 +77,8 @@ def run_method(method: str, source, target, icp_params: IcpParams) -> Registrati
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_table2_benchmark(config: BenchmarkConfig | None = None) -> dict:
+def run_table2_benchmark(config: BenchmarkConfig) -> dict:
     """Success rate and mean pose RMSE per method per configuration."""
-    config = config or BenchmarkConfig()
     report = {"configurations": [], "trials": config.trials,
               "success_threshold_m": config.success_threshold_m}
     for ci, trial_cfg in enumerate(config.configurations):

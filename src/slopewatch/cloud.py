@@ -159,15 +159,6 @@ class EpochRecord:
             raise ValueError("station_count must be a positive integer")
 
 
-def validate_epoch_series(epochs: list[EpochRecord]) -> None:
-    """Raise if acquisition dates do not strictly increase."""
-    for a, b in zip(epochs, epochs[1:]):
-        if b.acquisition_date <= a.acquisition_date:
-            raise ValueError(
-                f"epoch dates must strictly increase: {a.epoch_id} -> {b.epoch_id}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -288,86 +279,78 @@ def _read_ply(data: bytes) -> tuple[dict, list, list]:
     """Parse a PLY stream into ({element_name: {prop_name: array}},
     elements, comments), the last two as ``_parse_ply_header`` gives them.
 
-    List properties come back as (count, m) int arrays and require a uniform
-    count per element (true for triangle faces, the only list we emit).
+    ASCII and binary bodies go through the one decoder, ``_read_element``,
+    and accept the same elements: scalar and list properties in any order,
+    each list with one length over all rows of its element. Scalars come
+    back as float64 arrays, lists as (count, length) int64 arrays.
     """
     fmt, elements, comments, offset = _parse_ply_header(data)
+    body = (np.array(data[offset:].split(), dtype=object) if fmt == "ascii"
+            else np.frombuffer(data, dtype=np.uint8, offset=offset))
     out: dict[str, dict[str, np.ndarray]] = {}
-
-    if fmt == "ascii":
-        tokens = data[offset:].split()
-        pos = 0
-        for name, count, props in elements:
-            if not props:
-                out[name] = {}
-                continue
-            cols: dict[str, list] = {p[1]: [] for p in props}
-            parsed = {}
-            try:
-                for _ in range(count):
-                    for p in props:
-                        if p[0] == "scalar":
-                            cols[p[1]].append(float(tokens[pos])); pos += 1
-                        else:
-                            m = int(tokens[pos]); pos += 1
-                            if m < 0:
-                                raise CloudFormatError(
-                                    f"negative PLY list count in element '{name}'")
-                            cols[p[1]].append([int(tokens[pos + j]) for j in range(m)])
-                            pos += m
-                for p in props:
-                    if p[0] == "scalar":
-                        parsed[p[1]] = np.asarray(cols[p[1]], dtype=np.float64)
-                    else:
-                        rows = cols[p[1]]
-                        if len({len(r) for r in rows}) > 1:
-                            raise CloudFormatError("non-uniform PLY list lengths")
-                        parsed[p[1]] = (np.asarray(rows, dtype=np.int64) if rows
-                                        else np.zeros((0, 3), dtype=np.int64))
-            except (IndexError, ValueError, OverflowError) as exc:
-                raise CloudFormatError(
-                    f"PLY element '{name}' is truncated or not numeric") from exc
-            out[name] = parsed
-        return out, elements, comments
-
-    buf = data[offset:]
     pos = 0
     for name, count, props in elements:
-        if not props:
-            out[name] = {}
-        elif all(p[0] == "scalar" for p in props):
-            dtype = np.dtype([(p[1], _PLY_DTYPES[p[2]]) for p in props])
-            need = dtype.itemsize * count
-            if len(buf) - pos < need:
-                raise CloudFormatError(f"PLY element '{name}' truncated")
-            rec = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-            pos += need
-            out[name] = {p[1]: rec[p[1]].astype(np.float64) for p in props}
-        elif len(props) == 1 and props[0][0] == "list":
-            _, pname, ctype, itype = props[0]
-            cdt, idt = np.dtype(_PLY_DTYPES[ctype]), np.dtype(_PLY_DTYPES[itype])
-            if count == 0:
-                out[name] = {pname: np.zeros((0, 3), dtype=np.int64)}
-                continue
-            if len(buf) - pos < cdt.itemsize:
-                raise CloudFormatError(f"PLY element '{name}' truncated")
-            m = int(np.frombuffer(buf, dtype=cdt, count=1, offset=pos)[0])
-            if m < 0:
-                raise CloudFormatError(f"negative PLY list count in element '{name}'")
-            need = (cdt.itemsize + m * idt.itemsize) * count
-            if len(buf) - pos < need:
-                raise CloudFormatError(f"PLY element '{name}' truncated")
-            row = np.dtype([("n", cdt), ("v", idt, (m,))])
-            rec = np.frombuffer(buf, dtype=row, count=count, offset=pos)
-            if not np.all(rec["n"] == m):
-                raise CloudFormatError("non-uniform PLY list lengths")
-            pos += need
-            out[name] = {pname: rec["v"].astype(np.int64)}
-        else:
-            raise CloudFormatError(
-                f"PLY element '{name}' mixes list and scalar properties"
-            )
+        try:
+            out[name], pos = _read_element(body, pos, count, props)
+        except (ValueError, OverflowError) as exc:
+            raise CloudFormatError(f"PLY element '{name}': {exc}") from exc
     return out, elements, comments
+
+
+def _read_element(body: np.ndarray, pos: int, count: int, props: list):
+    """({prop_name: array}, position after the rows) of the ``count`` rows
+    of one PLY element at ``pos`` in ``body``: an array of ASCII tokens, or
+    of bytes for a binary body, so a value takes one token or its type's
+    size. The first row fixes the layout, each list with the length it has
+    there; every row must repeat it. An element without rows gives empty
+    scalars and (0, 3) lists. A truncated body, a negative or non-uniform
+    list count and a value that does not parse raise ``ValueError`` or
+    ``OverflowError``, which ``_read_ply`` turns into a ``CloudFormatError``
+    naming the element."""
+    text = body.dtype == object
+
+    def size(ptype: str) -> int:
+        return 1 if text else np.dtype(_PLY_DTYPES[ptype]).itemsize
+
+    def values(block: np.ndarray, ptype: str, kind) -> np.ndarray:
+        """(rows, values) of one property's columns, cast as float() or
+        int() does in text, or from the little-endian type in binary."""
+        if text:
+            read = float if kind is np.float64 else int
+            flat = np.fromiter(map(read, block.ravel()), dtype=kind, count=block.size)
+            return flat.reshape(block.shape)
+        return np.ascontiguousarray(block).view(_PLY_DTYPES[ptype]).astype(kind)
+
+    if count == 0:
+        return {p[1]: np.zeros(0) if p[0] == "scalar"
+                else np.zeros((0, 3), dtype=np.int64) for p in props}, pos
+    layout, width = [], 0    # (prop, first unit in the row, list length)
+    for p in props:
+        if p[0] == "scalar":
+            layout.append((p, width, None))
+            width += size(p[2])
+            continue
+        head = body[pos + width:pos + width + size(p[2])]
+        if len(head) < size(p[2]):
+            raise ValueError("truncated")
+        m = int(values(head[None], p[2], np.int64)[0, 0])
+        if m < 0:
+            raise ValueError("negative list count")
+        layout.append((p, width, m))
+        width += size(p[2]) + m * size(p[3])
+    if len(body) - pos < width * count:
+        raise ValueError("truncated")
+    rows = body[pos:pos + width * count].reshape(count, width)
+    out = {}
+    for p, at, m in layout:
+        if m is None:
+            out[p[1]] = values(rows[:, at:at + size(p[2])], p[2], np.float64)[:, 0]
+            continue
+        start = at + size(p[2])
+        if not (values(rows[:, at:start], p[2], np.int64) == m).all():
+            raise ValueError("non-uniform list lengths")
+        out[p[1]] = values(rows[:, start:start + m * size(p[3])], p[3], np.int64)
+    return out, pos + width * count
 
 
 def parse_cloud(data: bytes, fmt: str) -> PointCloud:

@@ -207,7 +207,7 @@ def _bilinear(grid: np.ndarray, lo: np.ndarray, res: float,
             + tx * ty * grid[i0 + 1, j0 + 1])
 
 
-def csf_classify(cloud: PointCloud, params: ClothParams | None = None) -> GroundLabeling:
+def csf_classify(cloud: PointCloud, params: ClothParams) -> GroundLabeling:
     """Cloth-simulation ground extraction on a (roughly leveled) cloud.
 
     The cloud is inverted, a particle grid settles onto it under gravity
@@ -217,7 +217,6 @@ def csf_classify(cloud: PointCloud, params: ClothParams | None = None) -> Ground
     Raises ``NoConvergence`` when the per-step displacement never drops
     below the tolerance within ``max_iterations``.
     """
-    params = params or ClothParams()
     if len(cloud) == 0:
         raise ValueError("cloud must be non-empty")
     pts = cloud.points
@@ -239,7 +238,7 @@ def csf_classify(cloud: PointCloud, params: ClothParams | None = None) -> Ground
 
 def filter_vegetation(
     cloud: PointCloud,
-    cell_size: float = 10.0,
+    cell_size: float,
     cloth: ClothParams | None = None,
 ) -> tuple[PointCloud, PointCloud, GroundLabeling]:
     """Partition -> level -> cloth-classify -> merge, over the whole cloud.

@@ -26,7 +26,7 @@ from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
                        regions_document, report_to_json)
 from .cloud import (EpochRecord, PointCloud, concat_clouds,
                     estimate_normals, fit_plane, remove_outliers,
-                    validate_epoch_series, voxel_downsample, write_cloud)
+                    voxel_downsample, write_cloud)
 from .errors import CloudFormatError, PipelineStageError
 from .ground import ClothParams, filter_vegetation
 from .registration import (NORMALS_K, register_global_hybrid,
@@ -194,7 +194,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 acquisition_date=analysis._coerce_date(e.date),
                 station_count=e.station_count,
             ))
-        validate_epoch_series(epochs_meta)
+        days = [interval_days(a.acquisition_date, b.acquisition_date)
+                for a, b in zip(epochs_meta, epochs_meta[1:])]
 
     # -- scene generation -------------------------------------------------
     scene_clouds: list[PointCloud] = []
@@ -292,11 +293,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     fields: list[DeformationField] = []
     with _stage("deform"):
         for k in range(1, len(meshes)):
-            days = interval_days(epochs_meta[k - 1].acquisition_date,
-                                 epochs_meta[k].acquisition_date)
             f = mesh_distance(meshes[k], meshes[k - 1],
                               max_dist=config.deform_max_dist_m,
-                              interval_days=days,
+                              interval_days=days[k - 1],
                               compared_epoch=config.epochs[k].epoch_id,
                               reference_epoch=config.epochs[k - 1].epoch_id)
             fields.append(f)

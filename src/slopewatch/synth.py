@@ -111,10 +111,10 @@ def terrain_frame(slope_deg: float) -> TerrainFrame:
 
 
 def gen_terrain(
-    extent_m: tuple = (60.0, 40.0),
-    mean_slope_deg: float = DEFAULT_SLOPE_DEG,
-    roughness: float = 0.3,
-    density_pts_m2: float = DEFAULT_DENSITY_PTS_M2,
+    extent_m: tuple,
+    mean_slope_deg: float,
+    roughness: float,
+    density_pts_m2: float,
     seed: int = 0,
 ) -> tuple[PointCloud, SceneTruth]:
     """Fractal-noise height field over an inclined base plane.

@@ -559,9 +559,10 @@ def _read_surface(data: bytes) -> tuple[TriangleMesh, dict, list]:
     if "face" not in parsed:
         raise CloudFormatError("mesh PLY needs vertex and face elements")
     pts, scalars = _ply_vertices(parsed)
-    faces = next(iter(parsed["face"].values()), None)
-    if faces is None or faces.ndim != 2 or faces.shape[1] != 3:
+    lists = [v for v in parsed["face"].values() if v.ndim == 2]
+    if len(lists) != 1 or lists[0].shape[1] != 3:
         raise CloudFormatError("mesh PLY faces must be one list of 3 indices")
+    faces = lists[0]
     if len(faces) and (faces.min() < 0 or faces.max() >= len(pts)):
         raise CloudFormatError("mesh PLY face index out of range")
 

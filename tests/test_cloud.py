@@ -7,8 +7,8 @@ from scipy.spatial import cKDTree
 import slopewatch as sw
 import slopewatch.cloud as cloud_mod
 from slopewatch.cloud import (EpochRecord, parse_cloud, plane_basis,
-                              remove_outliers, surface_spacing,
-                              validate_epoch_series, write_cloud, write_ply)
+                              remove_outliers, surface_spacing, write_cloud,
+                              write_ply)
 from slopewatch.errors import CloudFormatError, CloudParseError, DegenerateSurface
 from slopewatch.terrain import read_mesh
 
@@ -113,6 +113,20 @@ _FACE = "element face 1\nproperty list uchar int vertex_indices\n"
                  + _XYZ + "element face 1\nproperty list char int vertex_indices\n"
                  "end_header\n" + "\0" * 36 + "\xff" + "\0" * 12,
                  id="mesh-negative-binary-list-count"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+                 + "element face 1\nproperty uchar flags\nend_header\n"
+                 "0 0 0\n1 0 0\n0 1 0\n1\n", id="mesh-face-without-list"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ + _FACE
+                 + "property list uchar int more_indices\nend_header\n"
+                 "0 0 0\n1 0 0\n0 1 0\n3 0 1 2 3 0 1 2\n", id="mesh-face-two-lists"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+                 + "element face 2\nproperty list uchar int vertex_indices\n"
+                 "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n4 0 1 2 0\n",
+                 id="mesh-non-uniform-face-lists"),
+    pytest.param("mesh", "format binary_little_endian 1.0\nelement vertex 3\n"
+                 + _XYZ + "element face 2\nproperty list uchar int vertex_indices\n"
+                 "end_header\n" + "\0" * 36 + "\3" + "\0" * 12 + "\4" + "\0" * 16,
+                 id="mesh-non-uniform-binary-face-lists"),
 ])
 def test_malformed_ply_raises_format_error(reader, text):
     data = ("ply\n" + text).encode("latin-1")
@@ -207,12 +221,11 @@ def test_cloud_arrays_immutable(random_cloud):
 
 
 def test_epoch_series_validation():
+    """The date order of a series is checked where its intervals are
+    computed (``interval_days``, in the pipeline's ``configure`` stage);
+    a record itself needs a station."""
     import datetime
-    a = EpochRecord("I", datetime.date(2013, 3, 14), 6)
-    b = EpochRecord("II", datetime.date(2013, 8, 17), 4)
-    validate_epoch_series([a, b])
-    with pytest.raises(ValueError):
-        validate_epoch_series([b, a])
+    EpochRecord("I", datetime.date(2013, 3, 14), 6)
     with pytest.raises(ValueError):
         EpochRecord("X", datetime.date(2020, 1, 1), 0)
 

@@ -14,6 +14,7 @@ from slopewatch.pipeline import default_config, run_pipeline
 PACKAGE_DIR = Path(slopewatch.__file__).resolve().parent
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = BENCH_DIR / "tracing.py"
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def test_no_function_local_imports():
@@ -97,15 +98,11 @@ PASSED_OUTSIDE = {
 }
 
 
-def test_every_parameter_is_passed():
-    """The parameter twin of ``test_every_setting_is_read``: each defaulted
-    parameter of a public module-level function in the package is passed,
-    by name or by position, by some call in the package or in
-    ``perfbench/``, so a knob that only the tests turn cannot linger. A
-    call counts by the called name alone; one with ``*args`` or
-    ``**kwargs`` passes everything. ``PASSED_OUTSIDE`` names the
-    exceptions, which must stay unpassed."""
-    defaulted = {}   # function name -> (module, {parameter: position})
+def public_defaults() -> dict:
+    """{function name: (module, {defaulted parameter: position, or None
+    for a keyword-only one})} of the package's public module-level
+    functions."""
+    defaulted = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for fn in ast.parse(path.read_text(), filename=str(path)).body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
@@ -119,9 +116,15 @@ def test_every_parameter_is_passed():
             assert fn.name not in defaulted, fn.name
             defaulted[fn.name] = (path.stem, params)
     assert {"icp", "build_dtm", "filter_vegetation"} <= set(defaulted)
+    return defaulted
 
-    passed = set()
-    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")):
+
+def calls_passing(defaulted: dict, paths):
+    """(``module.function``, its defaulted parameters, the ones passed) of
+    every call in ``paths`` to a function of ``defaulted``. A call counts
+    by the called name alone; one with ``*args`` or ``**kwargs`` passes
+    everything."""
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             fn = _call_name(node) if isinstance(node, ast.Call) else None
             if fn not in defaulted:
@@ -130,14 +133,43 @@ def test_every_parameter_is_passed():
             named = {kw.arg for kw in node.keywords}
             spread = (None in named
                       or any(isinstance(a, ast.Starred) for a in node.args))
-            passed.update(f"{module}.{fn}.{name}" for name, pos in params.items()
-                          if spread or name in named
-                          or (pos is not None and pos < len(node.args)))
-    unpassed = sorted(f"{module}.{fn}.{name}"
-                      for fn, (module, params) in defaulted.items()
-                      for name in params
-                      if f"{module}.{fn}.{name}" not in passed)
-    assert unpassed == sorted(PASSED_OUTSIDE)
+            yield f"{module}.{fn}", set(params), {
+                name for name, pos in params.items()
+                if spread or name in named
+                or (pos is not None and pos < len(node.args))}
+
+
+def all_defaults(defaulted: dict) -> set:
+    """Every ``module.function.parameter`` of ``defaulted``."""
+    return {f"{module}.{fn}.{name}" for fn, (module, params) in defaulted.items()
+            for name in params}
+
+
+def test_every_parameter_is_passed():
+    """The parameter twin of ``test_every_setting_is_read``: each defaulted
+    parameter of a public module-level function in the package is passed,
+    by name or by position, by some call in the package or in
+    ``perfbench/``, so a knob that only the tests turn cannot linger.
+    ``PASSED_OUTSIDE`` names the exceptions, which must stay unpassed."""
+    defaulted = public_defaults()
+    passed = {f"{fn}.{name}" for fn, _, names in calls_passing(
+        defaulted, sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")))
+        for name in names}
+    assert sorted(all_defaults(defaulted) - passed) == sorted(PASSED_OUTSIDE)
+
+
+def test_every_default_is_relied_on():
+    """The other side of ``test_every_parameter_is_passed``: each defaulted
+    parameter of a public module-level function is left out by some call
+    in the package, in ``perfbench/`` or in the tests, so a default that
+    every call overrides, and that may disagree with what they pass,
+    cannot linger."""
+    defaulted = public_defaults()
+    omitted = {f"{fn}.{name}" for fn, params, names in calls_passing(
+        defaulted, sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py"))
+        + sorted(TESTS_DIR.glob("*.py")))
+        for name in params - names}
+    assert sorted(all_defaults(defaulted) - omitted) == []
 
 
 # public module-level functions that no code in the package or the

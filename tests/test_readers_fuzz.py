@@ -3,20 +3,23 @@
 Mutates valid mesh, field and cloud files, binary PLY as written and the
 ASCII PLY and XYZ literals of ``ply_literals`` (byte edits and header-token
 swaps), and builds PLY headers from a small grammar, then feeds every
-result to each reader. Derandomised, so a run is repeatable.
+result to each reader. Valid random elements, written as ASCII and as
+binary PLY, must read to the same arrays. Derandomised, so a run is
+repeatable.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slopewatch as sw
-from slopewatch.cloud import parse_cloud
-from slopewatch.errors import SlopewatchError
+from slopewatch.cloud import _read_ply, parse_cloud
+from slopewatch.errors import CloudFormatError, SlopewatchError
 from slopewatch.terrain import (build_dtm, mesh_distance, read_deformation,
                                 read_mesh, write_deformation, write_mesh)
 
-from ply_literals import (CLOUD_PLY, CLOUD_XYZ, FIELD_PLY, MESH_NO_FACES_PLY,
-                          MESH_PLY)
+from ply_literals import (CLOUD_PLY, CLOUD_XYZ, FIELD_PLY, MESH,
+                          MESH_NO_FACES_PLY, MESH_PLY)
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -115,3 +118,121 @@ def test_grammar_headers_raise_only_package_errors(fmt, comments, elements,
         lines += ["property " + " ".join(p) for p in props]
     head = ("\n".join(lines + ["end_header"]) + "\n").encode()
     _read_all(head + (" ".join(text).encode() if fmt == "ascii" else blob))
+
+
+# every PLY type name with its little-endian layout
+_PLY_TYPES = {"char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+              "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+              "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+              "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}
+_INT_TYPES = [t for t, layout in _PLY_TYPES.items() if "f" not in layout]
+
+
+def _ply_bytes(fmt: str, elements) -> bytes:
+    """PLY stream of ``elements``, each (name, props, rows): props as
+    ("scalar", name, type) or ("list", name, count type, item type), a row
+    one value per property, a sequence for a list."""
+    def enc(value, ptype):
+        if fmt == "ascii":
+            return repr(value).encode() + b" "
+        return np.array(value, dtype=_PLY_TYPES[ptype]).tobytes()
+
+    head, body = ["ply", f"format {fmt} 1.0"], b""
+    for name, props, rows in elements:
+        head.append(f"element {name} {len(rows)}")
+        head += [f"property {p[2]} {p[1]}" if p[0] == "scalar"
+                 else f"property list {p[2]} {p[3]} {p[1]}" for p in props]
+        for row in rows:
+            for p, value in zip(props, row):
+                body += (enc(value, p[2]) if p[0] == "scalar" else
+                         enc(len(value), p[2]) + b"".join(enc(v, p[3]) for v in value))
+    return ("\n".join(head + ["end_header"]) + "\n").encode() + body
+
+
+def _value(ptype: str):
+    if "f" in _PLY_TYPES[ptype]:
+        return st.floats(width=32)
+    info = np.iinfo(_PLY_TYPES[ptype])
+    return st.integers(int(info.min), int(info.max))
+
+
+def _item(ptype: str):
+    """An integer list item that ``ptype`` holds exactly."""
+    if "f" in _PLY_TYPES[ptype]:
+        return st.integers(-2**24, 2**24)
+    return _value(ptype)
+
+
+@st.composite
+def _element(draw):
+    """(props, rows) of one element: scalars and lists in any order, of any
+    type, each list one length (0 included) over 0 to 5 rows."""
+    props, columns = [], []
+    rows = draw(st.integers(0, 5))
+    for i in range(draw(st.integers(1, 5))):
+        ptype = draw(st.sampled_from(sorted(_PLY_TYPES)))
+        if draw(st.booleans()):
+            props.append(("scalar", f"p{i}", ptype))
+            columns.append(draw(st.lists(_value(ptype), min_size=rows, max_size=rows)))
+        else:
+            props.append(("list", f"p{i}", draw(st.sampled_from(_INT_TYPES)), ptype))
+            m = draw(st.integers(0, 4))
+            columns.append(draw(st.lists(st.lists(_item(ptype), min_size=m, max_size=m),
+                                         min_size=rows, max_size=rows)))
+    return props, list(zip(*columns)) if rows else []
+
+
+@FUZZ
+@given(element=_element())
+def test_ascii_and_binary_read_the_same_element(element):
+    """One element of any layout reads to the same arrays from ASCII and
+    from binary PLY, and the element after it still lines up."""
+    props, rows = element
+    tail = ("tail", [("scalar", "t", "double")], [(2.5,)])
+    reads = [_read_ply(_ply_bytes(fmt, [("body", props, rows), tail]))[0]
+             for fmt in ("ascii", "binary_little_endian")]
+    for got in reads:
+        np.testing.assert_array_equal(got["tail"]["t"], [2.5])
+        for k, p in enumerate(props):
+            if p[0] == "scalar":
+                want = np.array([r[k] for r in rows], dtype=np.float64)
+            else:
+                want = (np.array([r[k] for r in rows], dtype=np.int64)
+                        if rows else np.zeros((0, 3), dtype=np.int64))
+            assert got["body"][p[1]].dtype == want.dtype
+            np.testing.assert_array_equal(got["body"][p[1]], want)
+    assert reads[0].keys() == reads[1].keys()
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+@pytest.mark.parametrize("before,after", [([], ["red", "green", "blue"]),
+                                          (["flags"], []),
+                                          (["flags"], ["red"])],
+                         ids=["colour-after", "flags-before", "flags-and-colour"])
+def test_mesh_face_list_among_scalars(fmt, before, after):
+    """A face element with scalars (a colour, flags) around its one list
+    of vertex indices reads the same triangles from ASCII and binary."""
+    vertex = [("scalar", axis, "double") for axis in "xyz"]
+    face = ([("scalar", n, "uchar") for n in before]
+            + [("list", "vertex_indices", "uchar", "int")]
+            + [("scalar", n, "uchar") for n in after])
+    rows = [tuple([7] * len(before) + [tri] + [200] * len(after))
+            for tri in MESH.triangles.tolist()]
+    data = _ply_bytes(fmt, [("vertex", vertex, MESH.vertices.tolist()),
+                            ("face", face, rows)])
+    mesh, scalars = read_mesh(data)
+    np.testing.assert_array_equal(mesh.triangles, MESH.triangles)
+    np.testing.assert_array_equal(mesh.vertices + mesh.origin_shift, MESH.vertices)
+    assert scalars == {}
+
+
+@pytest.mark.parametrize("fmt,body", [("ascii", b"0.5 -1"),
+                                      ("binary_little_endian", b"\0" * 8 + b"\xff")],
+                         ids=["ascii", "binary"])
+def test_negative_list_count_after_a_scalar_is_refused(fmt, body):
+    """A count of -1 would shorten the row to the scalar before it and read
+    as an empty list, so the decoder refuses it in either encoding."""
+    head = (f"ply\nformat {fmt} 1.0\nelement e 1\nproperty double s\n"
+            "property list char char v\nend_header\n").encode()
+    with pytest.raises(CloudFormatError, match="negative"):
+        _read_ply(head + body)
