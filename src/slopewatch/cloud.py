@@ -257,8 +257,8 @@ def _parse_ply_header(data: bytes):
                 if not elements:
                     raise CloudFormatError("property before element in PLY header")
                 if tokens[1] == "list":
-                    if (tokens[2] not in _PLY_DTYPES or tokens[2] in _FLOAT_PLY_TYPES
-                            or tokens[3] not in _PLY_DTYPES):
+                    if any(t not in _PLY_DTYPES or t in _FLOAT_PLY_TYPES
+                           for t in tokens[2:4]):
                         raise CloudFormatError(f"unsupported PLY list types in {line!r}")
                     prop = ("list", tokens[4], tokens[2], tokens[3])
                 else:

@@ -1,11 +1,14 @@
 """End-to-end monitoring pipeline over synthetic epochs.
 
-Generates the scene for every epoch, simulates station scans, registers
-stations within each epoch and epochs against the first one, filters
-vegetation, builds per-epoch DTMs on a shared projection plane, differences
-adjacent DTMs, extracts significant regions with shape classes, and writes
-a report plus a manifest of every artifact. Deterministic for a fixed
-configuration: rerunning yields a byte-identical report.
+One pass per epoch, in date order: generate the epoch's scene, simulate
+its station scans, register the stations to each other, register the
+merged cloud to the first epoch, filter vegetation, build the DTM on the
+first epoch's projection plane, and difference it against the previous
+epoch's DTM into a deformation field with its significant regions and
+shape classes. Only the first epoch's merged cloud and projection plane,
+the previous DTM and what the result returns outlive an epoch. A report
+plus a manifest of every artifact close the run. Deterministic for a
+fixed configuration: rerunning yields a byte-identical report.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis
 from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
                        error_budget, interval_days, measure_regions,
                        regions_document, report_to_json)
@@ -165,15 +168,14 @@ def default_config(**overrides) -> PipelineConfig:
                                                 azimuth_deg=90.0)]),
         ],
     )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute the full monitoring chain and write all artifacts.
 
-    Any stage failure aborts with ``PipelineStageError`` naming the stage.
+    Any stage failure aborts with ``PipelineStageError`` naming the stage;
+    the artifacts written before it stay, and no manifest is written.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,150 +186,138 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         path.write_bytes(data)
         manifest[name] = stage
 
-    epochs_meta: list[EpochRecord] = []
     with _stage("configure"):
         if len(config.epochs) < 1:
             raise ValueError("config needs at least one epoch")
-        for e in config.epochs:
-            epochs_meta.append(EpochRecord(
-                epoch_id=e.epoch_id,
-                acquisition_date=analysis._coerce_date(e.date),
-                station_count=e.station_count,
-            ))
+        config_json = config.to_json()
+        epochs_meta = [EpochRecord(epoch_id=e.epoch_id,
+                                   acquisition_date=date.fromisoformat(e.date),
+                                   station_count=e.station_count)
+                       for e in config.epochs]
         days = [interval_days(a.acquisition_date, b.acquisition_date)
                 for a, b in zip(epochs_meta, epochs_meta[1:])]
 
-    # -- scene generation -------------------------------------------------
-    scene_clouds: list[PointCloud] = []
+    # outlive an epoch: the terrain the slides accumulate on, epoch I's
+    # cloud and DTM plane, and what the result returns (meshes[-2] is the
+    # previous DTM)
+    terrain = reference = plane = None
     scene_truths: list[SceneTruth] = []
-    with _stage("generate"):
-        base, truth0 = gen_terrain(config.extent_m, config.mean_slope_deg,
-                                   config.roughness_m, config.density_pts_m2,
-                                   seed=config.rng_seed)
-        frame = truth0.frame
-        current = base
-        for espec in config.epochs:
-            pair_disp = np.zeros(len(base))
+    ground_clouds: list[PointCloud] = []
+    meshes = []
+    fields: list[DeformationField] = []
+    all_regions: list[Region] = []
+    all_shapes: list[ShapeMeasure | None] = []
+    for i, espec in enumerate(config.epochs):
+        with _stage("generate"):
+            if terrain is None:
+                terrain, truth0 = gen_terrain(
+                    config.extent_m, config.mean_slope_deg, config.roughness_m,
+                    config.density_pts_m2, seed=config.rng_seed)
+            pair_disp = np.zeros(len(terrain))
             for spec in espec.landslides:
-                current, t = apply_landslide(current, spec, frame=frame)
+                terrain, t = apply_landslide(terrain, spec, frame=truth0.frame)
                 pair_disp = pair_disp + t.true_displacement
-            cloud_e, _ = add_vegetation(
-                current.with_(epoch_id=espec.epoch_id), config.veg_coverage,
+            scene, _ = add_vegetation(
+                terrain.with_(epoch_id=espec.epoch_id), config.veg_coverage,
                 config.veg_height_range_m, seed=config.veg_seed)
-            scene_clouds.append(cloud_e)
             scene_truths.append(SceneTruth(
                 true_displacement=np.concatenate(
-                    [pair_disp, np.zeros(len(cloud_e) - len(base))]),
-                frame=frame))
+                    [pair_disp, np.zeros(len(scene) - len(terrain))]),
+                frame=truth0.frame))
 
-    # -- station simulation ------------------------------------------------
-    station_clouds: list[list[PointCloud]] = []
-    with _stage("scan"):
-        for i, espec in enumerate(config.epochs):
+        with _stage("scan"):
             jitter = np.random.default_rng([config.rng_seed, 101, i])
-            poses = stations_facing_slope(scene_clouds[i], espec.station_count,
+            poses = stations_facing_slope(scene, espec.station_count,
                                           config.station_standoff_m,
                                           jitter_rng=jitter)
             scans = simulate_stations(
-                scene_clouds[i], poses,
+                scene, poses,
                 noise_sigma_m=config.station_noise_sigma_m,
                 max_range_m=config.station_max_range_m,
                 occlusion=config.station_occlusion,
                 seed=int(np.random.default_rng([config.rng_seed, 202, i])
                          .integers(0, 2**31 - 1)))
-            station_clouds.append(scans)
+            del scene
 
-    # -- single-epoch multi-view registration ------------------------------
-    merged: list[PointCloud] = []
-    with _stage("register_multiview"):
-        for i, scans in enumerate(station_clouds):
-            prepared = [estimate_normals(s, k=min(NORMALS_K, len(s)),
-                                         viewpoint=(0.0, 0.0, 0.0))
-                        for s in scans]
-            transforms = register_multiview(prepared)
-            aligned = [t.apply_cloud(s) for t, s in zip(transforms, prepared)]
-            merged.append(concat_clouds(aligned).with_(
-                epoch_id=config.epochs[i].epoch_id))
+        with _stage("register_multiview"):
+            scans = [estimate_normals(s, k=min(NORMALS_K, len(s)),
+                                      viewpoint=(0.0, 0.0, 0.0))
+                     for s in scans]
+            transforms = register_multiview(scans)
+            merged = concat_clouds([t.apply_cloud(s) for t, s
+                                    in zip(transforms, scans)]
+                                   ).with_(epoch_id=espec.epoch_id)
+            del scans
 
-    # -- multi-epoch registration ------------------------------------------
-    aligned_epochs: list[PointCloud] = []
-    with _stage("register_epochs"):
-        reference = merged[0]
-        aligned_epochs.append(reference)
-        for k in range(1, len(merged)):
-            result = register_global_hybrid(
-                merged[k], reference, refine_pair_m=EPOCH_REFINE_PAIR_M)
-            aligned_epochs.append(result.transform.apply_cloud(merged[k]))
-            logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
-                        config.epochs[k].epoch_id, config.epochs[0].epoch_id,
-                        result.rmse, result.inlier_count)
-        for c in aligned_epochs:
-            emit(f"epoch_{c.epoch_id}_aligned.ply",
-                 write_cloud(c), "register_epochs")
+        with _stage("register_epochs"):
+            if reference is None:
+                reference = aligned = merged
+            else:
+                result = register_global_hybrid(
+                    merged, reference, refine_pair_m=EPOCH_REFINE_PAIR_M)
+                aligned = result.transform.apply_cloud(merged)
+                logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
+                            espec.epoch_id, config.epochs[0].epoch_id,
+                            result.rmse, result.inlier_count)
+            del merged
+            emit(f"epoch_{espec.epoch_id}_aligned.ply",
+                 write_cloud(aligned), "register_epochs")
 
-    # -- vegetation filtering ----------------------------------------------
-    ground_clouds: list[PointCloud] = []
-    with _stage("filter_vegetation"):
-        for c in aligned_epochs:
-            ground, removed, labeling = filter_vegetation(
-                c, cell_size=config.filter_cell_m, cloth=config.cloth)
-            ground_clouds.append(ground)
-            logger.info("epoch %s: %d ground / %d removed", c.epoch_id,
+        with _stage("filter_vegetation"):
+            ground, removed, _ = filter_vegetation(
+                aligned, cell_size=config.filter_cell_m, cloth=config.cloth)
+            logger.info("epoch %s: %d ground / %d removed", espec.epoch_id,
                         len(ground), len(removed))
-            emit(f"epoch_{c.epoch_id}_ground.ply",
+            del aligned, removed
+            ground_clouds.append(ground)
+            emit(f"epoch_{espec.epoch_id}_ground.ply",
                  write_cloud(ground), "filter_vegetation")
 
-    # -- DTM construction ----------------------------------------------------
-    meshes = []
-    with _stage("build_dtm"):
-        thinned = [voxel_downsample(remove_outliers(c), DTM_VOXEL_M)
-                   for c in ground_clouds]
-        plane = fit_plane(thinned[0].points)
-        for c in thinned:
-            mesh = build_dtm(c, projection_plane=plane,
+        with _stage("build_dtm"):
+            thinned = voxel_downsample(remove_outliers(ground), DTM_VOXEL_M)
+            if plane is None:
+                plane = fit_plane(thinned.points)
+            mesh = build_dtm(thinned, projection_plane=plane,
                              max_edge=config.dtm_max_edge_m)
+            del thinned
             meshes.append(mesh)
-            emit(f"epoch_{c.epoch_id}_dtm.ply", write_mesh(mesh), "build_dtm")
+            emit(f"epoch_{espec.epoch_id}_dtm.ply", write_mesh(mesh),
+                 "build_dtm")
+        if i == 0:
+            continue
 
-    # -- deformation fields ---------------------------------------------------
-    fields: list[DeformationField] = []
-    with _stage("deform"):
-        for k in range(1, len(meshes)):
-            f = mesh_distance(meshes[k], meshes[k - 1],
+        with _stage("deform"):
+            f = mesh_distance(mesh, meshes[-2],
                               max_dist=config.deform_max_dist_m,
-                              interval_days=days[k - 1],
-                              compared_epoch=config.epochs[k].epoch_id,
-                              reference_epoch=config.epochs[k - 1].epoch_id)
+                              interval_days=days[i - 1],
+                              compared_epoch=espec.epoch_id,
+                              reference_epoch=config.epochs[i - 1].epoch_id)
             fields.append(f)
             emit(f"field_{f.reference_epoch}_{f.compared_epoch}.ply",
-                 write_deformation(meshes[k], f), "deform")
+                 write_deformation(mesh, f), "deform")
 
-    # -- regions, shapes, report ----------------------------------------------
-    all_regions: list[Region] = []
-    all_shapes: list[ShapeMeasure | None] = []
-    with _stage("analyze"):
-        for k, f in enumerate(fields):
-            mesh = meshes[k + 1]
+        with _stage("analyze"):
             regions = significant_regions(mesh, rate_field(f),
                                           config.rate_threshold_mm_day,
                                           config.min_region_area_m2)
             all_shapes += measure_regions(regions, f, mesh,
                                           first_id=len(all_regions) + 1)
             all_regions += regions
+
+    with _stage("report"):
+        # regions.json lists the regions of every pair, so it waits for
+        # the last one; the regions themselves come from "analyze"
         regions_doc = regions_document(all_regions, all_shapes,
                                        config.rate_threshold_mm_day,
                                        config.min_region_area_m2)
         emit("regions.json", report_to_json(regions_doc).encode(), "analyze")
-
-    report: dict = {}
-    with _stage("report"):
         budget = error_budget(*config.budget_mm)
         report = build_report(epochs=epochs_meta, fields=fields,
                               regions=all_regions, shapes=all_shapes,
                               annotations=[], budget=budget,
-                              parameters=json.loads(config.to_json()))
+                              parameters=json.loads(config_json))
         emit("report.json", report_to_json(report).encode(), "report")
-        emit("config.json", config.to_json().encode(), "report")
+        emit("config.json", config_json.encode(), "report")
         emit("manifest.json",
              json.dumps(manifest, indent=2, sort_keys=True).encode(), "report")
 

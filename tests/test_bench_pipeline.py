@@ -1,8 +1,11 @@
 import dataclasses
+import datetime
+import gc
 import json
 import logging
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,21 @@ def test_pipeline_stage_error_names_stage(tmp_path):
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "configure"
+
+
+def test_pipeline_refuses_an_unserializable_date_before_any_stage(tmp_path):
+    # a date object passes the interval check but not config.json
+    cfg = default_config(out_dir=str(tmp_path / "r"))
+    cfg.epochs[1].date = datetime.date(2013, 9, 10)
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "configure"
+    assert not list((tmp_path / "r").glob("*.ply"))
+
+
+def test_default_config_refuses_an_unknown_override():
+    with pytest.raises(TypeError):
+        default_config(densty_pts_m2=8)
 
 
 def fast_config(tmp_path, **overrides):
@@ -264,6 +282,35 @@ def test_pipeline_scene_with_a_third_epoch_without_slide(tmp_path):
     assert [(p["reference_epoch"], p["compared_epoch"])
             for p in result.report["epoch_pairs"]] == [("I", "II"),
                                                         ("II", "III")]
+    assert region_pairs(result) == [("I,II", "L")]
+
+
+def test_pipeline_releases_each_epoch_before_scanning_the_next(tmp_path,
+                                                             monkeypatch):
+    # an epoch's scene and scans are garbage once merged: before it is
+    # filtered and before the next epoch is scanned
+    refs, alive = [], []
+
+    def watch(name, tracked):
+        real = getattr(pipeline_mod, name)
+
+        def call(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            result = real(*args, **kwargs)
+            refs.extend(weakref.ref(c) for c in tracked(args, result))
+            return result
+        monkeypatch.setattr(pipeline_mod, name, call)
+
+    watch("simulate_stations", lambda args, scans: [args[0], *scans])
+    watch("register_multiview", lambda args, _: args[0])
+    watch("filter_vegetation", lambda args, _: [])
+    cfg = scene_config(tmp_path)
+    cfg.epochs.append(sw.EpochSpec(epoch_id="III", date="2014-03-09",
+                                   station_count=2))
+    result = run_pipeline(cfg)
+    assert alive == [0] * 9
+    assert len(refs) == 15   # per epoch: scene, 2 scans, 2 with normals
     assert region_pairs(result) == [("I,II", "L")]
 
 

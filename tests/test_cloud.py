@@ -127,6 +127,15 @@ _FACE = "element face 1\nproperty list uchar int vertex_indices\n"
                  + _XYZ + "element face 2\nproperty list uchar int vertex_indices\n"
                  "end_header\n" + "\0" * 36 + "\3" + "\0" * 12 + "\4" + "\0" * 16,
                  id="mesh-non-uniform-binary-face-lists"),
+    pytest.param("mesh", "format ascii 1.0\nelement vertex 3\n" + _XYZ
+                 + "element face 1\nproperty list uchar float vertex_indices\n"
+                 "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                 id="mesh-float-face-indices"),
+    pytest.param("mesh", "format binary_little_endian 1.0\nelement vertex 3\n"
+                 + _XYZ + "element face 1\nproperty list uchar float vertex_indices\n"
+                 "end_header\n" + "\0" * 36 + "\3" + "\0" * 4
+                 + "\0\0\x80\x3f" + "\0\0\0\x40",
+                 id="mesh-float-binary-face-indices"),
 ])
 def test_malformed_ply_raises_format_error(reader, text):
     data = ("ply\n" + text).encode("latin-1")

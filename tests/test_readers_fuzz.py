@@ -156,28 +156,23 @@ def _value(ptype: str):
     return st.integers(int(info.min), int(info.max))
 
 
-def _item(ptype: str):
-    """An integer list item that ``ptype`` holds exactly."""
-    if "f" in _PLY_TYPES[ptype]:
-        return st.integers(-2**24, 2**24)
-    return _value(ptype)
-
-
 @st.composite
 def _element(draw):
-    """(props, rows) of one element: scalars and lists in any order, of any
-    type, each list one length (0 included) over 0 to 5 rows."""
+    """(props, rows) of one element: scalars of any type and lists of
+    integer types in any order, each list one length (0 included) over 0
+    to 5 rows."""
     props, columns = [], []
     rows = draw(st.integers(0, 5))
     for i in range(draw(st.integers(1, 5))):
-        ptype = draw(st.sampled_from(sorted(_PLY_TYPES)))
         if draw(st.booleans()):
+            ptype = draw(st.sampled_from(sorted(_PLY_TYPES)))
             props.append(("scalar", f"p{i}", ptype))
             columns.append(draw(st.lists(_value(ptype), min_size=rows, max_size=rows)))
         else:
-            props.append(("list", f"p{i}", draw(st.sampled_from(_INT_TYPES)), ptype))
+            item = draw(st.sampled_from(_INT_TYPES))
+            props.append(("list", f"p{i}", draw(st.sampled_from(_INT_TYPES)), item))
             m = draw(st.integers(0, 4))
-            columns.append(draw(st.lists(st.lists(_item(ptype), min_size=m, max_size=m),
+            columns.append(draw(st.lists(st.lists(_value(item), min_size=m, max_size=m),
                                          min_size=rows, max_size=rows)))
     return props, list(zip(*columns)) if rows else []
 
