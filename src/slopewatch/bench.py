@@ -52,7 +52,6 @@ class BenchmarkConfig:
         TrialConfig("large-offset-local-change", rotation_deg=60.0,
                     translation_frac=0.5, change_fraction=0.3),
     ])
-    icp: IcpParams = field(default_factory=IcpParams)
     methods: tuple = METHODS
 
 
@@ -114,7 +113,7 @@ def run_table2_benchmark(config: BenchmarkConfig) -> dict:
             record = {"trial": t, "terrain_seed": terrain_seed}
             for m in config.methods:
                 try:
-                    result = run_method(m, source, target, config.icp)
+                    result = run_method(m, source, target, IcpParams())
                     ev = evaluate_registration(result, truth, diam,
                                                config.success_threshold_m)
                     per_method[m]["successes"] += int(ev.success)

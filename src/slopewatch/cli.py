@@ -19,19 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bench, ground, pipeline, registration, synth, terrain
-from .cloud import PointClass, PointCloud, read_cloud, write_cloud
+from .cloud import PointClass, read_cloud, write_cloud
 from .errors import CloudFormatError, DegenerateSurface, SlopewatchError
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
 
 
-def _write_transform_txt(path, transform: RigidTransform, src: PointCloud,
-                         dst: PointCloud) -> None:
-    """16-number row-major homogeneous transform, absolute coordinates."""
-    r = transform.rotation
-    t_abs = transform.translation + dst.origin_shift - r @ src.origin_shift
-    m = RigidTransform(r, t_abs).matrix()
+def _write_transform_txt(path, transform: RigidTransform) -> None:
+    """16-number row-major homogeneous transform."""
+    m = transform.matrix()
     Path(path).write_text(" ".join(f"{v:.17g}" for v in m.ravel()) + "\n")
 
 
@@ -52,7 +49,7 @@ def cmd_register(args) -> int:
     params = registration.IcpParams(max_iter=args.max_iter,
                                     max_pair_dist=args.max_pair_dist)
     result = bench.run_method(args.method, src, dst, params)
-    _write_transform_txt(args.out_transform, result.transform, src, dst)
+    _write_transform_txt(args.out_transform, result.transform)
     Path(args.out_result).write_text(json.dumps(_result_json(result), indent=2,
                                                 sort_keys=True) + "\n")
     print(f"rmse_m {result.rmse:.6f} inliers {result.inlier_count}")
@@ -68,9 +65,8 @@ def cmd_register_multiview(args) -> int:
     transforms = registration.register_multiview(clouds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for p, t, c in zip(paths, transforms, clouds):
-        stem = Path(p).stem
-        _write_transform_txt(out_dir / f"{stem}_transform.txt", t, c, clouds[0])
+    for p, t in zip(paths, transforms):
+        _write_transform_txt(out_dir / f"{Path(p).stem}_transform.txt", t)
     print(f"wrote {len(transforms)} transforms to {out_dir}")
     return 0
 

@@ -1,9 +1,9 @@
 """Point cloud data model, XYZ/PLY I/O, neighbor index, normals, downsampling.
 
-Coordinates are stored as 64-bit reals in a working frame obtained by
-subtracting an origin shift (the input centroid rounded to whole meters),
-so millimeter differencing stays well conditioned even for large survey
-coordinates. All containers are immutable after construction; every
+Coordinates are stored as read, in absolute 64-bit reals: float64
+resolves about 1 nm at 4,400 km, so survey coordinates need no working
+frame, and a file written and read back gives the same coordinates bit
+for bit. All containers are immutable after construction; every
 operation is a pure function of its inputs.
 
 Files are written as binary little-endian PLY with ``double`` properties
@@ -62,7 +62,7 @@ class PointCloud:
     Attributes
     ----------
     points : (n, 3) float64
-        Working-frame coordinates in meters (``absolute = points + origin_shift``).
+        Coordinates in meters, as read or generated.
     normals : (n, 3) float64 or None
         Unit vectors; rows of NaN mark points whose normal could not be
         estimated (degenerate neighborhood).
@@ -72,8 +72,6 @@ class PointCloud:
         ``PointClass`` values.
     epoch_id : str or None
         Acquisition campaign identifier.
-    origin_shift : (3,) float64
-        Offset subtracted from the input coordinates, whole meters.
     """
 
     points: np.ndarray
@@ -81,7 +79,6 @@ class PointCloud:
     scalars: dict = field(default_factory=dict)
     labels: np.ndarray | None = None
     epoch_id: str | None = None
-    origin_shift: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -116,18 +113,8 @@ class PointCloud:
                 raise ValueError("labels must match point count")
             object.__setattr__(self, "labels", _readonly(lab))
 
-        shift = self.origin_shift
-        shift = np.zeros(3) if shift is None else np.asarray(shift, dtype=np.float64)
-        if shift.shape != (3,):
-            raise ValueError("origin_shift must be a 3-vector")
-        object.__setattr__(self, "origin_shift", _readonly(shift))
-
     def __len__(self) -> int:
         return len(self.points)
-
-    def absolute_points(self) -> np.ndarray:
-        """Coordinates with the origin shift added back."""
-        return self.points + self.origin_shift
 
     def subset(self, indices) -> "PointCloud":
         """New cloud restricted to ``indices`` (order preserved)."""
@@ -138,7 +125,6 @@ class PointCloud:
             scalars={k: v[idx] for k, v in self.scalars.items()},
             labels=None if self.labels is None else self.labels[idx],
             epoch_id=self.epoch_id,
-            origin_shift=self.origin_shift,
         )
 
     def with_(self, **kwargs) -> "PointCloud":
@@ -176,16 +162,15 @@ _PLY_DTYPES = {
 _FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
 
 
-def _working_frame(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(points - shift, shift), the shift being the centroid rounded to
-    whole meters; ``CloudFormatError`` when a coordinate or the centroid
-    is not finite."""
+def _finite_coordinates(points: np.ndarray) -> np.ndarray:
+    """``points``, or ``CloudFormatError`` when a coordinate or the
+    centroid is not finite: a centroid that overflows leaves no plane or
+    mean to compute downstream."""
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = np.round(points.mean(axis=0)) if len(points) else np.zeros(3)
-        work = points - shift
-    if not (np.isfinite(work).all() and np.isfinite(shift).all()):
+        centroid = points.mean(axis=0) if len(points) else np.zeros(3)
+    if not (np.isfinite(points).all() and np.isfinite(centroid).all()):
         raise CloudFormatError("coordinates and their centroid must be finite")
-    return work, shift
+    return points
 
 
 def _parse_xyz_ascii(data: bytes) -> tuple[np.ndarray, dict]:
@@ -363,8 +348,7 @@ def parse_cloud(data: bytes, fmt: str) -> PointCloud:
     fmt : {'xyz_ascii', 'ply'}
         Declared format.
 
-    The centroid rounded to whole meters is stored as ``origin_shift`` and
-    subtracted from the coordinates; input record order is preserved.
+    Coordinates are kept as read and input record order is preserved.
     """
     if fmt == "xyz_ascii":
         pts, scalars = _parse_xyz_ascii(data)
@@ -382,12 +366,11 @@ def parse_cloud(data: bytes, fmt: str) -> PointCloud:
     else:
         raise ValueError(f"unknown cloud format {fmt!r}")
 
-    work, shift = _working_frame(pts)
-    return PointCloud(points=work, scalars=scalars, origin_shift=shift)
+    return PointCloud(points=_finite_coordinates(pts), scalars=scalars)
 
 
 def _ply_vertices(parsed: dict) -> tuple[np.ndarray, dict]:
-    """(absolute (n, 3) coordinates, other channels) of a parsed PLY
+    """((n, 3) coordinates, other channels) of a parsed PLY
     stream's vertex element, whose properties must all be scalars."""
     cols = parsed.get("vertex")
     if cols is None:
@@ -403,10 +386,9 @@ def _ply_vertices(parsed: dict) -> tuple[np.ndarray, dict]:
 
 
 def write_cloud(cloud: PointCloud) -> bytes:
-    """Binary PLY of the absolute (unshifted) coordinates and the scalar
-    channels; ``parse_cloud(write_cloud(c), "ply")`` gives the coordinates
-    back to rounding and the channels exactly."""
-    return write_ply(cloud.absolute_points(), scalars=cloud.scalars)
+    """Binary PLY of the coordinates and the scalar channels;
+    ``parse_cloud(write_cloud(c), "ply")`` gives both back exactly."""
+    return write_ply(cloud.points, scalars=cloud.scalars)
 
 
 def write_ply(
@@ -593,18 +575,14 @@ def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def concat_clouds(clouds: list[PointCloud]) -> PointCloud:
-    """Concatenate clouds into the first cloud's working frame.
+    """Concatenate clouds in order, with the first cloud's epoch.
 
-    Differing origin shifts are rebased onto the first cloud's shift. A
-    channel (normals, labels, scalar) survives only if every input has it.
+    A channel (normals, labels, scalar) survives only if every input has it.
     """
     if not clouds:
         raise ValueError("no clouds to concatenate")
     base = clouds[0]
-    pts = [base.points]
-    for c in clouds[1:]:
-        pts.append(c.points + (c.origin_shift - base.origin_shift))
-    points = np.vstack(pts)
+    points = np.vstack([c.points for c in clouds])
 
     normals = None
     if all(c.normals is not None for c in clouds):
@@ -617,8 +595,7 @@ def concat_clouds(clouds: list[PointCloud]) -> PointCloud:
         common &= set(c.scalars)
     scalars = {k: np.concatenate([c.scalars[k] for c in clouds]) for k in sorted(common)}
     return PointCloud(points=points, normals=normals, scalars=scalars,
-                      labels=labels, epoch_id=base.epoch_id,
-                      origin_shift=base.origin_shift)
+                      labels=labels, epoch_id=base.epoch_id)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +644,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     k : int
         Neighborhood size, >= 3; the cloud must hold at least k points.
     viewpoint : (3,) array-like
-        Position the normals should face, in the cloud's working frame.
+        Position the normals should face, in the cloud's coordinates.
     """
     if k < 3:
         raise ValueError("normal estimation needs k >= 3")
@@ -716,8 +693,7 @@ def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
         raise ValueError("cell size must be positive")
     pts = cloud.points
     if len(pts) == 0:
-        return PointCloud(points=pts, epoch_id=cloud.epoch_id,
-                          origin_shift=cloud.origin_shift)
+        return PointCloud(points=pts, epoch_id=cloud.epoch_id)
     keys = np.floor(pts / cell).astype(np.int64)
     # cells come sorted lexicographically; recover first-occurrence order
     _, first, inverse = _unique_rows(keys)
@@ -734,5 +710,4 @@ def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
         name: np.bincount(cell_of, weights=vals, minlength=ncell) / counts
         for name, vals in cloud.scalars.items()
     }
-    return PointCloud(points=centroids, scalars=scalars,
-                      epoch_id=cloud.epoch_id, origin_shift=cloud.origin_shift)
+    return PointCloud(points=centroids, scalars=scalars, epoch_id=cloud.epoch_id)

@@ -635,9 +635,10 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
 # ---------------------------------------------------------------------------
 
 
-def evaluate_registration(result, truth: RigidTransform, diameter_m: float,
+def evaluate_registration(result: RegistrationResult, truth: RigidTransform,
+                          diameter_m: float,
                           success_threshold: float) -> EvaluationResult:
-    """Pose RMSE between a recovered and a ground-truth transform.
+    """Pose RMSE between the transform a result recovered and the true one.
 
     Displacement is measured over a fixed evaluation set, the eight corners
     of the cube of side ``diameter_m`` centered at the origin. Success is
@@ -645,11 +646,10 @@ def evaluate_registration(result, truth: RigidTransform, diameter_m: float,
     """
     if diameter_m <= 0:
         raise ValueError("diameter must be positive")
-    t = result.transform if hasattr(result, "transform") else result
     half = diameter_m / 2.0
     corners = np.array([[sx, sy, sz] for sx in (-half, half)
                         for sy in (-half, half) for sz in (-half, half)])
-    disp = t.apply(corners) - truth.apply(corners)
+    disp = result.transform.apply(corners) - truth.apply(corners)
     pose_rmse = float(np.sqrt(np.mean(np.einsum("ij,ij->i", disp, disp))))
     return EvaluationResult(success=pose_rmse <= success_threshold,
                             pose_rmse=pose_rmse)

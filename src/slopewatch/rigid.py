@@ -1,7 +1,9 @@
 """Rigid-body transforms: proper rotation plus translation.
 
-Transforms act on working-frame coordinates (see ``cloud.PointCloud``);
-composition and inversion stay within the orthonormality tolerance.
+Transforms act on a cloud's coordinates as stored (see
+``cloud.PointCloud``), so a transform found on clouds read from files maps
+the files' coordinates; composition and inversion stay within the
+orthonormality tolerance.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def add_vegetation(
     scalars = {k: np.concatenate([v, np.zeros(n_veg)])
                for k, v in cloud.scalars.items()}
     out = PointCloud(points=points, scalars=scalars, labels=labels,
-                     epoch_id=cloud.epoch_id, origin_shift=cloud.origin_shift)
+                     epoch_id=cloud.epoch_id)
     truth = SceneTruth(true_displacement=np.zeros(len(points)))
     return out, truth
 

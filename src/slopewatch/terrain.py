@@ -4,6 +4,8 @@ DTMs are 2.5D triangulated irregular networks built over a shared
 projection plane so epochs stay comparable. Deformation is the signed
 vertex-to-mesh distance (deposition positive, erosion negative); a
 maximum-distance mask keeps occlusion holes from masquerading as change.
+Meshes and fields keep their clouds' absolute coordinates; only the
+Delaunay triangulation works on shifted coordinates (``build_dtm``).
 """
 
 from __future__ import annotations
@@ -17,21 +19,27 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
 from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _by_rows,
-                    _ply_vertices, _read_ply, _unique_rows, _working_frame)
+                    _finite_coordinates, _ply_vertices, _read_ply, _unique_rows)
 from .errors import CloudFormatError, DegenerateSurface, NoOverlap
 
 logger = logging.getLogger(__name__)
+
+# ``build_dtm`` triangulates in-plane coordinates less the multiple of this
+# many metres nearest their mean. Qhull loses precision far from the origin:
+# a 12,000-point scene gave 23,973 simplices near it and 16,509 moved by
+# (500010, 4400010, 100) m. A shift that is 0 within 2,048 m of the origin
+# leaves the triangles of scenes there as they were
+DTM_ANCHOR_M = 4096.0
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Triangulated terrain surface with its 2.5D projection plane."""
 
-    vertices: np.ndarray          # (n, 3) float64, working frame
+    vertices: np.ndarray          # (n, 3) float64
     triangles: np.ndarray         # (m, 3) int64
     plane_normal: np.ndarray      # unit vector
     plane_offset: float
-    origin_shift: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -44,10 +52,7 @@ class TriangleMesh:
             raise ValueError("triangle indices out of range")
         n = np.asarray(self.plane_normal, dtype=np.float64)
         n = n / np.linalg.norm(n)
-        shift = self.origin_shift
-        shift = np.zeros(3) if shift is None else np.asarray(shift, dtype=np.float64)
-        for name, a in (("vertices", v), ("triangles", t), ("plane_normal", n),
-                        ("origin_shift", shift)):
+        for name, a in (("vertices", v), ("triangles", t), ("plane_normal", n)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -166,6 +171,9 @@ def build_dtm(
     with any 3D edge longer than ``max_edge`` are discarded, which
     preserves scan holes instead of bridging them. Duplicate projected
     points are dropped (later occurrence loses) with a logged count.
+    Qhull gets the in-plane coordinates less the multiple of
+    ``DTM_ANCHOR_M`` nearest their mean, so the triangles of a scene at
+    survey coordinates are those of the same scene near the origin.
     """
     pts = ground.points
     if len(pts) < 3:
@@ -186,6 +194,7 @@ def build_dtm(
     if dropped:
         logger.warning("build_dtm dropped %d duplicate projected points", dropped)
     uv_u = uv[keep]
+    uv_u -= DTM_ANCHOR_M * np.round(uv_u.mean(axis=0) / DTM_ANCHOR_M)
     verts = pts[keep]
 
     try:
@@ -209,8 +218,7 @@ def build_dtm(
     if len(simplices) == 0:
         raise DegenerateSurface("no triangle under the edge-length limit")
     return TriangleMesh(vertices=verts, triangles=simplices,
-                        plane_normal=normal, plane_offset=offset,
-                        origin_shift=ground.origin_shift)
+                        plane_normal=normal, plane_offset=offset)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +427,7 @@ def mesh_distance(
     """
     if len(reference.triangles) == 0:
         raise DegenerateSurface("reference mesh has no triangles")
-    verts = compared.vertices + (compared.origin_shift - reference.origin_shift)
+    verts = compared.vertices
     tris, rv, n = reference.triangles, reference.vertices, reference.plane_normal
     a, b, c = rv[tris[:, 0]], rv[tris[:, 1]], rv[tris[:, 2]]
     seeds = cKDTree((a + b + c) / 3.0)
@@ -541,20 +549,18 @@ def region_volume(region: Region, field_: DeformationField,
 
 
 def _write_surface(mesh: TriangleMesh, scalars: dict, comments=()) -> bytes:
-    """PLY of ``mesh`` in absolute coordinates; the header's first comment
-    names the projection plane, the given ``comments`` follow it."""
+    """PLY of ``mesh``; the header's first comment names the projection
+    plane, the given ``comments`` follow it."""
     n = mesh.plane_normal
-    off_abs = mesh.plane_offset + float(n @ mesh.origin_shift)
-    plane = "projection_plane %.17g %.17g %.17g %.17g" % (n[0], n[1], n[2], off_abs)
-    return write_ply(mesh.vertices + mesh.origin_shift, scalars=scalars,
+    plane = "projection_plane %.17g %.17g %.17g %.17g" % (n[0], n[1], n[2],
+                                                        mesh.plane_offset)
+    return write_ply(mesh.vertices, scalars=scalars,
                      faces=mesh.triangles, comments=[plane, *comments])
 
 
 def _read_surface(data: bytes) -> tuple[TriangleMesh, dict, list]:
-    """(mesh, vertex scalar channels, header comments) of a mesh PLY.
-
-    Applies the same rounded-centroid origin shift policy as cloud parsing.
-    """
+    """(mesh, vertex scalar channels, header comments) of a mesh PLY,
+    with coordinates kept as read, as cloud parsing keeps them."""
     parsed, _, comments = _read_ply(data)
     if "face" not in parsed:
         raise CloudFormatError("mesh PLY needs vertex and face elements")
@@ -574,27 +580,27 @@ def _read_surface(data: bytes) -> tuple[TriangleMesh, dict, list]:
             except ValueError as exc:
                 raise CloudFormatError(
                     f"malformed comment {' '.join(tokens)!r}") from exc
-    work, shift = _working_frame(pts)
+    pts = _finite_coordinates(pts)
     if plane is not None:
         norm = np.linalg.norm(plane[:3])
         if not (np.isfinite(plane).all() and norm > 0):
             raise CloudFormatError("projection_plane needs a finite non-zero normal")
         normal = plane[:3] / norm
-        offset = float(plane[3] - normal @ shift)
-    elif len(work) >= 3:
+        offset = float(plane[3])
+    elif len(pts) >= 3:
         try:
-            normal, offset = fit_plane(work)
+            normal, offset = fit_plane(pts)
         except DegenerateSurface as exc:
             raise DegenerateSurface(f"mesh PLY names no projection plane: {exc}") from exc
     else:
         normal, offset = np.array([0.0, 0.0, 1.0]), 0.0
-    mesh = TriangleMesh(vertices=work, triangles=faces, plane_normal=normal,
-                        plane_offset=offset, origin_shift=shift)
+    mesh = TriangleMesh(vertices=pts, triangles=faces, plane_normal=normal,
+                        plane_offset=offset)
     return mesh, scalars, comments
 
 
 def write_mesh(mesh: TriangleMesh) -> bytes:
-    """PLY with vertices (absolute coordinates) and faces."""
+    """PLY with vertices and faces."""
     return _write_surface(mesh, {})
 
 

@@ -126,9 +126,7 @@ def fast_config(tmp_path, **overrides):
     cfg.epochs[1].landslides = [LandslideSpec(
         center=(20.0, 5.13, 14.1), radius_along=8.0, radius_across=5.0,
         depth_m=0.6, azimuth_deg=90.0)]
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 @pytest.fixture(scope="module")

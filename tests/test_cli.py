@@ -6,7 +6,7 @@ import pytest
 
 import slopewatch as sw
 from slopewatch.cli import build_parser, main
-from slopewatch.terrain import write_deformation, write_mesh
+from slopewatch.terrain import read_deformation, write_deformation, write_mesh
 
 from ply_literals import FIELD, MESH, MESH_NO_FACES_PLY
 
@@ -42,10 +42,9 @@ def test_register_writes_transform_and_result(tmp_path, capsys):
     assert len(numbers) == 16
     m = np.array(numbers).reshape(4, 4)
     np.testing.assert_array_equal(m[3], [0, 0, 0, 1])
-    # applying the file transform to absolute source coords lands on the target
-    src_abs = moved.absolute_points()
-    mapped = src_abs @ m[:3, :3].T + m[:3, 3]
-    err = np.linalg.norm(mapped - cloud.absolute_points(), axis=1)
+    # applying the file transform to the source coords lands on the target
+    mapped = moved.points @ m[:3, :3].T + m[:3, 3]
+    err = np.linalg.norm(mapped - cloud.points, axis=1)
     assert np.median(err) < 0.02
     result = json.loads(rj.read_text())
     assert result["converged"] is True
@@ -122,8 +121,8 @@ def test_filter_cli_with_mask(tmp_path, capsys):
     removed = sw.read_cloud(tmp_path / "v.ply")
     assert len(ground) + len(removed) == len(cloud)
     # masked indices 0 and 1 forced out of the ground set
-    forced = cloud.absolute_points()[[0, 1]]
-    d = np.linalg.norm(removed.absolute_points()[:, None, :]
+    forced = cloud.points[[0, 1]]
+    d = np.linalg.norm(removed.points[:, None, :]
                        - forced[None, :, :], axis=2)
     assert (d.min(axis=0) < 1e-6).all()
 
@@ -457,5 +456,34 @@ def test_cli_cloud_reads_back_under_an_xyz_name(tmp_path, capsys):
     assert main(["dtm", "--in", str(tmp_path / "s.xyz"),
                  "--out", str(tmp_path / "dtm.ply")]) == 0
     np.testing.assert_array_equal(
-        sw.read_cloud(tmp_path / "s.xyz").absolute_points(),
-        sw.read_cloud(tmp_path / "s.ply").absolute_points())
+        sw.read_cloud(tmp_path / "s.xyz").points,
+        sw.read_cloud(tmp_path / "s.ply").points)
+
+
+def test_cli_steps_on_a_run_reproduce_the_run(tmp_path):
+    """``filter``, ``deform`` and ``regions`` on a pipeline run's own files
+    give what the run wrote: clouds and meshes read back with the
+    coordinates they were written with."""
+    run = tmp_path / "run"
+    sw.run_pipeline(sw.default_config(density_pts_m2=8, out_dir=str(run)))
+    for epoch in ("I", "II"):
+        assert main(["filter", "--in", str(run / f"epoch_{epoch}_aligned.ply"),
+                     "--out", str(tmp_path / f"{epoch}_ground.ply"),
+                     "--removed", str(tmp_path / f"{epoch}_removed.ply")]) == 0
+        assert ((tmp_path / f"{epoch}_ground.ply").read_bytes()
+                == (run / f"epoch_{epoch}_ground.ply").read_bytes())
+
+    report = json.loads((run / "report.json").read_text())
+    days = report["epoch_pairs"][0]["interval_days"]
+    assert main(["deform", "--compared", str(run / "epoch_II_dtm.ply"),
+                 "--reference", str(run / "epoch_I_dtm.ply"),
+                 "--days", repr(days), "--out", str(tmp_path / "field.ply")]) == 0
+    _, field = read_deformation((tmp_path / "field.ply").read_bytes())
+    _, ran = read_deformation((run / "field_I_II.ply").read_bytes())
+    np.testing.assert_array_equal(field.valid, ran.valid)
+    np.testing.assert_array_equal(field.values, ran.values)
+
+    assert main(["regions", "--field", str(run / "field_I_II.ply"),
+                 "--out", str(tmp_path / "regions.json")]) == 0
+    assert (json.loads((tmp_path / "regions.json").read_text())
+            == json.loads((run / "regions.json").read_text()))

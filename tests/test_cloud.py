@@ -31,10 +31,8 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int):
 def test_parse_xyz_three_points():
     cloud = parse_cloud(b"0 0 0\n1 0 0\n0 1 0\n", "xyz_ascii")
     assert len(cloud) == 3
-    np.testing.assert_allclose(cloud.absolute_points(),
+    np.testing.assert_allclose(cloud.points,
                                [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    # centroid (1/3, 1/3, 0) rounds to whole meters (0, 0, 0)
-    np.testing.assert_array_equal(cloud.origin_shift, [0, 0, 0])
 
 
 def test_parse_xyz_comments_and_intensity():
@@ -53,13 +51,12 @@ def test_parse_xyz_malformed_line_number():
     assert err.value.line == 3
 
 
-def test_parse_xyz_origin_shift_keeps_coordinates_small():
-    text = b"500000.5 4000000.25 1200.125\n500010.5 4000020.25 1210.125\n"
+def test_parse_xyz_keeps_survey_coordinates_exact():
+    text = b"500000.123 4000000.987 1200.001\n500010.5 4000020.25 1210.125\n"
     cloud = parse_cloud(text, "xyz_ascii")
-    assert np.abs(cloud.points).max() < 100
-    np.testing.assert_allclose(
-        cloud.absolute_points(),
-        [[500000.5, 4000000.25, 1200.125], [500010.5, 4000020.25, 1210.125]])
+    np.testing.assert_array_equal(
+        cloud.points,
+        [[500000.123, 4000000.987, 1200.001], [500010.5, 4000020.25, 1210.125]])
 
 
 def test_parse_ply_empty_vertex_element():
@@ -165,8 +162,7 @@ def test_roundtrip_coordinates(fmt, binary):
     data = write_cloud(CLOUD) if binary else {"ply": CLOUD_PLY,
                                               "xyz_ascii": CLOUD_XYZ}[fmt]
     again = parse_cloud(data, fmt)
-    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
-    np.testing.assert_array_equal(again.origin_shift, [12346, -9876, 345])
+    np.testing.assert_array_equal(again.points, CLOUD.points)
     assert again.scalars.keys() == {"intensity"}
     np.testing.assert_array_equal(again.scalars["intensity"],
                                   CLOUD.scalars["intensity"])
@@ -177,13 +173,13 @@ def test_read_cloud_knows_ply_by_name_or_magic(tmp_path, name):
     """Binary PLY reads as PLY under any name."""
     (tmp_path / name).write_bytes(write_cloud(CLOUD))
     again = sw.read_cloud(tmp_path / name)
-    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
+    np.testing.assert_array_equal(again.points, CLOUD.points)
 
 
 def test_read_cloud_reads_xyz_text(tmp_path):
     (tmp_path / "c.xyz").write_bytes(CLOUD_XYZ)
     again = sw.read_cloud(tmp_path / "c.xyz")
-    np.testing.assert_array_equal(again.absolute_points(), CLOUD.points)
+    np.testing.assert_array_equal(again.points, CLOUD.points)
     np.testing.assert_array_equal(again.scalars["intensity"],
                                   CLOUD.scalars["intensity"])
 
@@ -201,7 +197,7 @@ def test_roundtrip_scalar_exact_double(rng):
 def test_roundtrip_preserves_order(rng):
     pts = rng.uniform(-50, 50, (100, 3)) + np.array([12345.0, -9876.0, 345.0])
     again = parse_cloud(write_cloud(sw.PointCloud(points=pts)), "ply")
-    np.testing.assert_allclose(again.absolute_points(), pts, atol=1e-6)
+    np.testing.assert_array_equal(again.points, pts)
 
 
 # ---------------------------------------------------------------------------

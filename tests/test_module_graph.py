@@ -51,6 +51,8 @@ READ_OUTSIDE = {
     "PipelineResult": "run_pipeline's return value, read by its callers",
     "RegistrationResult.rmse_sequence":
         "the ICP's RMSE trace, for the per-run metrics file ROADMAP plans",
+    "RigidTransform.translation":
+        "read by the transform's own methods and by perfbench's pose check",
 }
 
 

@@ -217,7 +217,7 @@ def test_mesh_face_list_among_scalars(fmt, before, after):
                             ("face", face, rows)])
     mesh, scalars = read_mesh(data)
     np.testing.assert_array_equal(mesh.triangles, MESH.triangles)
-    np.testing.assert_array_equal(mesh.vertices + mesh.origin_shift, MESH.vertices)
+    np.testing.assert_array_equal(mesh.vertices, MESH.vertices)
     assert scalars == {}
 
 

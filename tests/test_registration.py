@@ -717,6 +717,36 @@ def test_multiview_three_stations_recover_poses(monkeypatch):
         assert rmse < 2 * sigma
 
 
+def test_multiview_views_read_from_files_register_as_in_memory():
+    """Views far apart register from their files exactly as in memory: a
+    file keeps a cloud's coordinates, so the merged group holds each view
+    where its transform puts it."""
+    scene, _ = sw.gen_terrain((90, 25), 70.0, 0.5, 12.0, seed=9)
+    poses = sw.stations_facing_slope(scene, 3, standoff=30.0)
+    scans = sw.simulate_stations(scene, poses, noise_sigma_m=0.006,
+                                 max_range_m=60.0, seed=3)
+    offsets = [np.zeros(3), np.array([1000.3, -500.7, 20.2]),
+               np.array([-2000.4, 300.1, -10.5])]
+    views = [RigidTransform(np.eye(3), o).apply_cloud(s)
+             for s, o in zip(scans, offsets)]
+
+    def register(clouds):
+        return sw.register_multiview([sw.estimate_normals(c, k=16, viewpoint=o)
+                                      for c, o in zip(clouds, offsets)])
+
+    in_memory = register(views)
+    from_files = register([sw.parse_cloud(sw.write_cloud(v), "ply") for v in views])
+    for a, b in zip(in_memory, from_files):
+        np.testing.assert_array_equal(a.matrix(), b.matrix())
+    for i in (1, 2):
+        # truth: view i into view 0, through the stations' poses
+        truth = (RigidTransform(np.eye(3), offsets[0])
+                 .compose(poses[0].inverse()).compose(poses[i])
+                 .compose(RigidTransform(np.eye(3), -offsets[i])))
+        err = in_memory[i].apply(views[i].points) - truth.apply(views[i].points)
+        assert np.median(np.linalg.norm(err, axis=1)) < 0.02
+
+
 @pytest.mark.parametrize("case", ["collinear", "two points"])
 def test_multiview_view_with_no_plane_has_no_link(case):
     a, _ = make_terrain(seed=10, extent=(20, 15))
@@ -824,16 +854,23 @@ def test_hybrid_runs_one_icp_from_the_assignment_pose(monkeypatch,
 # ---------------------------------------------------------------------------
 
 
+def recovered(transform: RigidTransform) -> sw.RegistrationResult:
+    """A registration result that recovered ``transform``."""
+    return sw.RegistrationResult(transform, rmse=0.0, iterations=1,
+                                 converged=True, inlier_count=0)
+
+
 def test_evaluate_exact_recovery():
     t = RigidTransform.rotation_about_axis([1, 1, 0.0], 0.3)
-    ev = sw.evaluate_registration(t, t, diameter_m=10.0, success_threshold=0.5)
+    ev = sw.evaluate_registration(recovered(t), t, diameter_m=10.0,
+                                  success_threshold=0.5)
     assert ev.success and ev.pose_rmse == 0.0
 
 
 def test_evaluate_threshold_inclusive():
     truth = RigidTransform.identity()
     off = RigidTransform(np.eye(3), np.array([0.25, 0.0, 0.0]))
-    ev = sw.evaluate_registration(off, truth, diameter_m=10.0,
+    ev = sw.evaluate_registration(recovered(off), truth, diameter_m=10.0,
                                   success_threshold=0.25)
     assert ev.pose_rmse == pytest.approx(0.25)
     assert ev.success
@@ -846,7 +883,7 @@ def test_evaluate_batch_matches_recount(rng):
     for _ in range(20):
         shift = rng.uniform(0, 0.6, 3)
         t = RigidTransform(np.eye(3), shift)
-        outcomes.append(sw.evaluate_registration(t, truth, 10.0, threshold))
+        outcomes.append(sw.evaluate_registration(recovered(t), truth, 10.0, threshold))
     rate = sum(e.success for e in outcomes) / len(outcomes)
     oracle = sum(1 for e in outcomes if e.pose_rmse <= threshold) / len(outcomes)
     assert rate == oracle

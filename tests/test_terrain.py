@@ -101,6 +101,23 @@ def test_dtm_triangles_positive_area():
     assert (mesh.triangle_projected_areas() > 0).all()
 
 
+def test_dtm_at_survey_coordinates_has_the_same_triangles():
+    """Qhull triangulates the in-plane coordinates less an anchor, so the
+    scene moved 4,400 km out gets the triangles it gets near the origin."""
+    cloud, _ = sw.gen_terrain((30, 20), 70.0, 0.3, 20.0, seed=4)
+    normal, offset = sw.fit_plane(cloud.points)
+    shift = np.array([500010.0, 4400010.0, 100.0])
+    far = cloud.with_(points=cloud.points + shift)
+
+    def triangle_set(mesh):
+        rows = np.sort(mesh.triangles, axis=1)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    near_mesh = build_dtm(cloud, (normal, offset), max_edge=1.0)
+    far_mesh = build_dtm(far, (normal, offset + normal @ shift), max_edge=1.0)
+    np.testing.assert_array_equal(triangle_set(far_mesh), triangle_set(near_mesh))
+
+
 # ---------------------------------------------------------------------------
 # closest point on triangle
 # ---------------------------------------------------------------------------
@@ -271,14 +288,13 @@ def test_mesh_distance_hole_mask_matches_brute_force():
                      max_edge=1.2)
     rim, shared = _rim_and_shared_edges(ref)
     rv = ref.vertices
-    verts = np.vstack([cmp_.vertices + cmp_.origin_shift - ref.origin_shift,
+    verts = np.vstack([cmp_.vertices,
                        rv,                                   # on vertices
                        (rv[shared[::5, 0]] + rv[shared[::5, 1]]) / 2,
                        (rv[rim[:, 0]] + rv[rim[:, 1]]) / 2])
     compared = sw.TriangleMesh(vertices=verts, triangles=np.zeros((0, 3)),
                                plane_normal=ref.plane_normal,
-                               plane_offset=ref.plane_offset,
-                               origin_shift=ref.origin_shift)
+                               plane_offset=ref.plane_offset)
     max_dist = 0.4
     f = mesh_distance(compared, ref, max_dist=max_dist)
 
@@ -756,8 +772,7 @@ def test_mesh_roundtrip():
     cloud, _ = sw.gen_terrain((15, 10), 60.0, 0.4, 15, seed=18)
     mesh = build_dtm(cloud, max_edge=2.0)
     again, scalars = read_mesh(write_mesh(mesh))
-    np.testing.assert_allclose(again.vertices + again.origin_shift,
-                               mesh.vertices + mesh.origin_shift, atol=1e-9)
+    np.testing.assert_array_equal(again.vertices, mesh.vertices)
     np.testing.assert_array_equal(again.triangles, mesh.triangles)
     np.testing.assert_allclose(again.plane_normal, mesh.plane_normal,
                                atol=1e-12)
@@ -783,7 +798,7 @@ def test_deformation_roundtrip():
 
 
 def _assert_same_mesh(a, b):
-    for name in ("vertices", "triangles", "plane_normal", "origin_shift"):
+    for name in ("vertices", "triangles", "plane_normal"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.plane_offset == b.plane_offset
 
@@ -797,8 +812,7 @@ def test_mesh_without_faces_roundtrip(binary):
     again, _ = read_mesh(data)
     _assert_same_mesh(again, read_mesh(write_mesh(mesh))[0])
     assert again.triangles.shape == (0, 3)
-    np.testing.assert_array_equal(again.vertices + again.origin_shift,
-                                  np.eye(3))
+    np.testing.assert_array_equal(again.vertices, np.eye(3))
 
 
 def test_ascii_mesh_reads_like_binary():
