@@ -18,8 +18,8 @@ from .registration import (FeatureSet, IcpParams, RegistrationResult,
 from .ground import (ClothParams, GroundLabeling, SubSlope, csf_classify,
                      filter_vegetation, partition_subslopes)
 from .terrain import (DeformationField, Region, TriangleMesh, build_dtm,
-                      field_stats, mesh_distance, rate_field, region_volume,
-                      significant_regions)
+                      dtm_from_ground, field_stats, mesh_distance, rate_field,
+                      region_volume, significant_regions)
 from .analysis import (ErrorBudget, MotionAnnotation, ShapeClass, ShapeMeasure,
                        build_report, classify_shape, error_budget,
                        interval_days, region_extent, relative_error,

@@ -94,7 +94,10 @@ def cmd_filter(args) -> int:
 
 def cmd_dtm(args) -> int:
     cloud = read_cloud(args.infile)
-    mesh = terrain.build_dtm(cloud, max_edge=args.max_edge)
+    reference = None
+    if args.reference:
+        reference, _ = terrain.read_mesh(Path(args.reference).read_bytes())
+    mesh = terrain.dtm_from_ground(cloud, reference, args.max_edge)
     Path(args.out).write_bytes(terrain.write_mesh(mesh))
     print(f"vertices {len(mesh.vertices)} triangles {len(mesh.triangles)}")
     return 0
@@ -339,9 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=cfg.cloth.class_threshold)
     f.set_defaults(func=cmd_filter)
 
-    d = sub.add_parser("dtm", help="triangulate a ground cloud")
+    d = sub.add_parser("dtm", help="thin and triangulate a ground cloud")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
+    d.add_argument("--reference", default=None,
+                   help="DTM PLY whose projection plane to triangulate on "
+                        "(epoch I's); default: the cloud's own plane")
     d.add_argument("--max-edge", type=_positive_float, default=cfg.dtm_max_edge_m)
     d.set_defaults(func=cmd_dtm)
 

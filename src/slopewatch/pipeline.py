@@ -3,12 +3,13 @@
 One pass per epoch, in date order: generate the epoch's scene, simulate
 its station scans, register the stations to each other, register the
 merged cloud to the first epoch, filter vegetation, build the DTM on the
-first epoch's projection plane, and difference it against the previous
-epoch's DTM into a deformation field with its significant regions and
-shape classes. Only the first epoch's merged cloud and projection plane,
-the previous DTM and what the result returns outlive an epoch. A report
-plus a manifest of every artifact close the run. Deterministic for a
-fixed configuration: rerunning yields a byte-identical report.
+first epoch's projection plane (``dtm_from_ground``), and difference it
+against the previous epoch's DTM into a deformation field with its
+significant regions and shape classes. Only the first epoch's merged
+cloud and what the result returns, every DTM among it, outlive an
+epoch. A report plus a manifest of every artifact close the run.
+Deterministic for a fixed configuration: rerunning yields a
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .analysis import (DEFAULT_BUDGET_MM, ShapeMeasure, build_report,
                        error_budget, interval_days, measure_regions,
                        regions_document, report_to_json)
 from .cloud import (EpochRecord, PointCloud, concat_clouds,
-                    estimate_normals, fit_plane, remove_outliers,
-                    voxel_downsample, write_cloud)
+                    estimate_normals, write_cloud)
 from .errors import CloudFormatError, PipelineStageError
 from .ground import ClothParams, filter_vegetation
 from .registration import (NORMALS_K, register_global_hybrid,
@@ -38,16 +38,15 @@ from .synth import (DEFAULT_NOISE_SIGMA_M, DEFAULT_SLOPE_DEG,
                     LandslideSpec, SceneTruth, add_vegetation,
                     apply_landslide, gen_terrain, stations_facing_slope,
                     simulate_stations)
-from .terrain import (DeformationField, Region, build_dtm, mesh_distance,
-                      rate_field, significant_regions, write_deformation,
-                      write_mesh)
+from .terrain import (DeformationField, Region, dtm_from_ground,
+                      mesh_distance, rate_field, significant_regions,
+                      write_deformation, write_mesh)
 
 logger = logging.getLogger(__name__)
 
 # stable-area polish of each epoch registration: pairs beyond this gate
 # (deforming surface) are ignored so a landslide cannot drag the alignment
 EPOCH_REFINE_PAIR_M = 0.2
-DTM_VOXEL_M = 0.1   # ground thinning before triangulation
 
 
 @dataclass
@@ -198,9 +197,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 for a, b in zip(epochs_meta, epochs_meta[1:])]
 
     # outlive an epoch: the terrain the slides accumulate on, epoch I's
-    # cloud and DTM plane, and what the result returns (meshes[-2] is the
-    # previous DTM)
-    terrain = reference = plane = None
+    # cloud, and what the result returns (meshes[0] is epoch I's DTM,
+    # whose plane every DTM shares, and meshes[-2] the previous one)
+    terrain = reference = None
     scene_truths: list[SceneTruth] = []
     ground_clouds: list[PointCloud] = []
     meshes = []
@@ -274,12 +273,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                  write_cloud(ground), "filter_vegetation")
 
         with _stage("build_dtm"):
-            thinned = voxel_downsample(remove_outliers(ground), DTM_VOXEL_M)
-            if plane is None:
-                plane = fit_plane(thinned.points)
-            mesh = build_dtm(thinned, projection_plane=plane,
-                             max_edge=config.dtm_max_edge_m)
-            del thinned
+            mesh = dtm_from_ground(ground, meshes[0] if meshes else None,
+                                   config.dtm_max_edge_m)
             meshes.append(mesh)
             emit(f"epoch_{espec.epoch_id}_dtm.ply", write_mesh(mesh),
                  "build_dtm")

@@ -525,18 +525,47 @@ def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
         raise InsufficientGeometry(str(exc)) from exc
 
 
+def _strongest_link(groups: list) -> tuple | None:
+    """(link strength, ia, ib, coarse pose of group ib into group ia) of
+    the strongest linked pair of ``groups``, or None when no pair links.
+
+    A pair's strength is its count of geometrically consistent descriptor
+    matches, ia to ib; ties go to the pair first in order. A pair links
+    when its strength reaches ``MIN_LINK_MATCHES`` and ``coarse_register``
+    accepts it in the direction the merge registers, ib onto ia.
+    """
+    links = []   # (-strength, ia, ib): strongest first, then pair order
+    for ia, ib in itertools.combinations(range(len(groups)), 2):
+        try:
+            pair = _prepare_pair(groups[ia][0], groups[ib][0])
+        except DegenerateSurface:
+            continue   # a pair that cannot be prepared has no link
+        strength = len(_consistent_matches(*pair)[1])
+        if strength >= MIN_LINK_MATCHES:
+            links.append((-strength, ia, ib))
+    for neg_strength, ia, ib in sorted(links):
+        try:
+            init = coarse_register(groups[ib][0], groups[ia][0])
+        except InsufficientGeometry:
+            continue   # the merge could not fit ib onto ia
+        return -neg_strength, ia, ib, init
+    return None
+
+
 def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
     """Hierarchical multi-view registration into the first cloud's frame.
 
     Scores every pair of current groups by descriptor-set overlap (matches
     surviving geometric consistency), registers and merges the strongest
-    pair (``coarse_register`` + ICP; the features scored are kept with the
-    clouds, so the fit reuses them), and repeats until one cloud remains.
-    Returns one transform per input cloud; the first cloud maps to
-    identity.
+    linked pair (``coarse_register`` + ICP; the features scored are kept
+    with the clouds, so the fit reuses them), and repeats until one cloud
+    remains. A pair links when its strength reaches ``MIN_LINK_MATCHES``
+    and ``coarse_register`` accepts it in the direction the merge
+    registers. Returns one transform per input cloud; the first cloud maps
+    to identity.
 
     Raises ``DisconnectedViews`` naming the components when no remaining
-    pair clears the minimum link strength.
+    pair links.
     """
     if len(clouds) == 0:
         raise ValueError("need at least one cloud")
@@ -546,22 +575,14 @@ def register_multiview(clouds: list[PointCloud]) -> list[RigidTransform]:
     # (merged cloud, {member index: pose into that cloud's frame})
     groups = [(c, {i: RigidTransform.identity()}) for i, c in enumerate(clouds)]
     while len(groups) > 1:
-        best = None   # (link strength, ia, ib)
-        for ia, ib in itertools.combinations(range(len(groups)), 2):
-            try:
-                pair = _prepare_pair(groups[ia][0], groups[ib][0])
-            except DegenerateSurface:
-                continue   # a pair that cannot be prepared has no link
-            strength = len(_consistent_matches(*pair)[1])
-            if best is None or strength > best[0]:
-                best = (strength, ia, ib)
-        if best is None or best[0] < MIN_LINK_MATCHES:
+        link = _strongest_link(groups)
+        if link is None:
             raise DisconnectedViews([sorted(g[1]) for g in groups])
-        strength, ia, ib = best
+        strength, ia, ib, init = link
         (a, poses_a), (b, poses_b) = groups[ia], groups[ib]
         logger.info("merging views %s <- %s (link strength %d)",
                     list(poses_a), list(poses_b), strength)
-        t = icp(b, a, init=coarse_register(b, a)).transform
+        t = icp(b, a, init=init).transform
         poses = dict(poses_a)
         poses.update((m, t.compose(tm)) for m, tm in poses_b.items())
         groups = [g for k, g in enumerate(groups) if k not in (ia, ib)]

@@ -18,8 +18,9 @@ from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.sparse.csgraph import connected_components
 
-from .cloud import (PointCloud, fit_plane, plane_basis, write_ply, _by_rows,
-                    _finite_coordinates, _ply_vertices, _read_ply, _unique_rows)
+from .cloud import (PointCloud, fit_plane, plane_basis, remove_outliers,
+                    voxel_downsample, write_ply, _by_rows, _finite_coordinates,
+                    _ply_vertices, _read_ply, _unique_rows)
 from .errors import CloudFormatError, DegenerateSurface, NoOverlap
 
 logger = logging.getLogger(__name__)
@@ -30,6 +31,7 @@ logger = logging.getLogger(__name__)
 # (500010, 4400010, 100) m. A shift that is 0 within 2,048 m of the origin
 # leaves the triangles of scenes there as they were
 DTM_ANCHOR_M = 4096.0
+DTM_VOXEL_M = 0.1   # ground thinning before triangulation (dtm_from_ground)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +221,20 @@ def build_dtm(
         raise DegenerateSurface("no triangle under the edge-length limit")
     return TriangleMesh(vertices=verts, triangles=simplices,
                         plane_normal=normal, plane_offset=offset)
+
+
+def dtm_from_ground(ground: PointCloud, reference: TriangleMesh | None,
+                    max_edge: float) -> TriangleMesh:
+    """The DTM step of the monitoring chain, for ``run_pipeline`` and
+    ``slopewatch dtm`` alike: ``remove_outliers``, ``voxel_downsample`` at
+    ``DTM_VOXEL_M``, then ``build_dtm`` on ``reference``'s projection
+    plane, or on the thinned cloud's own plane when ``reference`` is None
+    (the first epoch, whose DTM is every later epoch's reference).
+    """
+    thinned = voxel_downsample(remove_outliers(ground), DTM_VOXEL_M)
+    plane = (None if reference is None
+             else (reference.plane_normal, reference.plane_offset))
+    return build_dtm(thinned, projection_plane=plane, max_edge=max_edge)
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,18 @@ def test_stage_defaults_match_pipeline_config():
 
 def _malformed_input(case, tmp_path):
     """(argv, a path the command must not write, start of the error line)."""
-    if case == "ply-header":
+    if case.startswith("ply-header"):
         bad = tmp_path / "bad.ply"
         bad.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
                        "property float x\nproperty float y\nproperty float z\n"
                        "end_header\n")
         out = tmp_path / "dtm.ply"
-        return (["dtm", "--in", str(bad), "--out", str(out)], out,
-                "malformed PLY header line")
+        if case == "ply-header":
+            return (["dtm", "--in", str(bad), "--out", str(out)], out,
+                    "malformed PLY header line")
+        write_terrain(tmp_path / "ground.ply")   # a cloud dtm would triangulate
+        return (["dtm", "--in", str(tmp_path / "ground.ply"), "--reference",
+                 str(bad), "--out", str(out)], out, "malformed PLY header line")
     if case.startswith("mask"):
         write_terrain(tmp_path / "in.ply")
         mask = tmp_path / "mask.txt"
@@ -330,7 +334,7 @@ def _malformed_input(case, tmp_path):
     "regions-nested-vertex-set", "regions-string-id", "regions-fractional-id",
     "regions-boolean-id", "regions-string-area", "regions-nan-area",
     "regions-string-rate", "regions-infinite-rate", "regions-string-volume",
-    "regions-boolean-volume"])
+    "regions-boolean-volume", "ply-header-of-dtm-reference"])
 def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2
@@ -461,9 +465,10 @@ def test_cli_cloud_reads_back_under_an_xyz_name(tmp_path, capsys):
 
 
 def test_cli_steps_on_a_run_reproduce_the_run(tmp_path):
-    """``filter``, ``deform`` and ``regions`` on a pipeline run's own files
-    give what the run wrote: clouds and meshes read back with the
-    coordinates they were written with."""
+    """``filter``, ``dtm``, ``deform`` and ``regions`` on a pipeline run's
+    own files give what the run wrote: clouds and meshes read back with the
+    coordinates they were written with, and ``dtm`` is the run's DTM step,
+    on epoch I's plane when given epoch I's DTM as ``--reference``."""
     run = tmp_path / "run"
     sw.run_pipeline(sw.default_config(density_pts_m2=8, out_dir=str(run)))
     for epoch in ("I", "II"):
@@ -472,6 +477,13 @@ def test_cli_steps_on_a_run_reproduce_the_run(tmp_path):
                      "--removed", str(tmp_path / f"{epoch}_removed.ply")]) == 0
         assert ((tmp_path / f"{epoch}_ground.ply").read_bytes()
                 == (run / f"epoch_{epoch}_ground.ply").read_bytes())
+        reference = [] if epoch == "I" else ["--reference",
+                                             str(run / "epoch_I_dtm.ply")]
+        assert main(["dtm", "--in", str(run / f"epoch_{epoch}_ground.ply"),
+                     "--out", str(tmp_path / f"{epoch}_dtm.ply"),
+                     *reference]) == 0
+        assert ((tmp_path / f"{epoch}_dtm.ply").read_bytes()
+                == (run / f"epoch_{epoch}_dtm.ply").read_bytes())
 
     report = json.loads((run / "report.json").read_text())
     days = report["epoch_pairs"][0]["interval_days"]

@@ -777,6 +777,39 @@ def test_multiview_disconnected_views():
     assert sorted(map(sorted, err.value.components)) == [[0], [1]]
 
 
+def _range_cropped_stations(seed: int, max_range_m: float):
+    """(station poses, their scans with normals) of three stations 30 m
+    from a 90 m x 25 m slope, each seeing only what lies within
+    ``max_range_m``."""
+    scene, _ = sw.gen_terrain((90, 25), 70.0, 0.5, 12.0, seed=seed)
+    poses = sw.stations_facing_slope(scene, 3, standoff=30.0)
+    scans = sw.simulate_stations(scene, poses, noise_sigma_m=0.006,
+                                 max_range_m=max_range_m, seed=3)
+    return poses, [sw.estimate_normals(s, k=16, viewpoint=(0, 0, 0))
+                   for s in scans]
+
+
+def test_multiview_pair_the_merge_cannot_fit_is_no_link():
+    """A pair links only when ``coarse_register`` accepts it in the
+    direction the merge registers. Seed 10's stations at 40 m have pairs
+    strong enough to link whose fit that way keeps too few consistent
+    matches: they are disconnected views, not an ``InsufficientGeometry``
+    from the merge."""
+    _, prepared = _range_cropped_stations(10, 40.0)
+    with pytest.raises(DisconnectedViews):
+        sw.register_multiview(prepared)
+
+
+def test_multiview_range_cropped_stations_register():
+    poses, prepared = _range_cropped_stations(9, 45.0)
+    transforms = sw.register_multiview(prepared)
+    for i in (1, 2):
+        truth = poses[0].inverse().compose(poses[i])
+        err = (transforms[i].apply(prepared[i].points)
+               - truth.apply(prepared[i].points))
+        assert np.median(np.linalg.norm(err, axis=1)) < 0.02
+
+
 # ---------------------------------------------------------------------------
 # global hybrid
 # ---------------------------------------------------------------------------
