@@ -67,7 +67,9 @@ class GroundLabeling:
 def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
     """Bucket the cloud on a horizontal grid and fit one plane per cell.
 
-    Cells under ``SUBSLOPE_MIN_POINTS`` are merged into the nearest
+    The grid starts at the cloud's minimum x and y, so a translated cloud
+    gets the same cells and the filter does not depend on the coordinate
+    origin. Cells under ``SUBSLOPE_MIN_POINTS`` are merged into the nearest
     populated cell (by cell-center distance, ties broken
     lexicographically). The sub-slopes come in cell order: by x cell, then
     by y cell. Raises ``TooSparse`` when the whole cloud is below the
@@ -79,7 +81,8 @@ def partition_subslopes(cloud: PointCloud, cell_size: float) -> list[SubSlope]:
     if len(pts) < SUBSLOPE_MIN_POINTS:
         raise TooSparse(f"{len(pts)} points; need at least {SUBSLOPE_MIN_POINTS}")
 
-    keys = np.floor(pts[:, :2] / cell_size).astype(np.int64)
+    xy = pts[:, :2]
+    keys = np.floor((xy - xy.min(axis=0)) / cell_size).astype(np.int64)
     uniq, _, inverse = _unique_rows(keys)
     counts = np.bincount(inverse, minlength=len(uniq))
     populated = counts >= SUBSLOPE_MIN_POINTS

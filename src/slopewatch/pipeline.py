@@ -44,10 +44,6 @@ from .terrain import (DeformationField, Region, dtm_from_ground,
 
 logger = logging.getLogger(__name__)
 
-# stable-area polish of each epoch registration: pairs beyond this gate
-# (deforming surface) are ignored so a landslide cannot drag the alignment
-EPOCH_REFINE_PAIR_M = 0.2
-
 
 @dataclass
 class EpochSpec:
@@ -252,8 +248,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             if reference is None:
                 reference = aligned = merged
             else:
-                result = register_global_hybrid(
-                    merged, reference, refine_pair_m=EPOCH_REFINE_PAIR_M)
+                result = register_global_hybrid(merged, reference)
                 aligned = result.transform.apply_cloud(merged)
                 logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
                             espec.epoch_id, config.epochs[0].epoch_id,

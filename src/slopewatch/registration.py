@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -605,8 +605,7 @@ def _pair_diameter(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def register_global_hybrid(source: PointCloud, target: PointCloud,
-                           icp_params: IcpParams | None = None,
-                           refine_pair_m: float = 0.0) -> RegistrationResult:
+                           icp_params: IcpParams | None = None) -> RegistrationResult:
     """Global epoch-to-epoch registration with a hybrid matching cost.
 
     Each outer step matches source and target keypoints by minimum-cost
@@ -615,12 +614,10 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
     Euclidean distance by the current cloud-pair diameter, then refits the
     transform. ``alpha`` steps through ``HYBRID_ALPHAS`` down to zero, after
     which one ICP with ``icp_params`` refines the pose from the assignment
-    fit. With ``refine_pair_m`` above 0, a last ICP from that result pairs
-    only within that gate, so deforming surface cannot drag the alignment.
-    Both ICP runs share the target's kd-tree, and a ``NoOverlap`` from the
-    assignment pose propagates. Normals, keypoints and descriptors come
-    from ``_prepare_pair``, so clouds already coarse-registered to each
-    other reuse the ones kept with them.
+    fit. Its robust residual gate keeps deforming surface out of the fit,
+    and a ``NoOverlap`` from the assignment pose propagates. Normals,
+    keypoints and descriptors come from ``_prepare_pair``, so clouds
+    already coarse-registered to each other reuse the ones kept with them.
     """
     icp_params = icp_params or IcpParams()
     source, target, fs, ft, _ = _prepare_pair(source, target)
@@ -643,12 +640,7 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
         except DegenerateCorrespondences:
             continue
 
-    result = icp(source, target, icp_params, init=t)
-    if refine_pair_m > 0:
-        result = icp(source, target,
-                     replace(icp_params, max_pair_dist=refine_pair_m),
-                     init=result.transform)
-    return result
+    return icp(source, target, icp_params, init=t)
 
 
 # ---------------------------------------------------------------------------

@@ -426,8 +426,10 @@ def mesh_distance(
 ) -> DeformationField:
     """Signed distance from every compared vertex to the reference surface.
 
-    The sign follows the reference surface's orientation normal (the side
-    the projection normal faces): positive is deposition, negative erosion.
+    The sign is that of ``(vertex - nearest point) . plane_normal``, the
+    projection normal every DTM of a run shares: positive is deposition,
+    negative erosion. So a nearest point on an edge or a vertex shared by
+    tied triangles gets one sign whichever triangle wins.
     A vertex is invalid when it is farther than ``max_dist`` from every
     reference triangle, or when no projected reference triangle lies
     within ``_SUPPORT_EPS`` (1e-9 m) of its in-plane projection (scan hole
@@ -452,15 +454,7 @@ def mesh_distance(
     best_d, best_tri, best_cp = _nearest_triangle(
         verts, a, b, c, pairs, np.column_stack([q, verts @ n]), max_dist, seeds)
 
-    tn = np.cross(b[best_tri] - a[best_tri], c[best_tri] - a[best_tri])
-    norms = np.linalg.norm(tn, axis=1)
-    degenerate = norms < 1e-300
-    tn[degenerate] = n
-    norms[degenerate] = 1.0
-    tn /= norms[:, None]
-    tn[tn @ n < 0] *= -1.0
-    side = np.einsum("ij,ij->i", verts - best_cp, tn)
-    values = np.where(side >= 0, best_d, -best_d)
+    values = np.where((verts - best_cp) @ n >= 0, best_d, -best_d)
 
     ua, ub, uc = uv[tris[:, 0]], uv[tris[:, 1]], uv[tris[:, 2]]
     near = np.flatnonzero(best_d <= max_dist)

@@ -847,25 +847,8 @@ def test_hybrid_succeeds_on_large_offset_with_change():
     assert not icp_ok
 
 
-def test_hybrid_refine_polishes_the_chosen_pose():
-    changed, base = _slide_pair()
-    off = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(20))
-    moved = RigidTransform(off.rotation, np.array([3.0, -2.0, 1.0])
-                           ).apply_cloud(changed)
-    plain = sw.register_global_hybrid(moved, base)
-    polished = sw.register_global_hybrid(moved, base, refine_pair_m=0.2)
-    direct = sw.icp(moved, base, sw.IcpParams(max_pair_dist=0.2),
-                    init=plain.transform)
-    np.testing.assert_array_equal(polished.transform.matrix(),
-                                  direct.transform.matrix())
-    assert polished.inlier_count == direct.inlier_count
-
-
-@pytest.mark.parametrize("refine_pair_m, calls", [(0.0, 1), (0.2, 2)])
-def test_hybrid_runs_one_icp_from_the_assignment_pose(monkeypatch,
-                                                      refine_pair_m, calls):
-    """One ICP from the assignment fit, plus the polish when it is on; no
-    start from the identity."""
+def test_hybrid_runs_one_icp_from_the_assignment_pose(monkeypatch):
+    """One ICP from the assignment fit; no start from the identity."""
     cloud, _ = make_terrain(seed=12, extent=(25, 18))
     moved = RigidTransform.rotation_about_axis([0, 0, 1.0], np.radians(10)
                                                ).apply_cloud(cloud)
@@ -877,8 +860,8 @@ def test_hybrid_runs_one_icp_from_the_assignment_pose(monkeypatch,
         return original(source, target, params, init)
 
     monkeypatch.setattr(reg, "icp", recording)
-    sw.register_global_hybrid(moved, cloud, refine_pair_m=refine_pair_m)
-    assert len(inits) == calls
+    sw.register_global_hybrid(moved, cloud)
+    assert len(inits) == 1
     assert inits[0] is not None
 
 

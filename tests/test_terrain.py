@@ -228,7 +228,8 @@ def test_mesh_distance_ties_go_to_the_lowest_triangle():
     # two faces folding down from a shared ridge edge on the y axis, one at
     # 30 and one at 80 degrees: a vertex beside the ridge is equally near
     # both (closest point on the edge) but above one face and below the
-    # other, so only the tie rule decides its sign
+    # other. The sign comes from the plane normal, so it is the same (+,
+    # the vertex is above the ridge) whichever tied triangle wins
     edge = [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]
     gentle = [-2 * np.cos(np.radians(30)), 0.0, -2 * np.sin(np.radians(30))]
     steep = [2 * np.cos(np.radians(80)), 0.0, -2 * np.sin(np.radians(80))]
@@ -236,8 +237,7 @@ def test_mesh_distance_ties_go_to_the_lowest_triangle():
     vertex = 0.1 * np.array([np.cos(np.radians(20)), 0.0, np.sin(np.radians(20))])
     compared = sw.TriangleMesh(vertices=vertex[None], triangles=np.zeros((0, 3)),
                                plane_normal=PLANE_Z[0], plane_offset=0.0)
-    for faces, sign in (([[0, 1, 2], [0, 1, 3]], -1.0),
-                        ([[0, 1, 3], [0, 1, 2]], 1.0)):
+    for faces in ([[0, 1, 2], [0, 1, 3]], [[0, 1, 3], [0, 1, 2]]):
         faces = np.array(faces)
         cps = closest_point_on_triangles(
             np.tile(vertex, (2, 1)), verts[faces[:, 0]], verts[faces[:, 1]],
@@ -248,7 +248,7 @@ def test_mesh_distance_ties_go_to_the_lowest_triangle():
                                     plane_normal=PLANE_Z[0], plane_offset=0.0)
         f = mesh_distance(compared, reference, max_dist=5.0)
         assert f.valid[0]
-        assert f.values[0] == sign * dist[0]
+        assert f.values[0] == dist[0]
 
 
 def test_mesh_distance_vertical_reference_face_supports_only_its_segment():
@@ -330,8 +330,9 @@ def test_mesh_distance_hole_mask_matches_brute_force():
 
 def _brute_force_field(verts, reference, max_dist):
     """(values, valid, distance, nearest covers) of ``mesh_distance``,
-    triangle by triangle: the lowest-index nearest triangle gives the sign,
-    and the last array says whether that triangle covers the vertex in plan."""
+    triangle by triangle: the sign is taken along ``normal`` from the
+    lowest-index nearest triangle's closest point, and the last array says
+    whether that triangle covers the vertex in plan."""
     rv, tris, normal = reference.vertices, reference.triangles, reference.plane_normal
     a, b, c = (rv[tris[:, k]] for k in range(3))
     uv = reference.project(rv)
@@ -352,8 +353,7 @@ def _brute_force_field(verts, reference, max_dist):
         dist[i] = d[t]
         covers[i] = plan[t] <= 1e-9
         valid[i] = d[t] <= max_dist and plan.min() <= 1e-9
-        tn = np.cross(b[t] - a[t], c[t] - a[t])
-        side = (v - cps[t]) @ (tn if tn @ normal >= 0 else -tn)
+        side = (v - cps[t]) @ normal
         if valid[i]:
             values[i] = d[t] if side >= 0 else -d[t]
     return values, valid, dist, covers
