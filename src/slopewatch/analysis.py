@@ -1,6 +1,8 @@
 """Landslide shape classification, error budgeting and report assembly.
 
-The shape angle arctan(L/W) splits regions into very-long / long / wide /
+A region's width W and length L are measured along its motion direction:
+the fall line of the projection plane, unless an azimuth is given. The
+shape angle arctan(L/W) splits regions into very-long / long / wide /
 very-wide classes on 22.5-degree intervals with inclusive lower bounds.
 The displacement error budget propagates five independent components with
 fixed multiplicities; geotechnical motion types are accepted as external
@@ -97,15 +99,13 @@ def region_extent(
 ) -> ShapeMeasure:
     """Width and length of a region along its motion direction.
 
-    The motion direction is the in-plane component of the displacement-
-    weighted mean motion (per-vertex signed value times the local surface
-    normal). When that component is negligible (at most 0.15 of the whole
-    mean motion, as for a pure offset along the projection normal) it falls
-    back to the steepest-descent direction of the projection plane; a
-    horizontal plane with no motion has no direction at all and raises
-    ``UndefinedMotionVector``.
-    ``motion_azimuth_deg`` (degrees from the first in-plane basis vector)
-    overrides the estimate.
+    The motion direction is the fall line (steepest descent) of the
+    projection plane, or ``motion_azimuth_deg`` (degrees from the first
+    in-plane basis vector) when given. A horizontal plane has no fall line,
+    so without an azimuth it raises ``UndefinedMotionVector``. ``field_`` is
+    not read: a distance field measured along the normal cannot see the
+    tangential motion of a slide. It stays in the signature for callers
+    that pass it positionally.
 
     L is the extent of the projected region vertices along the motion
     direction, W the extent along the in-plane perpendicular. A region
@@ -115,29 +115,20 @@ def region_extent(
     members = region.vertex_set
     if len(members) == 0:
         raise ValueError("region has no vertices")
-    u, v = plane_basis(mesh.plane_normal)
-    n = mesh.plane_normal
 
     if motion_azimuth_deg is not None:
         az = math.radians(motion_azimuth_deg)
         direction2 = np.array([math.cos(az), math.sin(az)])
     else:
-        vertex_normals = mesh.vertex_normals()[members]
-        vals = field_.values[members]
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        motion = (vals[:, None] * vertex_normals).mean(axis=0)
-        in_plane = motion - (motion @ n) * n
-        norm_motion = np.linalg.norm(motion)
-        if np.linalg.norm(in_plane) > 0.15 * max(norm_motion, 1e-300):
-            direction2 = np.array([in_plane @ u, in_plane @ v])
-        else:
-            downhill = np.array([0.0, 0.0, -1.0])
-            steepest = downhill - (downhill @ n) * n
-            if np.linalg.norm(steepest) < 1e-9:
-                raise UndefinedMotionVector(
-                    "no in-plane motion and the projection plane is horizontal"
-                )
-            direction2 = np.array([steepest @ u, steepest @ v])
+        n = mesh.plane_normal
+        u, v = plane_basis(n)
+        downhill = np.array([0.0, 0.0, -1.0])
+        steepest = downhill - (downhill @ n) * n
+        if np.linalg.norm(steepest) < 1e-9:
+            raise UndefinedMotionVector(
+                "the projection plane is horizontal and has no fall line; "
+                "give a motion azimuth")
+        direction2 = np.array([steepest @ u, steepest @ v])
         direction2 /= np.linalg.norm(direction2)
 
     uv = mesh.project(mesh.vertices[members])
@@ -157,8 +148,9 @@ def measure_regions(regions: list[Region], field_: DeformationField,
     and epoch pair, and return their shapes, aligned with ``regions``.
 
     The epoch pair is ``"reference,compared"`` when the field names both
-    epochs, else None. A region without a motion direction or without width
-    or length has the shape None.
+    epochs, else None. A region without width or length, or every region
+    when the projection plane is horizontal and so has no fall line, has
+    the shape None.
     """
     pair = None
     if field_.reference_epoch is not None and field_.compared_epoch is not None:

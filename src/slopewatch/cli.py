@@ -61,12 +61,17 @@ def cmd_register_multiview(args) -> int:
              if ln.strip() and not ln.strip().startswith("#")]
     if not paths:
         raise CloudFormatError(f"{args.list} names no cloud")
+    stems = [Path(p).stem for p in paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise CloudFormatError(f"{args.list} names more than one cloud "
+                                   f"with the file stem {stem!r}")
     clouds = [read_cloud(p) for p in paths]
     transforms = registration.register_multiview(clouds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for p, t in zip(paths, transforms):
-        _write_transform_txt(out_dir / f"{Path(p).stem}_transform.txt", t)
+    for stem, t in zip(stems, transforms):
+        _write_transform_txt(out_dir / f"{stem}_transform.txt", t)
     print(f"wrote {len(transforms)} transforms to {out_dir}")
     return 0
 

@@ -75,7 +75,8 @@ class DegenerateSurface(SlopewatchError):
 
 
 class UndefinedMotionVector(SlopewatchError):
-    """Zero displacement on a horizontal surface leaves no motion direction."""
+    """A horizontal projection plane has no fall line, and no motion azimuth
+    was given, so a region has no direction to be measured along."""
 
 
 class PipelineStageError(SlopewatchError):

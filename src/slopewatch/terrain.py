@@ -75,20 +75,6 @@ class TriangleMesh:
             np.add.at(share, self.triangles[:, k], areas / 3.0)
         return share
 
-    def vertex_normals(self) -> np.ndarray:
-        """Area-weighted vertex normals oriented along the projection normal."""
-        a, b, c = (self.vertices[self.triangles[:, k]] for k in range(3))
-        tn = np.cross(b - a, c - a)
-        tn[tn @ self.plane_normal < 0] *= -1.0
-        out = np.zeros_like(self.vertices)
-        for k in range(3):
-            np.add.at(out, self.triangles[:, k], tn)
-        norms = np.linalg.norm(out, axis=1)
-        fallback = norms < 1e-300
-        out[fallback] = self.plane_normal
-        norms[fallback] = 1.0
-        return out / norms[:, None]
-
     def edge_list(self) -> np.ndarray:
         """Unique undirected edges as an (e, 2) array."""
         t = self.triangles
@@ -642,24 +628,19 @@ def read_deformation(data: bytes) -> tuple[TriangleMesh, DeformationField]:
     for need in ("displacement_m", "valid"):
         if need not in scalars:
             raise CloudFormatError(f"field PLY missing '{need}' channel")
-    interval = 1.0
-    compared_epoch = reference_epoch = None
+    # the last comment of a key wins
+    meta = {tokens[0]: tokens[1] for tokens in comments if len(tokens) >= 2}
+    if "interval_days" not in meta:
+        raise CloudFormatError("field PLY missing 'interval_days' comment")
     try:
-        for tokens in comments:
-            if len(tokens) >= 2:
-                if tokens[0] == "interval_days":
-                    interval = float(tokens[1])
-                elif tokens[0] == "compared_epoch":
-                    compared_epoch = tokens[1]
-                elif tokens[0] == "reference_epoch":
-                    reference_epoch = tokens[1]
+        interval = float(meta["interval_days"])
         if not np.isfinite(interval):
             raise CloudFormatError("field PLY interval_days must be finite")
         valid = scalars["valid"] > 0.5
         values = np.where(valid, scalars["displacement_m"], np.nan)
         field_ = DeformationField(values=values, valid=valid, interval_days=interval,
-                                  compared_epoch=compared_epoch,
-                                  reference_epoch=reference_epoch)
+                                  compared_epoch=meta.get("compared_epoch"),
+                                  reference_epoch=meta.get("reference_epoch"))
     except ValueError as exc:
         raise CloudFormatError(f"malformed field PLY: {exc}") from exc
     return mesh, field_

@@ -62,6 +62,27 @@ def test_region_extent_axis_aligned_rectangle():
     assert shape.theta_deg == pytest.approx(math.degrees(math.atan(2)), abs=1.5)
 
 
+@pytest.mark.parametrize("value", [0.2, -0.2, 3.0])
+def test_region_extent_follows_the_fall_line_over_a_ramp(value):
+    # the region's surface ramps 0.3 m per metre across the slope, which
+    # tilts its normals across the slope; its shape is still measured along
+    # the fall line, whatever the field holds
+    flat = tilted_mesh()
+    region = rect_region(flat, (10, 20), (0, 20))
+    members = region.vertex_set
+    lift = np.zeros(len(flat.vertices))
+    lift[members] = 0.3 * (flat.project(flat.vertices[members])[:, 0] - 10.0)
+    mesh = dataclasses.replace(
+        flat, vertices=flat.vertices + lift[:, None] * flat.plane_normal)
+    field = DeformationField(values=np.full(len(mesh.vertices), value),
+                             valid=np.ones(len(mesh.vertices), dtype=bool),
+                             interval_days=100)
+    shape = region_extent(region, field, mesh)
+    assert shape.W_m == pytest.approx(9.66, abs=0.01)
+    assert shape.L_m == pytest.approx(20.0, abs=1e-9)
+    assert classify_shape(shape.theta_deg) == ShapeClass.L
+
+
 def test_region_extent_rotated_rectangle_with_azimuth_override():
     mesh = tilted_mesh(extent=(40.0, 40.0), n=90)
     uv = mesh.project(mesh.vertices)

@@ -8,7 +8,7 @@ import slopewatch as sw
 from slopewatch.cli import build_parser, main
 from slopewatch.terrain import read_deformation, write_deformation, write_mesh
 
-from ply_literals import FIELD, MESH, MESH_NO_FACES_PLY
+from ply_literals import FIELD, FIELD_PLY, MESH, MESH_NO_FACES_PLY
 
 
 def write_terrain(path, seed=0, density=10.0, extent=(25, 18)):
@@ -74,15 +74,24 @@ def test_register_multiview_cli(tmp_path):
 @pytest.mark.parametrize("method, target", [
     *((m, t) for t in ("collinear", "two points", "empty")
       for m in ("icp", "coarse+icp", "hybrid")),
-    ("multiview", "empty list")])
+    ("multiview", "empty list"), ("multiview", "shared stem")])
 def test_register_on_degenerate_input_exits_2_with_one_line(tmp_path, capsys,
                                                             method, target):
     listing = tmp_path / "clouds.txt"
     if method == "multiview":
-        listing.write_text("# no cloud yet\n\n")
+        if target == "empty list":
+            listing.write_text("# no cloud yet\n\n")
+            want = f"{listing} names no cloud"
+        else:   # two clouds that would both write scan_transform.txt
+            for station in ("s0", "s1"):
+                (tmp_path / station).mkdir()
+                write_terrain(tmp_path / station / "scan.ply")
+            listing.write_text(f"{tmp_path / 's0' / 'scan.ply'}\n"
+                               f"{tmp_path / 's1' / 'scan.ply'}\n")
+            want = (f"{listing} names more than one cloud with the file "
+                    f"stem 'scan'")
         argv = ["register-multiview", "--list", str(listing),
                 "--out-dir", str(tmp_path / "out")]
-        want = f"{listing} names no cloud"
     else:
         write_terrain(tmp_path / "src.ply", seed=1)
         t = np.linspace(0.0, 10.0, 50)
@@ -276,6 +285,12 @@ def _malformed_input(case, tmp_path):
         return (["filter", "--in", str(tmp_path / "in.ply"), "--out", str(out),
                  "--removed", str(tmp_path / "v.ply"), "--mask", str(mask)], out,
                 "mask index")
+    if case == "field-without-interval-days":
+        field = tmp_path / "field.ply"
+        field.write_bytes(FIELD_PLY.replace(b"comment interval_days 4\n", b""))
+        out = tmp_path / "regions.json"
+        return (["regions", "--field", str(field), "--out", str(out)], out,
+                "field PLY missing 'interval_days' comment")
     if case.startswith("config"):
         out = tmp_path / "run"
         config = tmp_path / "cfg.json"
@@ -320,8 +335,11 @@ def _malformed_input(case, tmp_path):
     regions = tmp_path / "regions.json"
     regions.write_text(json.dumps({"regions": [row]}))
     out = tmp_path / "report.json"
+    # MESH's projection plane is horizontal: without an azimuth it has no
+    # fall line, and classify would stop before the one-vertex check
+    azimuth = ["--motion-az", "0"] if case == "regions-one-vertex" else []
     return (["classify", "--regions", str(regions), "--field", str(field),
-             "--out", str(out)], out, "malformed regions file")
+             "--out", str(out)] + azimuth, out, "malformed regions file")
 
 
 @pytest.mark.parametrize("case", [
@@ -334,7 +352,8 @@ def _malformed_input(case, tmp_path):
     "regions-nested-vertex-set", "regions-string-id", "regions-fractional-id",
     "regions-boolean-id", "regions-string-area", "regions-nan-area",
     "regions-string-rate", "regions-infinite-rate", "regions-string-volume",
-    "regions-boolean-volume", "ply-header-of-dtm-reference"])
+    "regions-boolean-volume", "ply-header-of-dtm-reference",
+    "field-without-interval-days"])
 def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     args, out, message = _malformed_input(case, tmp_path)
     assert main(args) == 2
@@ -346,6 +365,27 @@ def test_format_error_exits_2_with_one_line(tmp_path, capsys, case):
     assert "Traceback" in err and "CloudFormatError" in err
     assert err.splitlines()[-1].startswith("slopewatch: error:")
     assert not out.exists()
+
+
+def test_classify_on_a_horizontal_plane_needs_a_motion_azimuth(tmp_path,
+                                                                capsys):
+    field = tmp_path / "field.ply"
+    field.write_bytes(write_deformation(MESH, FIELD))
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps({"regions": [
+        {"id": 1, "area_m2": 2.0, "mean_rate_mm_day": 60.0,
+         "vertex_set": [0, 1, 3]}]}))
+    out = tmp_path / "report.json"
+    args = ["classify", "--regions", str(regions), "--field", str(field),
+            "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "slopewatch: error: the projection plane is horizontal and has no "
+        "fall line; give a motion azimuth\n")
+    assert not out.exists()
+    assert main(args + ["--motion-az", "0"]) == 0
+    row = json.loads(out.read_text())["regions"][0]
+    assert (row["W_m"], row["L_m"]) == (2.0, 2.0)
 
 
 def test_deform_without_a_valid_vertex_exits_2_with_one_line(tmp_path, capsys):
