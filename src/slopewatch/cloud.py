@@ -23,7 +23,7 @@ from enum import IntEnum
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CloudFormatError, CloudParseError, DegenerateSurface
+from .errors import CloudFormatError, DegenerateSurface
 
 logger = logging.getLogger(__name__)
 
@@ -185,16 +185,16 @@ def _parse_xyz_ascii(data: bytes) -> tuple[np.ndarray, dict]:
             continue
         parts = s.split()
         if len(parts) < 3:
-            raise CloudParseError("expected at least 3 fields", line=lineno)
+            raise CloudFormatError(f"expected at least 3 fields (record {lineno})")
         try:
             x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
-            raise CloudParseError(f"non-numeric coordinate in {s!r}", line=lineno)
+            raise CloudFormatError(f"non-numeric coordinate in {s!r} (record {lineno})")
         if len(parts) >= 4:
             try:
                 intensity.append(float(parts[3]))
             except ValueError:
-                raise CloudParseError(f"non-numeric extra field in {s!r}", line=lineno)
+                raise CloudFormatError(f"non-numeric extra field in {s!r} (record {lineno})")
             has_intensity = True
         else:
             intensity.append(0.0)

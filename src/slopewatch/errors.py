@@ -7,25 +7,8 @@ class SlopewatchError(Exception):
     """Base class for all package-specific failures."""
 
 
-class CloudParseError(SlopewatchError):
-    """A point record could not be decoded.
-
-    Carries the 1-based line (ASCII) or record (binary) number.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (record {line})"
-        super().__init__(message)
-
-
 class CloudFormatError(SlopewatchError):
     """The byte stream does not conform to the declared file format."""
-
-
-class DegenerateCorrespondences(SlopewatchError):
-    """Too few or geometrically degenerate point pairs for a rigid fit."""
 
 
 class NoOverlap(SlopewatchError):
@@ -34,7 +17,8 @@ class NoOverlap(SlopewatchError):
 
 
 class InsufficientGeometry(SlopewatchError):
-    """Feature matching left fewer than three usable correspondences."""
+    """Too few or degenerate point pairs for a pose fit: fewer than three
+    usable, collinear ones, or a singular point-to-plane system."""
 
 
 class DisconnectedViews(SlopewatchError):

@@ -184,6 +184,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with _stage("configure"):
         if len(config.epochs) < 1:
             raise ValueError("config needs at least one epoch")
+        # an epoch id names its files and the field header comments
+        ids = [e.epoch_id for e in config.epochs]
+        for eid in ids:
+            if ids.count(eid) > 1 or not eid or any(
+                    c.isspace() or c in "/\\" for c in eid):
+                raise ValueError(f"epoch id {eid!r} is repeated, empty, or "
+                                 f"holds whitespace or a path separator")
         config_json = config.to_json()
         epochs_meta = [EpochRecord(epoch_id=e.epoch_id,
                                    acquisition_date=date.fromisoformat(e.date),

@@ -27,8 +27,8 @@ from scipy.spatial.distance import cdist
 from .cloud import (PointCloud, concat_clouds, diameter, estimate_normals,
                     fit_plane, surface_spacing, _by_rows, _kdtree, _kept,
                     _orient_deterministic, _unique_rows)
-from .errors import (DegenerateCorrespondences, DegenerateSurface,
-                     DisconnectedViews, InsufficientGeometry, NoOverlap)
+from .errors import (DegenerateSurface, DisconnectedViews,
+                     InsufficientGeometry, NoOverlap)
 from .rigid import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -65,6 +65,10 @@ HYBRID_ALPHAS = np.linspace(0.8, 0.0, 5)
 class IcpParams:
     max_iter: int = 150
     max_pair_dist: float | None = None  # default: 0.25 * target diameter
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -109,20 +113,20 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform minimizing sum ||R s + t - d||^2.
 
     Standard SVD solution with the reflection corrected so the rotation is
-    proper. Needs at least three pairs that are not all collinear.
+    proper; ``InsufficientGeometry`` for under three pairs or collinear ones.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if src.shape != dst.shape:
         raise ValueError("source and target pair counts differ")
     if len(src) < 3:
-        raise DegenerateCorrespondences(f"{len(src)} pairs; need at least 3")
+        raise InsufficientGeometry(f"{len(src)} pairs; need at least 3")
     sc = src.mean(axis=0)
     dc = dst.mean(axis=0)
     h = (src - sc).T @ (dst - dc)
     u, s, vt = np.linalg.svd(h)
     if s[1] <= max(s[0], 1e-300) * 1e-9:
-        raise DegenerateCorrespondences("pairs are collinear or coincident")
+        raise InsufficientGeometry("pairs are collinear or coincident")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     return RigidTransform(r, dc - r @ sc)
@@ -149,7 +153,8 @@ def icp(
     surface between epochs does not drag the pose, and takes the
     linearised point-to-plane least-squares step on them (Chen & Medioni
     1992). A target without normals gets them first. The RMSE is the
-    residual along the target normals of the kept pairs after the step.
+    residual along the target normals of the kept pairs after the step,
+    or over the start pose's inliers when no step is taken.
 
     Stops as converged when the RMSE changes by at most
     ``ICP_CONVERGENCE_EPS`` of the previous RMSE, up or down, or reaches
@@ -161,7 +166,7 @@ def icp(
     Raises
     ------
     NoOverlap
-        If no pair survives the distance gate on the first iteration.
+        If no pair within the distance gate has a target normal at first.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
@@ -181,30 +186,30 @@ def icp(
     prev_rmse = np.inf
     iterations = 0
     converged = False
-    inliers = 0
     history: list[float] = []
 
     for it in range(1, params.max_iter + 1):
         moved = t.apply(src)
         dist, idx = _by_rows(tree.query, moved)
-        mask = dist <= max_pair
-        if it == 1 and not mask.any():
+        mask = (dist <= max_pair) & has_normal[idx]
+        count = int(mask.sum())
+        if it == 1 and count == 0:
             raise NoOverlap(
                 f"no source point within {max_pair:.3f} m of the target"
             )
-        mask &= has_normal[idx]
-        count = int(mask.sum())
-        if count < 6:
-            break
         p, q, n = moved[mask], tgt[idx[mask]], normals[idx[mask]]
         off = np.abs(np.einsum("ij,ij->i", p - q, n))
+        if it == 1:   # the start pose's figures, reported if no step is taken
+            inliers, start_rmse = count, float(np.sqrt(np.mean(off * off)))
+        if count < 6:
+            break
         keep = off <= ICP_RESIDUAL_GATE * MAD_TO_SIGMA * np.median(off)
         if keep.sum() < 6:
             break
         p, q, n = p[keep], q[keep], n[keep]
         try:
             step = _point_to_plane_step(p, q, n)
-        except DegenerateCorrespondences:
+        except InsufficientGeometry:
             break
         resid = np.einsum("ij,ij->i", step.apply(p) - q, n)
         rmse = float(np.sqrt(np.mean(resid * resid)))
@@ -223,7 +228,7 @@ def icp(
             converged = True
             break
 
-    rmse_out = prev_rmse if np.isfinite(prev_rmse) else 0.0
+    rmse_out = prev_rmse if history else start_rmse
     return RegistrationResult(transform=t, rmse=rmse_out,
                               iterations=max(iterations, 1), converged=converged,
                               inlier_count=inliers, rmse_sequence=history)
@@ -236,7 +241,7 @@ def _point_to_plane_step(p: np.ndarray, q: np.ndarray,
     Solves the 6x6 normal equations for a rotation vector and a translation,
     rotating about the centroid of ``p`` for conditioning, and builds the
     rotation exactly from the rotation vector. Raises
-    ``DegenerateCorrespondences`` when the system is singular (the normals
+    ``InsufficientGeometry`` when the system is singular (the normals
     leave a motion unconstrained, as on a plane).
     """
     c = p.mean(axis=0)
@@ -245,7 +250,7 @@ def _point_to_plane_step(p: np.ndarray, q: np.ndarray,
     h = a.T @ a
     w = np.linalg.eigvalsh(h)
     if w[0] <= w[-1] * 1e-12:
-        raise DegenerateCorrespondences("point-to-plane system is singular")
+        raise InsufficientGeometry("point-to-plane system is singular")
     x = np.linalg.solve(h, a.T @ b)
     angle = float(np.linalg.norm(x[:3]))
     r = (RigidTransform.rotation_about_axis(x[:3], angle).rotation
@@ -504,8 +509,9 @@ def _consistent_matches(source: PointCloud, target: PointCloud,
 def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
     """Descriptor matching + geometric consistency + closed-form fit.
 
-    Raises ``InsufficientGeometry`` when fewer than three matches survive
-    the consistency filter (featureless or non-overlapping geometry).
+    Raises ``InsufficientGeometry`` when fewer than three non-collinear
+    matches survive the consistency filter (featureless or non-overlapping
+    geometry).
     """
     source, target, fs, ft, spacing = _prepare_pair(source, target)
     matches, keep = _consistent_matches(source, target, fs, ft, spacing)
@@ -518,11 +524,8 @@ def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
             f"geometrically consistent (need {required})"
         )
     pairs = matches[keep]
-    try:
-        return fit_rigid(source.points[fs.keypoint_indices[pairs[:, 0]]],
-                         target.points[ft.keypoint_indices[pairs[:, 1]]])
-    except DegenerateCorrespondences as exc:
-        raise InsufficientGeometry(str(exc)) from exc
+    return fit_rigid(source.points[fs.keypoint_indices[pairs[:, 0]]],
+                     target.points[ft.keypoint_indices[pairs[:, 1]]])
 
 
 def _strongest_link(groups: list) -> tuple | None:
@@ -637,7 +640,7 @@ def register_global_hybrid(source: PointCloud, target: PointCloud,
         rows, cols = linear_sum_assignment(cost)
         try:
             t = fit_rigid(pa[rows], pb[cols])
-        except DegenerateCorrespondences:
+        except InsufficientGeometry:
             continue
 
     return icp(source, target, icp_params, init=t)

@@ -44,10 +44,7 @@ class RigidTransform:
         return RigidTransform(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        out = np.atleast_2d(pts) @ self.rotation.T + self.translation
-        return out[0] if single else out
+        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
     def apply_normals(self, normals: np.ndarray) -> np.ndarray:
         """Rotate direction vectors (NaN rows pass through)."""

@@ -102,12 +102,11 @@ def _value_noise(u: np.ndarray, v: np.ndarray, extent: tuple, rng,
 
 
 def terrain_frame(slope_deg: float) -> TerrainFrame:
+    """Base plane rising at ``slope_deg`` towards +y, axes from ``plane_basis``."""
     theta = math.radians(slope_deg)
-    return TerrainFrame(
-        axis_u=np.array([1.0, 0.0, 0.0]),
-        axis_v=np.array([0.0, math.cos(theta), math.sin(theta)]),
-        normal=np.array([0.0, -math.sin(theta), math.cos(theta)]),
-    )
+    normal = np.array([0.0, -math.sin(theta), math.cos(theta)])
+    axis_u, axis_v = plane_basis(normal)
+    return TerrainFrame(axis_u=axis_u, axis_v=axis_v, normal=normal)
 
 
 def gen_terrain(
@@ -316,15 +315,11 @@ def apply_landslide(
     pts = cloud.points
     if frame is not None:
         normal = frame.normal
-        axis_u = frame.axis_u
-        axis_v = frame.axis_v
+    elif cloud.labels is not None and (cloud.labels == PointClass.GROUND).any():
+        normal = fit_plane(pts[cloud.labels == PointClass.GROUND])[0]
     else:
-        if cloud.labels is not None and (cloud.labels == PointClass.GROUND).any():
-            base = pts[cloud.labels == PointClass.GROUND]
-        else:
-            base = pts
-        normal = fit_plane(base)[0]
-        axis_u, axis_v = plane_basis(normal)
+        normal = fit_plane(pts)[0]
+    axis_u, axis_v = plane_basis(normal)
 
     az = math.radians(region_spec.azimuth_deg)
     t_along = math.cos(az) * axis_u + math.sin(az) * axis_v

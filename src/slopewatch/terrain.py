@@ -492,8 +492,8 @@ def significant_regions(
     """Mesh-connected components of vertices whose rate exceeds the threshold.
 
     Components below ``min_area_m2`` (projected area share) are dropped;
-    output is sorted by area descending and numbered from 1. NaN rates
-    (invalid vertices) never join a region.
+    output is sorted by area descending, unnumbered (``measure_regions``
+    numbers them). NaN rates (invalid vertices) never join a region.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if len(rates) != len(mesh.vertices):
@@ -519,8 +519,6 @@ def significant_regions(
         regions.append(Region(vertex_set=np.sort(members), area_m2=area,
                               mean_rate_mm_day=float(np.mean(rates[members]))))
     regions.sort(key=lambda r: (-r.area_m2, int(r.vertex_set[0])))
-    for i, r in enumerate(regions, start=1):
-        r.region_id = i
     return regions
 
 

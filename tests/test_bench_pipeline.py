@@ -113,6 +113,26 @@ def test_pipeline_refuses_an_unserializable_date_before_any_stage(tmp_path):
     assert not list((tmp_path / "r").glob("*.ply"))
 
 
+@pytest.mark.parametrize("epoch, epoch_id", [
+    (1, "I"),                  # repeated: epoch II would overwrite I's files
+    (1, "II b"),               # whitespace: the field header reads back "II"
+    (0, ""),                   # empty: the field header reads back no epoch
+    (1, "x/../../escaped"),    # a path separator leaves the output directory
+])
+def test_pipeline_refuses_a_bad_epoch_id_in_configure(tmp_path, capsys,
+                                                      epoch, epoch_id):
+    cfg = default_config(density_pts_m2=8, out_dir=str(tmp_path / "r"))
+    cfg.epochs[epoch].epoch_id = epoch_id
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "stage 'configure' failed" in err[0]
+    assert repr(epoch_id) in err[0]
+    assert list(tmp_path.rglob("*.ply")) == []
+
+
 def test_default_config_refuses_an_unknown_override():
     with pytest.raises(TypeError):
         default_config(densty_pts_m2=8)

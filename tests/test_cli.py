@@ -51,6 +51,27 @@ def test_register_writes_transform_and_result(tmp_path, capsys):
     assert result["rmse_m"] < 0.02
 
 
+def test_register_without_a_step_reports_the_start_pose(tmp_path, capsys):
+    # on two parallel planes the point-to-plane system is singular, so ICP
+    # returns its start pose, 0.2 m off along the normals
+    rng = np.random.default_rng(8)
+    plane = np.column_stack([rng.uniform(0, 20, 1500),
+                             rng.uniform(0, 20, 1500), np.zeros(1500)])
+    for name, z in (("a.ply", 0.0), ("b.ply", 0.2)):
+        cloud = sw.PointCloud(points=plane + [0.0, 0.0, z])
+        (tmp_path / name).write_bytes(sw.write_cloud(cloud))
+    rj = tmp_path / "r.json"
+    assert main(["register", "--src", str(tmp_path / "b.ply"),
+                 "--dst", str(tmp_path / "a.ply"), "--method", "icp",
+                 "--out-transform", str(tmp_path / "t.txt"),
+                 "--out-result", str(rj)]) == 0
+    assert capsys.readouterr().out == "rmse_m 0.200000 inliers 1500\n"
+    result = json.loads(rj.read_text())
+    assert result["rmse_m"] == pytest.approx(0.2, abs=1e-12)
+    assert result["inlier_count"] == 1500
+    assert result["converged"] is False
+
+
 def test_register_multiview_cli(tmp_path):
     scene, _ = sw.gen_terrain((30, 20), 70.0, 0.5, 10, seed=3)
     poses = sw.stations_facing_slope(scene, 2, standoff=40.0)

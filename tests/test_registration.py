@@ -6,9 +6,8 @@ from scipy.spatial import cKDTree
 import slopewatch as sw
 from slopewatch import cloud as cloud_mod, registration as reg
 from slopewatch.cloud import _kdtree, surface_spacing
-from slopewatch.errors import (DegenerateCorrespondences, DegenerateSurface,
-                               DisconnectedViews, InsufficientGeometry,
-                               NoOverlap)
+from slopewatch.errors import (DegenerateSurface, DisconnectedViews,
+                               InsufficientGeometry, NoOverlap)
 from slopewatch.rigid import RigidTransform
 
 
@@ -77,14 +76,14 @@ def test_fit_rigid_recovers_known_transform():
 
 
 def test_fit_rigid_too_few_pairs():
-    with pytest.raises(DegenerateCorrespondences):
+    with pytest.raises(InsufficientGeometry):
         sw.fit_rigid(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_fit_rigid_collinear_pairs():
     t = np.linspace(0, 1, 5)
     line = np.column_stack([t, t, t])
-    with pytest.raises(DegenerateCorrespondences):
+    with pytest.raises(InsufficientGeometry):
         sw.fit_rigid(line, line + 1.0)
 
 
@@ -108,7 +107,7 @@ def test_fit_rigid_property_recovery(seed, angle, scale):
     truth = RigidTransform(truth.rotation, rng.normal(size=3) * scale)
     try:
         t = sw.fit_rigid(src, truth.apply(src))
-    except DegenerateCorrespondences:
+    except InsufficientGeometry:
         return  # hypothesis found a (near) collinear draw, correctly rejected
     assert_proper_rotation(t)
     assert np.abs(t.apply(src) - truth.apply(src)).max() < 1e-8 * max(scale, 1)
@@ -350,6 +349,11 @@ def test_icp_stops_on_singular_plane_system():
     assert not result.converged
     assert result.rmse_sequence == []
     np.testing.assert_array_equal(result.transform.matrix(), np.eye(4))
+
+
+def test_icp_params_refuse_no_iterations():
+    with pytest.raises(ValueError):
+        sw.IcpParams(max_iter=0)
 
 
 def test_icp_rejects_empty():

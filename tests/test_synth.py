@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 import slopewatch as sw
 from slopewatch import synth
-from slopewatch.cloud import PointClass, fit_plane
+from slopewatch.cloud import PointClass, fit_plane, plane_basis
 from slopewatch.errors import DegenerateSurface
 from slopewatch.rigid import RigidTransform
 from slopewatch.synth import (LandslideSpec, add_vegetation, apply_landslide,
@@ -43,6 +43,19 @@ def test_gen_terrain_roughness_scale():
     offsets = cloud.points @ truth.frame.normal
     rms = np.sqrt(np.mean((offsets - offsets.mean()) ** 2))
     assert rms == pytest.approx(0.5, rel=0.25)
+
+
+def test_terrain_frame_axes_are_the_plane_basis_of_its_normal():
+    for slope in np.linspace(0.0, 90.0, 19):
+        frame = terrain_frame(slope)
+        u, v = plane_basis(frame.normal)
+        np.testing.assert_array_equal(frame.axis_u, u)
+        np.testing.assert_array_equal(frame.axis_v, v)
+        # the slope rises along axis_v
+        theta = np.radians(slope)
+        np.testing.assert_allclose(frame.axis_v,
+                                   [0.0, np.cos(theta), np.sin(theta)],
+                                   rtol=0, atol=1e-15)
 
 
 def test_gen_terrain_rejects_bad_density():

