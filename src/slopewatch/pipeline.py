@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -136,7 +137,8 @@ class PipelineResult:
 def _stage(name: str):
     """Run a stage: failures become ``PipelineStageError(name)``, and its
     wall and process-CPU seconds are logged when it ends (CPU above wall
-    means it ran on more than one core)."""
+    means it ran on more than one core), with the process's peak resident
+    memory so far: the first stage whose line shows the run's peak set it."""
     logger.info("pipeline stage: %s", name)
     wall, cpu = time.perf_counter(), time.process_time()
     try:
@@ -146,8 +148,9 @@ def _stage(name: str):
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
     finally:
-        logger.info("stage %s took %.3f s wall, %.3f s cpu", name,
-                    time.perf_counter() - wall, time.process_time() - cpu)
+        logger.info("stage %s took %.3f s wall, %.3f s cpu, peak rss %.1f MB",
+                    name, time.perf_counter() - wall, time.process_time() - cpu,
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def default_config(**overrides) -> PipelineConfig:

@@ -81,9 +81,12 @@ def test_stage_logs_its_wall_and_cpu_seconds_when_it_ends(caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0::2] == ["pipeline stage: busy", "pipeline stage: broken"]
     ends = [re.fullmatch(r"stage (\w+) took (\d+\.\d{3}) s wall, "
-                         r"(\d+\.\d{3}) s cpu", m) for m in messages[1::2]]
+                         r"(\d+\.\d{3}) s cpu, peak rss (\d+\.\d) MB", m)
+            for m in messages[1::2]]
     assert [m[1] for m in ends] == ["busy", "broken"]
     assert float(ends[0][3]) > 0.0
+    # the process's high-water mark: it never falls from stage to stage
+    assert 0.0 < float(ends[0][4]) <= float(ends[1][4])
 
 
 def test_pipeline_config_json_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from threading import current_thread, main_thread
 
 import numpy as np
@@ -389,9 +390,38 @@ def test_by_rows_concatenates_blocks_in_row_order(n):
     assert doubled.shape == (n, 3) and first.dtype == np.int64
     np.testing.assert_array_equal(first, 3 * np.arange(n))
     if n > cloud_mod.ROW_BLOCK:
-        assert sorted(sizes) == [1, n - 1] and main_thread() not in threads
+        # equal blocks, as many per worker, none over ROW_BLOCK, all pooled
+        workers = cloud_mod._POOL._max_workers
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert len(sizes) % workers == 0 and max(sizes) <= cloud_mod.ROW_BLOCK
+        assert main_thread() not in threads
     else:
         assert sizes == [n] and threads == {main_thread()}
+
+
+BLOCK = cloud_mod.ROW_BLOCK
+
+
+@pytest.mark.parametrize("workers, n, blocks", [
+    (1, 2 * BLOCK + 3827, 3), (2, 2 * BLOCK + 3827, 4), (2, 2 * BLOCK, 2),
+    (3, 2 * BLOCK + 1, 3), (3, 3 * BLOCK + 1, 6), (4, BLOCK + 1, 4)])
+def test_by_rows_splits_rows_into_equal_blocks_per_worker(monkeypatch, workers,
+                                                          n, blocks):
+    """The fewest blocks of at most ROW_BLOCK rows, as many per worker,
+    equal to within a row; none runs on the calling thread."""
+    sizes, on_main = [], []
+
+    def kernel(block):
+        sizes.append(len(block))
+        on_main.append(current_thread() is main_thread())
+        return (block,)
+
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(cloud_mod, "_POOL", pool)
+        got, = cloud_mod._by_rows(kernel, np.arange(n))
+    np.testing.assert_array_equal(got, np.arange(n))
+    assert len(sizes) == blocks and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= cloud_mod.ROW_BLOCK and not any(on_main)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import logging
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import slopewatch as sw
+import slopewatch.cloud as cloud_mod
 from slopewatch import terrain
 from slopewatch.errors import CloudFormatError, DegenerateSurface, NoOverlap
 from slopewatch.terrain import (DeformationField, Region, build_dtm,
@@ -502,6 +505,31 @@ def test_mesh_distance_does_not_depend_on_blocks_or_threads(monkeypatch,
         np.testing.assert_array_equal(got.values, w.values)
         np.testing.assert_array_equal(got.valid, w.valid)
     assert len(chunks) > 1000
+
+
+def test_mesh_distance_works_in_bounded_memory(monkeypatch):
+    """Two 20,000-point DTMs, the reference of 39,876 triangles: the call
+    holds 12.8 MB at the most at once. Traced on one pool thread, since two
+    interleave their allocations and the peak would not repeat."""
+    def rough(seed, dz):
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0.0, [60.0, 40.0], (20_000, 2))
+        z = (0.5 * np.sin(xy[:, 0] / 3) * np.cos(xy[:, 1] / 4)
+             + rng.normal(0, 0.05, len(xy)))
+        return build_dtm(sw.PointCloud(points=np.column_stack([xy, z + dz])),
+                         projection_plane=PLANE_Z, max_edge=3.0)
+
+    reference, compared = rough(1, 0.0), rough(2, 0.1)
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(cloud_mod, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            f = mesh_distance(compared, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert f.valid.sum() == 19_890
+    assert peak < 15 * 2**20
 
 
 def test_mesh_distance_plans_only_vertices_their_nearest_triangle_leaves_open(
