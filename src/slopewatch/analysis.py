@@ -334,6 +334,6 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    """Deterministic serialization (sorted keys, fixed indentation) of a
-    report or a regions document."""
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Standard JSON (sorted keys, fixed indentation, no NaN or infinity)
+    of a report or a regions document."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

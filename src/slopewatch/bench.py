@@ -81,8 +81,6 @@ def run_table2_benchmark(config: BenchmarkConfig) -> dict:
     report = {"configurations": [], "trials": config.trials,
               "success_threshold_m": config.success_threshold_m}
     for ci, trial_cfg in enumerate(config.configurations):
-        per_method = {m: {"successes": 0, "rmse": []}
-                      for m in config.methods}
         trial_records = []
         for t in range(config.trials):
             rng = np.random.default_rng([config.seed, ci, t])
@@ -116,22 +114,21 @@ def run_table2_benchmark(config: BenchmarkConfig) -> dict:
                     result = run_method(m, source, target, IcpParams())
                     ev = evaluate_registration(result, truth, diam,
                                                config.success_threshold_m)
-                    per_method[m]["successes"] += int(ev.success)
-                    per_method[m]["rmse"].append(ev.pose_rmse)
                     record[m] = {"success": bool(ev.success),
                                  "pose_rmse_m": float(ev.pose_rmse)}
                 except SlopewatchError as exc:
-                    per_method[m]["rmse"].append(float("inf"))
                     record[m] = {"success": False, "error": str(exc)}
                     logger.info("trial %d method %s errored: %s", t, m, exc)
             trial_records.append(record)
 
         rows = []
         for m in config.methods:
-            rmse = [r for r in per_method[m]["rmse"] if np.isfinite(r)]
+            outcomes = [r[m] for r in trial_records]
+            rmse = [o["pose_rmse_m"] for o in outcomes
+                    if np.isfinite(o.get("pose_rmse_m", np.inf))]
             rows.append({
                 "method": m,
-                "success_rate": per_method[m]["successes"] / config.trials,
+                "success_rate": sum(o["success"] for o in outcomes) / config.trials,
                 "mean_pose_rmse_m": float(np.mean(rmse)) if rmse else None,
                 "trials": config.trials,
             })

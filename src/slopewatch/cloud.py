@@ -465,11 +465,10 @@ def _by_rows(kernel, rows) -> tuple:
     multiple of the pool's workers, equal to within one row, so every
     worker gets the same share and none idles in the last round: 20,211
     rows on two workers run as four blocks of 5,052 or 5,053. The pool
-    runs all of the package's work that leaves the calling thread, in six
+    runs all of the package's work that leaves the calling thread, in five
     kernels: the normals of ``estimate_normals``, the neighbour distances
-    of ``remove_outliers``, the pairing query of ``registration.icp``, the
-    descriptors of ``registration.extract_descriptors``, and the
-    nearest-triangle search and the support test of
+    of ``remove_outliers``, the pairing query of ``registration.icp``, and
+    the nearest-triangle search and the support test of
     ``terrain.mesh_distance``.
 
     A kernel must compute each row on its own, so the result does not depend
@@ -698,8 +697,8 @@ def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
 
     Output cells are ordered by first point occurrence, which makes the
     operation idempotent: re-running with the same cell size returns the
-    identical points. Scalar channels are averaged per cell; normals and
-    labels are dropped.
+    identical points. Only points are kept: normals, scalars and labels
+    are dropped, as the callers triangulate the points alone.
     """
     if cell <= 0:
         raise ValueError("cell size must be positive")
@@ -718,8 +717,4 @@ def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
     centroids = np.column_stack([
         np.bincount(cell_of, weights=pts[:, a], minlength=ncell) for a in range(3)
     ]) / counts[:, None]
-    scalars = {
-        name: np.bincount(cell_of, weights=vals, minlength=ncell) / counts
-        for name, vals in cloud.scalars.items()
-    }
-    return PointCloud(points=centroids, scalars=scalars, epoch_id=cloud.epoch_id)
+    return PointCloud(points=centroids, epoch_id=cloud.epoch_id)

@@ -33,7 +33,7 @@ from .cloud import (EpochRecord, PointCloud, concat_clouds,
                     estimate_normals, write_cloud)
 from .errors import CloudFormatError, PipelineStageError
 from .ground import ClothParams, filter_vegetation
-from .registration import (NORMALS_K, register_global_hybrid,
+from .registration import (MAD_TO_SIGMA, NORMALS_K, register_global_hybrid,
                            register_multiview)
 from .synth import (DEFAULT_NOISE_SIGMA_M, DEFAULT_SLOPE_DEG,
                     LandslideSpec, SceneTruth, add_vegetation,
@@ -95,7 +95,8 @@ class PipelineConfig:
             if isinstance(o, np.ndarray):
                 return o.tolist()
             raise TypeError(f"not JSON-serializable: {o!r}")
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=default)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False, default=default)
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
@@ -260,9 +261,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             else:
                 result = register_global_hybrid(merged, reference)
                 aligned = result.transform.apply_cloud(merged)
-                logger.info("epoch %s -> %s rmse %.4f m (%d inliers)",
+                logger.info("epoch %s -> %s rmse %.4f m (%d inliers), %d icp "
+                            "iterations, converged %s, rmse trace %s m",
                             espec.epoch_id, config.epochs[0].epoch_id,
-                            result.rmse, result.inlier_count)
+                            result.rmse, result.inlier_count, result.iterations,
+                            result.converged, np.round(result.rmse_sequence, 4).tolist())
             del merged
             emit(f"epoch_{espec.epoch_id}_aligned.ply",
                  write_cloud(aligned), "register_epochs")
@@ -297,6 +300,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                  write_deformation(mesh, f), "deform")
 
         with _stage("analyze"):
+            # robust spread: M3C2's level of detection (Lague et al. 2013)
+            vals = f.values[f.valid] if f.valid.any() else np.array([np.nan])
+            mid = np.median(vals)
+            logger.info("field %s_%s: %.1f%% of %d vertices valid, median %.1f "
+                        "mm, robust spread %.1f mm", f.reference_epoch,
+                        f.compared_epoch, 100.0 * f.valid.mean(), len(f.values),
+                        1000 * mid, 1000 * MAD_TO_SIGMA * np.median(np.abs(vals - mid)))
             regions = significant_regions(mesh, rate_field(f),
                                           config.rate_threshold_mm_day,
                                           config.min_region_area_m2)

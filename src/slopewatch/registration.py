@@ -300,10 +300,8 @@ def extract_descriptors(cloud: PointCloud, keypoints,
     ``radius``, or without a finite normal or a local frame, are dropped;
     the ``FeatureSet`` lists the kept ones in their input order.
 
-    The ball query runs on the calling thread; gathering and binning the
-    neighborhoods run per block of ``cloud.ROW_BLOCK`` keypoints on the
-    package's one pool (``cloud._by_rows``). Each keypoint is binned on its
-    own, so the result is the same for any block size or core count.
+    One vectorised pass on the calling thread bins every usable keypoint,
+    each on its own, so a descriptor does not depend on the other keypoints.
     """
     if cloud.normals is None:
         raise ValueError("descriptors need normals; run estimate_normals first")
@@ -315,26 +313,9 @@ def extract_descriptors(cloud: PointCloud, keypoints,
     usable = np.flatnonzero(
         (sizes >= DESCRIPTOR_MIN_NEIGHBORS)
         & np.all(np.isfinite(cloud.normals[keypoints]), axis=1))
-
-    def kernel(block):
-        neighbors = np.fromiter(
-            itertools.chain.from_iterable(lists[i] for i in block),
-            dtype=np.int64, count=int(sizes[block].sum()))
-        return _bin_neighborhoods(cloud, keypoints[block], neighbors,
-                                  sizes[block], radius)
-
-    framed, desc = _by_rows(kernel, usable)
-    return FeatureSet(keypoint_indices=keypoints[usable[framed]],
-                      descriptors=desc[framed])
-
-
-def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
-                       neighbors: np.ndarray, sizes: np.ndarray,
-                       radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors of keypoints whose neighbor lists lie back to back in
-    ``neighbors`` (``sizes[i]`` entries each, all at least one). Returns a
-    mask of keypoints with a local frame and one uint8 descriptor row each;
-    rows without a frame are meaningless."""
+    keypoints, sizes = keypoints[usable], sizes[usable]
+    neighbors = np.fromiter(itertools.chain.from_iterable(lists[i] for i in usable),
+                            dtype=np.int64, count=int(sizes.sum()))
     n_az, n_rad, n_el = DESCRIPTOR_BINS
     m = len(keypoints)
     owner = np.repeat(np.arange(m), sizes)
@@ -371,7 +352,8 @@ def _bin_neighborhoods(cloud: PointCloud, keypoints: np.ndarray,
     flat = (i_az * n_rad + i_rad) * n_el + i_el
     counts = np.bincount(owner * DESCRIPTOR_BITS + flat,
                          minlength=m * DESCRIPTOR_BITS).reshape(m, DESCRIPTOR_BITS)
-    return framed, (counts > np.median(counts, axis=1, keepdims=True)).astype(np.uint8)
+    desc = (counts > np.median(counts, axis=1, keepdims=True)).astype(np.uint8)
+    return FeatureSet(keypoint_indices=keypoints[framed], descriptors=desc[framed])
 
 
 def hamming_matrix(a: FeatureSet, b: FeatureSet) -> np.ndarray:

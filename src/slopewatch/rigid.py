@@ -46,13 +46,9 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
-    def apply_normals(self, normals: np.ndarray) -> np.ndarray:
-        """Rotate direction vectors (NaN rows pass through)."""
-        return np.asarray(normals, dtype=np.float64) @ self.rotation.T
-
     def apply_cloud(self, cloud):
         """Transformed copy of a cloud (normals rotated, channels kept)."""
-        normals = None if cloud.normals is None else self.apply_normals(cloud.normals)
+        normals = None if cloud.normals is None else cloud.normals @ self.rotation.T
         return cloud.with_(points=self.apply(cloud.points), normals=normals)
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":

@@ -177,9 +177,8 @@ def build_dtm(
     normal = normal / np.linalg.norm(normal)
     offset = float(projection_plane[1])
 
-    shell = TriangleMesh(vertices=np.zeros((3, 3)), triangles=np.zeros((0, 3), int),
-                         plane_normal=normal, plane_offset=offset)
-    uv = shell.project(pts)
+    u, v = plane_basis(normal / np.linalg.norm(normal))  # as TriangleMesh stores it
+    uv = np.column_stack([pts @ u, pts @ v])
 
     _, first_idx, _ = _unique_rows(uv)
     keep = np.sort(first_idx)
@@ -241,7 +240,6 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     Only the dot products and barycentric terms span every row; each
     region's arithmetic runs on the rows it settles.
     """
-    p = np.atleast_2d(p)
     ab, ac = b - a, c - a
 
     def dot(x, y):
@@ -476,6 +474,8 @@ def mesh_distance(
     and a few arrays per vertex, every step works on blocks of vertices and
     chunks of candidate pairs, gathering the corners each chunk tests.
     """
+    if not max_dist > 0:
+        raise ValueError(f"max_dist must be positive, got {max_dist}")
     if len(reference.triangles) == 0:
         raise DegenerateSurface("reference mesh has no triangles")
     verts = compared.vertices
@@ -528,8 +528,6 @@ def field_stats(field_: DeformationField) -> FieldStats:
 
 def rate_field(field_: DeformationField) -> np.ndarray:
     """Per-vertex magnitude rate in mm/day; NaN on invalid vertices."""
-    if field_.interval_days <= 0:
-        raise ValueError("interval_days must be positive")
     return 1000.0 * np.abs(field_.values) / field_.interval_days
 
 
@@ -545,6 +543,8 @@ def significant_regions(
     output is sorted by area descending, unnumbered (``measure_regions``
     numbers them). NaN rates (invalid vertices) never join a region.
     """
+    if not (threshold_mm_day >= 0 and min_area_m2 >= 0):
+        raise ValueError("threshold and minimum area must be non-negative")
     rates = np.asarray(rates, dtype=np.float64)
     if len(rates) != len(mesh.vertices):
         raise ValueError("rates must align with mesh vertices")

@@ -136,6 +136,26 @@ def test_pipeline_refuses_a_bad_epoch_id_in_configure(tmp_path, capsys,
     assert list(tmp_path.rglob("*.ply")) == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rate_threshold_mm_day", float("nan")),
+    ("dtm_max_edge_m", float("inf")),
+    ("filter_cell_m", float("nan")),
+])
+def test_pipeline_refuses_a_non_finite_setting_in_configure(tmp_path, capsys,
+                                                            key, value):
+    # standard JSON has no NaN or Infinity, so report.json could not hold it
+    doc = json.loads(default_config(density_pts_m2=8,
+                                    out_dir=str(tmp_path / "r")).to_json())
+    doc[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "stage 'configure' failed" in err[0]
+    assert list(tmp_path.rglob("*.ply")) == []
+
+
 def test_default_config_refuses_an_unknown_override():
     with pytest.raises(TypeError):
         default_config(densty_pts_m2=8)
@@ -462,14 +482,35 @@ def test_surface_chain_does_not_depend_on_where_the_cloud_sits(
                 == [sorted(r.vertex_set) for r in moved[3]])
 
 
-def test_epoch_registration_lands_within_half_the_scan_noise(tmp_path):
+def test_epoch_registration_lands_within_half_the_scan_noise(tmp_path, caplog):
     """Epoch II's stable ground lies where epoch I's frame puts the
     generator's terrain: fitting each epoch's stable ground points to
     their noise-free scene points, the two fits move epoch II's points by
     under 3 mm RMS, half the 6 mm scan noise. Seed 3 is the worst seed
-    measured."""
+    measured. ``-v`` says why: the epoch ICP's trace and the field's
+    robust spread, a few mm when the epochs align."""
     cfg = default_config(density_pts_m2=8, rng_seed=3, out_dir=str(tmp_path))
-    result = run_pipeline(cfg)
+    with caplog.at_level(logging.INFO, logger="slopewatch.pipeline"):
+        result = run_pipeline(cfg)
+    messages = [r.getMessage() for r in caplog.records]
+    icp_line = [re.fullmatch(
+        r"epoch II -> I rmse (\d\.\d{4}) m \(\d+ inliers\), (\d+) icp "
+        r"iterations, converged True, rmse trace \[([\d., ]+)\] m", m)
+        for m in messages if m.startswith("epoch II -> I ")]
+    assert len(icp_line) == 1 and icp_line[0]
+    rmse, iterations, trace = icp_line[0].groups()
+    trace = [float(t) for t in trace.split(", ")]
+    assert trace[-1] == float(rmse) and len(trace) == int(iterations) > 1
+    assert trace == sorted(trace, reverse=True)
+    field = result.fields[0]
+    vals = field.values[field.valid]
+    median = np.median(vals)
+    spread = reg.MAD_TO_SIGMA * np.median(np.abs(vals - median))
+    assert 0.0 < spread < 0.010
+    assert ("field I_II: %.1f%% of %d vertices valid, median %.1f mm, "
+            "robust spread %.1f mm" % (100.0 * field.valid.mean(),
+                                       len(field.values), 1000 * median,
+                                       1000 * spread) in messages)
     terrain, _ = sw.gen_terrain(cfg.extent_m, cfg.mean_slope_deg,
                                 cfg.roughness_m, cfg.density_pts_m2,
                                 seed=cfg.rng_seed)

@@ -458,6 +458,17 @@ def test_voxel_matches_hash_grid_oracle(rng):
     np.testing.assert_array_equal(out.points, oracle)
 
 
+def test_voxel_keeps_points_only(rng):
+    pts = rng.uniform(0, 10, (500, 3))
+    cloud = sw.PointCloud(points=pts, normals=np.tile([0, 0, 1.0], (500, 1)),
+                          scalars={"intensity": rng.uniform(size=500)},
+                          labels=np.ones(500, dtype=np.uint8))
+    out = sw.voxel_downsample(cloud, 2.0)
+    assert (out.normals, out.scalars, out.labels) == (None, {}, None)
+    np.testing.assert_array_equal(
+        out.points, sw.voxel_downsample(sw.PointCloud(points=pts), 2.0).points)
+
+
 def test_voxel_idempotent(rng):
     pts = rng.uniform(0, 20, (3000, 3))
     once = sw.voxel_downsample(sw.PointCloud(points=pts), 1.3)

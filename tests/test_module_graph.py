@@ -49,8 +49,6 @@ def test_traced_benchmark_names_resolve(monkeypatch):
 # outside the package; a whole class is named without a field
 READ_OUTSIDE = {
     "PipelineResult": "run_pipeline's return value, read by its callers",
-    "RegistrationResult.rmse_sequence":
-        "the ICP's RMSE trace, for the per-run metrics file ROADMAP plans",
     "RigidTransform.translation":
         "read by the transform's own methods and by perfbench's pose check",
 }

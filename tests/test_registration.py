@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import slopewatch as sw
-from slopewatch import cloud as cloud_mod, registration as reg
+from slopewatch import registration as reg
 from slopewatch.cloud import _kdtree, surface_spacing
 from slopewatch.errors import (DegenerateSurface, DisconnectedViews,
                                InsufficientGeometry, NoOverlap)
@@ -499,10 +499,7 @@ def assert_matches_reference(cloud, keypoints, radius):
     return feats
 
 
-@pytest.mark.parametrize("row_block", [cloud_mod.ROW_BLOCK, 7])
-def test_descriptors_match_per_keypoint_reference(monkeypatch, row_block):
-    # a small block splits the keypoints into many blocks run on the pool
-    monkeypatch.setattr(cloud_mod, "ROW_BLOCK", row_block)
+def test_descriptors_match_per_keypoint_reference(monkeypatch):
     cloud, _ = make_terrain(seed=3, extent=(30, 20))
     cloud = reg._ensure_normals(cloud)
     spacing = surface_spacing(cloud)

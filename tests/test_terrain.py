@@ -579,6 +579,14 @@ def test_mesh_distance_empty_reference():
         mesh_distance(mesh, empty, 5.0, 10)
 
 
+@pytest.mark.parametrize("max_dist", [float("nan"), -1.0, 0.0])
+def test_mesh_distance_refuses_a_max_dist_that_is_not_positive(max_dist):
+    mesh = build_dtm(plane_cloud(100, seed=11), projection_plane=PLANE_Z,
+                     max_edge=5.0)
+    with pytest.raises(ValueError, match="max_dist must be positive"):
+        mesh_distance(mesh, mesh, max_dist=max_dist)
+
+
 # ---------------------------------------------------------------------------
 # field statistics and rates
 # ---------------------------------------------------------------------------
@@ -672,6 +680,17 @@ def test_regions_empty_below_threshold():
                      max_edge=3.0)
     rates = np.full(len(mesh.vertices), 0.5)
     assert significant_regions(mesh, rates, 2.0, 1.0) == []
+
+
+@pytest.mark.parametrize("threshold, min_area", [
+    (float("nan"), 1.0), (-2.0, 1.0), (2.0, float("nan")), (2.0, -5.0)])
+def test_regions_refuse_a_negative_or_nan_threshold_or_area(threshold,
+                                                             min_area):
+    mesh = build_dtm(plane_cloud(200, seed=12), projection_plane=PLANE_Z,
+                     max_edge=5.0)
+    rates = np.full(len(mesh.vertices), 5.0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        significant_regions(mesh, rates, threshold, min_area)
 
 
 def test_regions_injected_patch_area():
